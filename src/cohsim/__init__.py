@@ -46,7 +46,6 @@ from .paradox import (
 )
 from .game import (
     GameEvaluation,
-    classical_identity_check,
     coherence_term,
     quantum_strategy,
     winning_probability,
@@ -60,7 +59,6 @@ from .experiment import (
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
-    paradox_log10_p_value,
     paradox_p_value,
     point_correlator,
     simulate_counts,
@@ -99,7 +97,6 @@ __all__ = [
     "StateVector",
     "TomographyResult",
     "VisibilityScan",
-    "classical_identity_check",
     "coherence_paradox",
     "coherence_term",
     "correlator",
@@ -117,7 +114,6 @@ __all__ = [
     "lhv_mixture_test",
     "outcome_distribution",
     "paradox_counts",
-    "paradox_log10_p_value",
     "paradox_p_value",
     "parse_signed_axis",
     "point_correlator",

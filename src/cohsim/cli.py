@@ -20,7 +20,6 @@ import platform
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,11 +28,10 @@ import scipy
 
 from . import __version__
 from .experiment import CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, visibility_scan
-from .measurement import expectation
-from .paradox import dicke_paradox
 from .reports import (
     DEFAULT_THETAS,
     correlator_detail_rows,
+    dicke_rows,
     game_curve_rows,
     game_exact_rows,
     game_simulated_rows,
@@ -41,7 +39,7 @@ from .reports import (
     paradox_simulated_block,
     write_rows_csv,
 )
-from .states import StateVector, dicke_one_excitation, epr_family
+from .states import epr_family
 from .tomography import report_states, tomography_report
 
 _ANGLE_RE = re.compile(r"^\s*([0-9]+)?\s*\*?\s*pi\s*(?:/\s*([0-9]+))?\s*$", re.IGNORECASE)
@@ -56,6 +54,7 @@ _GAME_SIM_HEADER = _GAME_EXACT_HEADER + [
     "p_win_estimate",
     "p_win_std_err",
 ]
+_DICKE_HEADER = ["z_position", "label", "observable", "expected", "born_value"]
 
 # Stream-tag bases keep the full report's count draws independent even
 # though every block shares one seed.
@@ -70,7 +69,8 @@ def parse_angle(text: str) -> float:
     """Angle in radians from ``pi/12``, ``3pi/4``, ``pi``, or a decimal.
 
     Raises:
-        ValueError: text matches neither form, or divides by zero.
+        ValueError: text matches neither form, divides by zero, or is
+            not finite (``nan``, ``inf``, ``1e400``).
     """
     match = _ANGLE_RE.match(text)
     if match:
@@ -80,12 +80,15 @@ def parse_angle(text: str) -> float:
             raise ValueError(f"angle {text!r} divides by zero")
         return num * math.pi / den
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(
             f"cannot parse angle {text!r}; use a multiple of pi like 'pi/12' or"
             " '3pi/4', or a decimal in radians"
         ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not a finite number of radians")
+    return value
 
 
 def parse_angle_list(text: str) -> tuple[float, ...]:
@@ -94,23 +97,6 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError("angle list must be nonempty")
     return tuple(parse_angle(p) for p in parts)
-
-
-@dataclass
-class RunManifest:
-    """Audit record of one command invocation."""
-
-    command: str
-    arguments: dict
-    config: dict
-    seed: int
-    versions: dict
-    started_utc: str
-    output_files: list[str] = field(default_factory=list)
-    wall_clock_seconds: float | None = None
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _versions() -> dict:
@@ -141,57 +127,84 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-def _start_run(
-    args: argparse.Namespace, cfg: ExperimentConfig
-) -> tuple[Path, RunManifest, float]:
-    """Create the output directory and write the manifest first."""
-    out_dir = Path(args.out) if getattr(args, "out", None) else Path(f"cohsim_{args.command}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=args.command,
-        arguments={
-            k: _json_safe(v)
-            for k, v in vars(args).items()
-            if k not in ("func", "command")
-        },
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        versions=_versions(),
-        started_utc=datetime.now(timezone.utc).isoformat(),
-        output_files=["manifest.json"],
-    )
-    manifest.write(out_dir / "manifest.json")
-    return out_dir, manifest, time.monotonic()
+class _Run:
+    """One output directory and its manifest, the audit record of the run.
+
+    The directory is created and the manifest written on construction.
+    Every file goes through ``path``, ``csv`` or ``json``, which record
+    it; ``finish`` rewrites the manifest with the sorted file list and
+    the wall-clock time.
+    """
+
+    def __init__(self, args: argparse.Namespace, cfg: ExperimentConfig) -> None:
+        self.dir = Path(args.out) if getattr(args, "out", None) else Path(f"cohsim_{args.command}")
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.files: set[str] = set()
+        self.manifest = {
+            "command": args.command,
+            "arguments": {
+                k: _json_safe(v)
+                for k, v in vars(args).items()
+                if k not in ("func", "command")
+            },
+            "config": cfg.to_dict(),
+            "seed": cfg.seed,
+            "versions": _versions(),
+            "started_utc": datetime.now(timezone.utc).isoformat(),
+            "output_files": ["manifest.json"],
+            "wall_clock_seconds": None,
+        }
+        self.json("manifest.json", self.manifest)
+        self._t_start = time.monotonic()
+
+    def path(self, name: str) -> Path:
+        """Record ``name`` (relative to the run directory) and return its path."""
+        self.files.add(name)
+        return self.dir / name
+
+    def csv(self, name: str, header: list[str], rows: list[dict]) -> None:
+        write_rows_csv(self.path(name), header, rows)
+
+    def json(self, name: str, doc) -> None:
+        self.path(name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def finish(self, lines: list[str]) -> int:
+        """Finalize the manifest, then print ``lines`` and the file count."""
+        self.manifest["output_files"] = sorted(self.files)
+        self.manifest["wall_clock_seconds"] = time.monotonic() - self._t_start
+        self.json("manifest.json", self.manifest)
+        for line in lines:
+            print(line)
+        print(f"wrote {len(self.files)} files to {self.dir}")
+        return 0
 
 
-def _finish_run(out_dir: Path, manifest: RunManifest, t_start: float) -> None:
-    manifest.output_files = sorted(set(manifest.output_files))
-    manifest.wall_clock_seconds = time.monotonic() - t_start
-    manifest.write(out_dir / "manifest.json")
-
-
-def _write_json(out_dir: Path, manifest: RunManifest, name: str, doc) -> None:
-    (out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    manifest.output_files.append(name)
-
-
-def _write_csv(out_dir: Path, manifest: RunManifest, name: str, header, rows) -> None:
-    write_rows_csv(out_dir / name, header, rows)
-    manifest.output_files.append(name)
-
-
-def _print_verdict(verdict: dict) -> None:
+def _verdict_line(verdict: dict) -> str:
     state = "feasible" if verdict["lhv_feasible"] else "INFEASIBLE"
     line = f"mixture model {state}: gap = {verdict['violation_gap']:.6g}"
     if "p_value" in verdict:
         line += f", p = {verdict['p_value']:.3g} (log10 p = {verdict['log10_p_value']:.1f})"
-    print(line)
+    return line
+
+
+def _bootstrap_count(args: argparse.Namespace) -> int:
+    if args.bootstrap < 0:
+        raise ValueError(f"bootstrap={args.bootstrap}: the replicate count must be nonnegative")
+    return args.bootstrap
+
+
+def _tomography(run: _Run, prefix: str, cfg: ExperimentConfig, **kwargs) -> list[dict]:
+    """Tomography dumps under ``prefix`` in the run directory, each file recorded."""
+    records = tomography_report(cfg, run.dir / prefix, **kwargs)
+    for name in [f for rec in records for f in rec["files"]] + ["fidelities.csv"]:
+        run.path(prefix + name)
+    return records
 
 
 def cmd_paradox(args: argparse.Namespace) -> int:
     theta = parse_angle(args.theta)
     cfg = _load_config(args)
-    out_dir, manifest, t0 = _start_run(args, cfg)
+    run = _Run(args, cfg)
     if args.mode == "exact":
         _spec, rows, verdict = paradox_exact_block(theta, args.axis)
         header = _EXACT_HEADER
@@ -199,116 +212,71 @@ def cmd_paradox(args: argparse.Namespace) -> int:
         _spec, rows, verdict, counts = paradox_simulated_block(theta, args.axis, cfg)
         header = _SIMULATED_HEADER
         for (label, obs), table in sorted(counts.items()):
-            name = f"counts_{label}_{obs}.csv"
-            table.to_csv(out_dir / name)
-            manifest.output_files.append(name)
-    _write_csv(out_dir, manifest, "paradox.csv", header, rows)
-    _write_json(out_dir, manifest, "verdict.json", verdict)
-    _finish_run(out_dir, manifest, t0)
+            table.to_csv(run.path(f"counts_{label}_{obs}.csv"))
+    run.csv("paradox.csv", header, rows)
+    run.json("verdict.json", verdict)
+    lines = []
     for row in rows:
         line = f"  {row['label']:>4}  {row['observable']}  theory {row['theoretical']:+.6f}"
         if args.mode == "simulated":
             line += f"  estimate {row['estimate']:+.6f} +/- {row['std_err']:.6f}"
-        print(line)
-    _print_verdict(verdict)
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
+        lines.append(line)
+    return run.finish(lines + [_verdict_line(verdict)])
 
 
 def cmd_game(args: argparse.Namespace) -> int:
     thetas = parse_angle_list(args.theta_grid)
     cfg = _load_config(args)
-    out_dir, manifest, t0 = _start_run(args, cfg)
+    run = _Run(args, cfg)
     if args.mode == "exact":
         rows = game_exact_rows(thetas, args.strategy)
         header = _GAME_EXACT_HEADER
     else:
         rows = game_simulated_rows(thetas, args.strategy, cfg)
         header = _GAME_SIM_HEADER
-    _write_csv(out_dir, manifest, "game.csv", header, rows)
-    _finish_run(out_dir, manifest, t0)
+    run.csv("game.csv", header, rows)
+    lines = []
     for row in rows:
         line = f"  theta {row['theta']:.6f}  p_win {row['p_win']:.6f}"
         if args.mode == "simulated":
             line += f"  estimate {row['p_win_estimate']:.6f} +/- {row['p_win_std_err']:.6f}"
-        print(line)
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
+        lines.append(line)
+    return run.finish(lines)
 
 
 def cmd_tomo(args: argparse.Namespace) -> int:
+    num_bootstrap = _bootstrap_count(args)
     cfg = _load_config(args)
     if args.states.strip().lower() == "all":
         states = None
     else:
         states = report_states(thetas=parse_angle_list(args.states))
-    out_dir, manifest, t0 = _start_run(args, cfg)
-    records = tomography_report(cfg, out_dir, states=states, num_bootstrap=args.bootstrap)
-    for rec in records:
-        manifest.output_files.extend(rec["files"])
-    manifest.output_files.append("fidelities.csv")
-    _finish_run(out_dir, manifest, t0)
+    run = _Run(args, cfg)
+    records = _tomography(run, "", cfg, states=states, num_bootstrap=num_bootstrap)
+    lines = []
     for rec in records:
         err = "" if rec["fidelity_std_err"] is None else f" +/- {rec['fidelity_std_err']:.2g}"
-        print(
+        lines.append(
             f"  {rec['label']:<22} fidelity {rec['fidelity']:.6f}{err}"
             f"  clip {rec['clip_magnitude']:.3g}"
         )
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
-
-
-def _basis_state(label: str) -> StateVector:
-    amps = np.zeros(2 ** len(label), dtype=complex)
-    amps[int(label, 2)] = 1.0
-    return StateVector(amps)
-
-
-def _dicke_rows(n: int) -> tuple[list[dict], list[dict]]:
-    """Constraint rows and spec documents for every Z position."""
-    rows, docs = [], []
-    superposition = dicke_one_excitation(n)
-    for z_position in range(n):
-        spec = dicke_paradox(n, z_position)
-        docs.append({"z_position": z_position, **spec.to_dict()})
-        for con in spec.constraints:
-            if con.source_label == "0" * n:
-                state = superposition
-            else:
-                state = _basis_state(con.source_label)
-            rows.append(
-                {
-                    "z_position": z_position,
-                    "label": con.source_label,
-                    "observable": con.observable.label,
-                    "expected": con.expected_value,
-                    "born_value": expectation(state, con.observable),
-                }
-            )
-    return rows, docs
+    return run.finish(lines)
 
 
 def cmd_dicke(args: argparse.Namespace) -> int:
-    rows, docs = _dicke_rows(args.n)
-    out_dir, manifest, t0 = _start_run(args, ExperimentConfig())
-    _write_csv(
-        out_dir,
-        manifest,
-        "dicke.csv",
-        ["z_position", "label", "observable", "expected", "born_value"],
-        rows,
-    )
-    _write_json(out_dir, manifest, "dicke_specs.json", docs)
-    _finish_run(out_dir, manifest, t0)
+    rows, docs = dicke_rows(args.n)
+    run = _Run(args, ExperimentConfig())
+    run.csv("dicke.csv", _DICKE_HEADER, rows)
+    run.json("dicke_specs.json", docs)
+    lines = []
     for z_position in range(args.n):
         final = [r for r in rows if r["z_position"] == z_position][-1]
-        print(
+        lines.append(
             f"  z={z_position}: final constraint {final['observable']} on"
             f" {final['label']} advertises {final['expected']:+.6f}"
             f" (Born value {final['born_value']:+.6f})"
         )
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
+    return run.finish(lines)
 
 
 def cmd_visibility(args: argparse.Namespace) -> int:
@@ -316,7 +284,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     if args.points < 3:
         raise ValueError(f"points={args.points}: the fringe fit needs at least 3")
     cfg = _load_config(args)
-    out_dir, manifest, t0 = _start_run(args, cfg)
+    run = _Run(args, cfg)
     grid = [i * math.pi / args.points for i in range(args.points)]
     scan = visibility_scan(
         epr_family(math.pi / 4, "00"),
@@ -325,22 +293,21 @@ def cmd_visibility(args: argparse.Namespace) -> int:
         cfg,
         simulate=(args.mode == "simulated"),
     )
-    scan.to_csv(out_dir / "visibility.csv")
-    manifest.output_files.append("visibility.csv")
-    _write_json(out_dir, manifest, "visibility.json", scan.to_dict())
-    _finish_run(out_dir, manifest, t0)
+    scan.to_csv(run.path("visibility.csv"))
+    run.json("visibility.json", scan.to_dict())
     relation = "exceeds" if scan.exceeds_classical_bound else "is within"
-    print(
-        f"fixed arm {args.fixed}: V = {scan.visibility:.6f}, which {relation}"
-        f" the classical bound {CLASSICAL_VISIBILITY_BOUND}"
+    return run.finish(
+        [
+            f"fixed arm {args.fixed}: V = {scan.visibility:.6f}, which {relation}"
+            f" the classical bound {CLASSICAL_VISIBILITY_BOUND}"
+        ]
     )
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    num_bootstrap = _bootstrap_count(args)
     cfg = _load_config(args)
-    out_dir, manifest, t0 = _start_run(args, cfg)
+    run = _Run(args, cfg)
     verdicts: dict = {"exact": {}, "simulated": {}}
 
     # Exact five-correlator tables for both transverse axes.
@@ -351,22 +318,20 @@ def cmd_report(args: argparse.Namespace) -> int:
             _spec, rows, verdict = paradox_exact_block(theta, axis)
             axis_rows.extend(rows)
             axis_verdicts[f"theta={theta:.6g}"] = verdict
-        _write_csv(out_dir, manifest, f"paradox_{axis.lower()}.csv", _EXACT_HEADER, axis_rows)
+        run.csv(f"paradox_{axis.lower()}.csv", _EXACT_HEADER, axis_rows)
         verdicts["exact"][axis] = axis_verdicts
 
     # Headline simulated table at theta = pi/4 along X.
     _spec, sim_rows, sim_verdict, _counts = paradox_simulated_block(
         math.pi / 4, "X", cfg, tag_base=_TAG_PARADOX_SIM
     )
-    _write_csv(out_dir, manifest, "paradox_simulated.csv", _SIMULATED_HEADER, sim_rows)
+    run.csv("paradox_simulated.csv", _SIMULATED_HEADER, sim_rows)
     verdicts["simulated"]["axis=X theta=pi/4"] = sim_verdict
-    _write_json(out_dir, manifest, "verdicts.json", verdicts)
+    run.json("verdicts.json", verdicts)
 
     # Plot-ready exact correlator sweep.
     sweep = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
-    _write_csv(
-        out_dir,
-        manifest,
+    run.csv(
         "paradox_curve.csv",
         ["theta", "label", "zz", "aa", "axis"],
         correlator_detail_rows(sweep, "X"),
@@ -375,32 +340,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     # Game tables (exact values plus count-based estimates) and curve.
     for strategy, tag in (("x", _TAG_GAME_X), ("z", _TAG_GAME_Z)):
         rows = game_simulated_rows(DEFAULT_THETAS, strategy, cfg, tag_base=tag)
-        _write_csv(out_dir, manifest, f"game_{strategy}.csv", _GAME_SIM_HEADER, rows)
-    _write_csv(
-        out_dir,
-        manifest,
-        "game_curve.csv",
-        ["theta", "p_win_x", "p_win_z", "sin_2theta"],
-        game_curve_rows(),
-    )
+        run.csv(f"game_{strategy}.csv", _GAME_SIM_HEADER, rows)
+    run.csv("game_curve.csv", ["theta", "p_win_x", "p_win_z", "sin_2theta"], game_curve_rows())
 
     # Multi-source family table at n = 3.
-    dicke_rows, _docs = _dicke_rows(3)
-    _write_csv(
-        out_dir,
-        manifest,
-        "dicke.csv",
-        ["z_position", "label", "observable", "expected", "born_value"],
-        dicke_rows,
-    )
+    run.csv("dicke.csv", _DICKE_HEADER, dicke_rows(3)[0])
 
     # Tomography dumps.
-    records = tomography_report(
-        cfg, out_dir / "tomo", num_bootstrap=args.bootstrap, tag_base=_TAG_TOMO
-    )
-    for rec in records:
-        manifest.output_files.extend(f"tomo/{name}" for name in rec["files"])
-    manifest.output_files.append("tomo/fidelities.csv")
+    records = _tomography(run, "tomo/", cfg, num_bootstrap=num_bootstrap, tag_base=_TAG_TOMO)
 
     # Visibility scans at the two canonical fixed-arm angles.
     grid = [i * math.pi / 25 for i in range(25)]
@@ -409,18 +356,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         scan = visibility_scan(
             epr_family(math.pi / 4, "00"), fixed, grid, cfg, simulate=True, stream_tag=tag
         )
-        scan.to_csv(out_dir / f"visibility_arm{stem}.csv")
-        manifest.output_files.append(f"visibility_arm{stem}.csv")
+        scan.to_csv(run.path(f"visibility_arm{stem}.csv"))
         vis_doc[stem] = scan.to_dict()
-    _write_json(out_dir, manifest, "visibility.json", vis_doc)
+    run.json("visibility.json", vis_doc)
 
-    _finish_run(out_dir, manifest, t0)
-    _print_verdict(sim_verdict)
     fidelities = [rec["fidelity"] for rec in records]
-    print(f"tomography fidelities: {min(fidelities):.6f} .. {max(fidelities):.6f}")
-    print(f"visibility: " + ", ".join(f"arm {k}: {v['visibility']:.4f}" for k, v in vis_doc.items()))
-    print(f"wrote {len(manifest.output_files)} files to {out_dir}")
-    return 0
+    return run.finish(
+        [
+            _verdict_line(sim_verdict),
+            f"tomography fidelities: {min(fidelities):.6f} .. {max(fidelities):.6f}",
+            "visibility: "
+            + ", ".join(f"arm {k}: {v['visibility']:.4f}" for k, v in vis_doc.items()),
+        ]
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .measurement import AXES, setting_distribution
-from .paradox import ParadoxSpec, _min_max_residual
+from .paradox import ParadoxSpec, _mixture_gap
 from .states import DensityOperator, StateVector, werner_mix
 
 AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
@@ -203,20 +203,32 @@ class CountTable:
     def from_csv(
         cls, path: str | Path, config: ExperimentConfig, stream_tag: int = 0
     ) -> "CountTable":
+        """Read rows written by ``to_csv``.
+
+        Raises:
+            ValueError: a ``(u, v, trial, a, b)`` cell given twice, or a
+                setting without exactly the 4 cells of each trial
+                ``0..T-1``, where T is ``config.num_trials``.
+        """
         cells: dict[tuple[str, str], dict[tuple[int, int, int], int]] = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 key = (row["u"], row["v"])
-                cells.setdefault(key, {})[
-                    (int(row["trial"]), int(row["a"]), int(row["b"]))
-                ] = int(row["count"])
+                cell = (int(row["trial"]), int(row["a"]), int(row["b"]))
+                cellmap = cells.setdefault(key, {})
+                if cell in cellmap:
+                    raise ValueError(f"setting {key} repeats cell (trial, a, b) = {cell}")
+                cellmap[cell] = int(row["count"])
+        grid = [(t, a, b) for t in range(config.num_trials) for a in range(2) for b in range(2)]
         counts = {}
         for key, cellmap in cells.items():
-            trials = 1 + max(t for t, _, _ in cellmap)
-            arr = np.zeros((trials, 2, 2), dtype=np.int64)
-            for (t, a, b), n in cellmap.items():
-                arr[t, a, b] = n
-            counts[key] = arr
+            if set(cellmap) != set(grid):
+                raise ValueError(
+                    f"setting {key} needs the 4 cells of each trial 0..{config.num_trials - 1};"
+                    f" missing {sorted(set(grid) - set(cellmap))},"
+                    f" unexpected {sorted(set(cellmap) - set(grid))}"
+                )
+            counts[key] = np.array([cellmap[cell] for cell in grid]).reshape(-1, 2, 2)
         return cls(counts, config, stream_tag)
 
     def to_json(self) -> str:
@@ -357,70 +369,35 @@ def paradox_counts(
     return out
 
 
-def _weighted_gap(
+def paradox_p_value(
     spec: ParadoxSpec, counts: Mapping[tuple[str, str], CountTable]
-) -> tuple[float, np.ndarray]:
-    """Min over mixture weights of max_O sqrt(N_O) |residual_O|."""
-    missing = [
-        (c.source_label, c.observable.label)
-        for c in spec.constraints
-        if (c.source_label, c.observable.label) not in counts
-    ]
-    if missing:
-        raise ValueError(f"missing count tables for constraints: {missing}")
-    estimates: dict[tuple[str, str], tuple[float, int]] = {}
-    for key, table in counts.items():
-        estimates[key] = point_correlator(table, *_chain_setting(key[1]))
-    claim = spec.mixture_claim
-    rows, targets, weights = [], [], []
-    for chain in spec.observables():
-        key_mixed = (claim.mixed_label, chain.label)
-        if key_mixed not in estimates:
-            continue
-        row = []
-        for lb in claim.component_labels:
-            key = (lb, chain.label)
-            if key not in estimates:
-                raise ValueError(f"mixed-row observable {chain.label} lacks counts for {key}")
-            row.append(estimates[key][0])
-        rows.append(row)
-        value, n_total = estimates[key_mixed]
-        targets.append(value)
-        weights.append(math.sqrt(n_total))
-    if not rows:
-        return 0.0, np.full(len(claim.component_labels), 1.0 / len(claim.component_labels))
-    return _min_max_residual(np.array(rows), np.array(targets), np.array(weights))
-
-
-def paradox_log10_p_value(
-    spec: ParadoxSpec, counts: Mapping[tuple[str, str], CountTable]
-) -> float:
-    """Base-10 log of the Hoeffding bound, exact even when it underflows.
+) -> tuple[float, float]:
+    """Hoeffding tail bound against the best convex-mixture model, and its log10.
 
     The per-coincidence win variable lies in [-1, 1], so the chance that
     a mixed-row correlator lands ``g`` away from the best mixture
     prediction is at most ``exp(-N g^2 / 2)``; the bound is maximized
-    over the weight simplex (the most favorable LHV model).
-    """
-    gap, _ = _weighted_gap(spec, counts)
-    return -(gap * gap) / (2.0 * math.log(10.0))
+    over the weight simplex (the most favorable LHV model), which
+    minimizes the worst ``sqrt(N) |residual|`` over the mixed rows.
 
-
-def paradox_p_value(
-    spec: ParadoxSpec, counts: Mapping[tuple[str, str], CountTable]
-) -> float:
-    """Hoeffding tail bound against the best convex-mixture model.
-
-    Returns a value in (0, 1]; bounds below the smallest positive float
-    are clamped to it (use ``paradox_log10_p_value`` for the exact
-    exponent). A mixed row exactly at the best mixture prediction gives
-    p = 1.
+    Returns ``(p, log10_p)``. ``p`` lies in (0, 1]: bounds below the
+    smallest positive float are clamped to it, while ``log10_p`` stays
+    exact when ``p`` underflows. A mixed row exactly at the best mixture
+    prediction gives p = 1.
 
     Raises:
         ValueError: counts missing for a constraint, or zero totals.
     """
-    gap, _ = _weighted_gap(spec, counts)
-    return max(math.exp(-(gap * gap) / 2.0), _MIN_POSITIVE)
+    estimates = {
+        key: point_correlator(table, *_chain_setting(key[1])) for key, table in counts.items()
+    }
+    gap, _ = _mixture_gap(
+        spec,
+        {key: value for key, (value, _n) in estimates.items()},
+        {key: math.sqrt(n_total) for key, (_v, n_total) in estimates.items()},
+    )
+    p = max(math.exp(-(gap * gap) / 2.0), _MIN_POSITIVE)
+    return p, -(gap * gap) / (2.0 * math.log(10.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,12 +123,3 @@ def quantum_strategy(theta: float, obs_a="X", obs_b="X") -> JointDistribution:
     probs[:, :, 1, 1] = 0.25
     return JointDistribution(probs)
 
-
-def classical_identity_check(dist: JointDistribution, tol: float = IDENTITY_ATOL) -> bool:
-    """True iff ``|p_win - 1/2 - (I_00 + I_11)/4| <= tol``.
-
-    Row normalization makes the identity hold for every valid
-    distribution; the check exists to catch corrupted tables.
-    """
-    ev = winning_probability(dist)
-    return bool(abs(ev.p_win - 0.5 - (ev.i_terms[0, 0] + ev.i_terms[1, 1]) / 4.0) <= tol)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -78,6 +79,10 @@ class ParadoxSpec:
         missing = [lb for lb in claim.component_labels if lb not in labels]
         if missing:
             raise ValueError(f"component labels {missing} have no constraints")
+
+    def observation_keys(self) -> tuple[tuple[str, str], ...]:
+        """``(source_label, observable_label)`` of every constraint, in order."""
+        return tuple((c.source_label, c.observable.label) for c in self.constraints)
 
     def observables(self) -> tuple[ObservableChain, ...]:
         """Unique observable chains, in first-appearance order."""
@@ -345,6 +350,48 @@ def dicke_paradox(n: int, z_position: int) -> ParadoxSpec:
     return ParadoxSpec(tuple(constraints), claim)
 
 
+def _mixture_gap(
+    spec: ParadoxSpec,
+    observed: Mapping[tuple[str, str], float],
+    weight: Mapping[tuple[str, str], float] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Mixture rows of ``observed`` under the claim, through ``_min_max_residual``.
+
+    Each observable with a mixed-row value gives one row (component
+    values against that target), its residual scaled by
+    ``weight[(mixed_label, observable)]`` when ``weight`` is given.
+    Returns ``(gap, weights_vector)``.
+
+    Raises:
+        ValueError: an unobserved constraint or component value.
+    """
+    missing = [key for key in spec.observation_keys() if key not in observed]
+    if missing:
+        raise ValueError(f"missing observations for constraints: {missing}")
+    claim = spec.mixture_claim
+    rows: list[list[float]] = []
+    targets: list[float] = []
+    scales: list[float] = []
+    for chain in spec.observables():
+        key_mixed = (claim.mixed_label, chain.label)
+        if key_mixed not in observed:
+            continue
+        row = []
+        for lb in claim.component_labels:
+            key = (lb, chain.label)
+            if key not in observed:
+                raise ValueError(f"mixed-row observable {chain.label} lacks component value {key}")
+            row.append(float(observed[key]))
+        rows.append(row)
+        targets.append(float(observed[key_mixed]))
+        scales.append(1.0 if weight is None else weight[key_mixed])
+    return _min_max_residual(
+        np.array(rows).reshape(len(rows), len(claim.component_labels)),
+        np.array(targets),
+        np.array(scales),
+    )
+
+
 def lhv_mixture_test(
     spec: ParadoxSpec,
     observed: dict[tuple[str, str], float],
@@ -366,40 +413,8 @@ def lhv_mixture_test(
     """
     if tol < 0.0:
         raise ValueError(f"tol={tol} must be nonnegative")
-    missing = [
-        (c.source_label, c.observable.label)
-        for c in spec.constraints
-        if (c.source_label, c.observable.label) not in observed
-    ]
-    if missing:
-        raise ValueError(f"missing observations for constraints: {missing}")
-    claim = spec.mixture_claim
-    components = claim.component_labels
-    rows: list[list[float]] = []
-    targets: list[float] = []
-    for chain in spec.observables():
-        key_mixed = (claim.mixed_label, chain.label)
-        if key_mixed not in observed:
-            continue
-        row = []
-        for lb in components:
-            key = (lb, chain.label)
-            if key not in observed:
-                raise ValueError(f"mixed-row observable {chain.label} lacks component value {key}")
-            row.append(float(observed[key]))
-        rows.append(row)
-        targets.append(float(observed[key_mixed]))
-    k = len(components)
-    if rows:
-        gap, weights = _min_max_residual(np.array(rows), np.array(targets))
-    else:
-        gap, weights = 0.0, np.full(k, 1.0 / k)
-    values = {
-        (c.source_label, c.observable.label): float(
-            observed[(c.source_label, c.observable.label)]
-        )
-        for c in spec.constraints
-    }
+    gap, weights = _mixture_gap(spec, observed)
+    values = {key: float(observed[key]) for key in spec.observation_keys()}
     return ParadoxVerdict(
         per_constraint_values=values,
         lhv_feasible=gap <= tol,

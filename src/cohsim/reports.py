@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Mapping
+
+import numpy as np
 
 from .experiment import (
     CountTable,
@@ -19,14 +20,19 @@ from .experiment import (
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
-    paradox_log10_p_value,
     paradox_p_value,
     simulate_counts,
 )
 from .game import quantum_strategy, winning_probability
 from .measurement import expectation
-from .paradox import ParadoxSpec, coherence_paradox, lhv_mixture_test, theoretical_values
-from .states import EQ_ATOL, epr_family
+from .paradox import (
+    ParadoxSpec,
+    coherence_paradox,
+    dicke_paradox,
+    lhv_mixture_test,
+    theoretical_values,
+)
+from .states import EQ_ATOL, StateVector, dicke_one_excitation, epr_family
 
 STRATEGY_AXES = {"x": ("X", "X"), "z": ("Z", "Z")}
 DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
@@ -57,10 +63,8 @@ def paradox_sources(theta: float) -> dict:
     }
 
 
-def paradox_exact_block(theta: float, axis: str) -> tuple[ParadoxSpec, list[dict], dict]:
-    """Five theoretical rows plus the mixture verdict on exact values."""
-    spec = coherence_paradox(theta, axis)
-    rows = [
+def _theory_rows(theta: float, spec: ParadoxSpec) -> list[dict]:
+    return [
         {
             "theta": theta,
             "label": c.source_label,
@@ -69,8 +73,13 @@ def paradox_exact_block(theta: float, axis: str) -> tuple[ParadoxSpec, list[dict
         }
         for c in spec.constraints
     ]
+
+
+def paradox_exact_block(theta: float, axis: str) -> tuple[ParadoxSpec, list[dict], dict]:
+    """Five theoretical rows plus the mixture verdict on exact values."""
+    spec = coherence_paradox(theta, axis)
     verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=EQ_ATOL)
-    return spec, rows, verdict.to_dict()
+    return spec, _theory_rows(theta, spec), verdict.to_dict()
 
 
 def paradox_simulated_block(
@@ -87,29 +96,19 @@ def paradox_simulated_block(
     """
     spec = coherence_paradox(theta, axis)
     counts = paradox_counts(spec, paradox_sources(theta), cfg, tag_base=tag_base)
-    rows = []
-    for c in spec.constraints:
+    rows = _theory_rows(theta, spec)
+    for c, row in zip(spec.constraints, rows):
         key = (c.source_label, c.observable.label)
         est = correlator_from_counts(counts[key], c.observable.axes[0], c.observable.axes[1])
-        rows.append(
-            {
-                "theta": theta,
-                "label": c.source_label,
-                "observable": c.observable.label,
-                "theoretical": c.expected_value,
-                "estimate": est.value,
-                "std_err": est.std_err,
-                "delta_std_err": delta_method_std_err(est.value, est.n_total),
-                "n_total": est.n_total,
-            }
+        row.update(
+            estimate=est.value,
+            std_err=est.std_err,
+            delta_std_err=delta_method_std_err(est.value, est.n_total),
+            n_total=est.n_total,
         )
-    observed = {
-        (c.source_label, c.observable.label): rows[i]["estimate"]
-        for i, c in enumerate(spec.constraints)
-    }
+    observed = {(row["label"], row["observable"]): row["estimate"] for row in rows}
     verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL).to_dict()
-    verdict["p_value"] = paradox_p_value(spec, counts)
-    verdict["log10_p_value"] = paradox_log10_p_value(spec, counts)
+    verdict["p_value"], verdict["log10_p_value"] = paradox_p_value(spec, counts)
     return spec, rows, verdict, counts
 
 
@@ -124,10 +123,7 @@ def game_exact_rows(thetas, strategy: str) -> list[dict]:
             {
                 "theta": float(theta),
                 "p_win": ev.p_win,
-                "i_00": float(ev.i_terms[0, 0]),
-                "i_01": float(ev.i_terms[0, 1]),
-                "i_10": float(ev.i_terms[1, 0]),
-                "i_11": float(ev.i_terms[1, 1]),
+                **{f"i_{a}{b}": float(ev.i_terms[a, b]) for a in range(2) for b in range(2)},
             }
         )
     return rows
@@ -153,23 +149,9 @@ def game_simulated_rows(
         value = 0.5 + (
             estimates["00"].value - estimates["01"].value - estimates["10"].value
         ) / 8.0
-        spread = (
-            math.sqrt(
-                estimates["00"].std_err ** 2
-                + estimates["01"].std_err ** 2
-                + estimates["10"].std_err ** 2
-            )
-            / 8.0
-        )
-        row.update(
-            {
-                "e_00": estimates["00"].value,
-                "e_01": estimates["01"].value,
-                "e_10": estimates["10"].value,
-                "p_win_estimate": value,
-                "p_win_std_err": spread,
-            }
-        )
+        spread = math.sqrt(sum(estimates[lb].std_err ** 2 for lb in ("00", "01", "10"))) / 8.0
+        row.update({f"e_{lb}": estimates[lb].value for lb in ("00", "01", "10")})
+        row.update(p_win_estimate=value, p_win_std_err=spread)
     return rows
 
 
@@ -206,3 +188,31 @@ def correlator_detail_rows(thetas, axis: str) -> list[dict]:
                 }
             )
     return rows
+
+
+def _basis_state(label: str) -> StateVector:
+    amps = np.zeros(2 ** len(label), dtype=complex)
+    amps[int(label, 2)] = 1.0
+    return StateVector(amps)
+
+
+def dicke_rows(n: int) -> tuple[list[dict], list[dict]]:
+    """Constraint rows with Born values, and spec documents, for every Z position."""
+    rows, docs = [], []
+    superposition = dicke_one_excitation(n)
+    for z_position in range(n):
+        spec = dicke_paradox(n, z_position)
+        docs.append({"z_position": z_position, **spec.to_dict()})
+        for con in spec.constraints:
+            label = con.source_label
+            state = superposition if label == "0" * n else _basis_state(label)
+            rows.append(
+                {
+                    "z_position": z_position,
+                    "label": label,
+                    "observable": con.observable.label,
+                    "expected": con.expected_value,
+                    "born_value": expectation(state, con.observable),
+                }
+            )
+    return rows, docs

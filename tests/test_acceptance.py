@@ -17,7 +17,6 @@ from cohsim.experiment import (
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
-    paradox_log10_p_value,
     paradox_p_value,
     simulate_counts,
     visibility_scan,
@@ -162,8 +161,7 @@ def test_criterion_6_full_scale_significance():
     cfg = ExperimentConfig(visibility_v=0.99)
     spec = coherence_paradox(math.pi / 4, "X")
     counts = paradox_counts(spec, paradox_sources(math.pi / 4), cfg)
-    p = paradox_p_value(spec, counts)
-    log10_p = paradox_log10_p_value(spec, counts)
+    p, log10_p = paradox_p_value(spec, counts)
     elapsed = time.monotonic() - t0
     ok = p < 1e-15 and log10_p < -15.0 and elapsed < 600.0
     _report(

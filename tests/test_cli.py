@@ -66,7 +66,9 @@ class TestParseAngle:
     def test_accepted_forms(self, text, value):
         assert parse_angle(text) == pytest.approx(value, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["pi/0", "junk", "", "pi/pi", "4/pi"])
+    @pytest.mark.parametrize(
+        "text", ["pi/0", "junk", "", "pi/pi", "4/pi", "nan", "inf", "1e400"]
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_angle(text)
@@ -97,6 +99,18 @@ class TestExitCodes:
     def test_too_few_scan_points_exits_two(self, tmp_path, capsys):
         code = main(["visibility", "--points", "2", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_nonfinite_fixed_arm_exits_two(self, tmp_path, capsys):
+        code = main(["visibility", "--fixed", "nan", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tomo", "report"])
+    def test_negative_bootstrap_exits_two(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--bootstrap", "-1", "--out", str(out)]) == 2
+        assert "bootstrap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_raises_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as info:

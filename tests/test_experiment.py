@@ -13,7 +13,6 @@ from cohsim.experiment import (
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
-    paradox_log10_p_value,
     paradox_p_value,
     point_correlator,
     simulate_counts,
@@ -204,6 +203,31 @@ class TestCountTable:
         assert est_a.value == est_b.value
         assert est_a.std_err == est_b.std_err
 
+    def test_csv_round_trip_is_byte_stable(self, tmp_path):
+        xy = simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK, stream_tag=2)
+        zz = simulate_counts(epr_family(0.5, "00"), ("Z", "Z"), DESK, stream_tag=2)
+        table = xy.merge(zz)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        table.to_csv(first)
+        CountTable.from_csv(first, DESK, stream_tag=2).to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_csv_dropped_row_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[4:]))
+        with pytest.raises(ValueError, match="missing"):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_duplicated_row_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + [lines[1]]))
+        with pytest.raises(ValueError, match="repeats"):
+            CountTable.from_csv(path, DESK)
+
     def test_to_json_parses(self):
         import json
 
@@ -367,8 +391,7 @@ class TestPValues:
             ("10", "ZZ"): hand_table(flat),
             ("00", "ZZ"): hand_table(flat),
         }
-        assert paradox_p_value(spec, counts) == 1.0
-        assert paradox_log10_p_value(spec, counts) == 0.0
+        assert paradox_p_value(spec, counts) == (1.0, 0.0)
 
     def test_hand_computed_bound(self):
         # Components read E = 0 on N = 100; the mixed row reads E = 0.4
@@ -381,10 +404,9 @@ class TestPValues:
             ("10", "ZZ"): hand_table(flat),
             ("00", "ZZ"): hand_table([[45, 15], [15, 25]]),
         }
-        assert paradox_p_value(spec, counts) == pytest.approx(math.exp(-8.0), rel=1e-12)
-        assert paradox_log10_p_value(spec, counts) == pytest.approx(
-            -8.0 / math.log(10.0), rel=1e-12
-        )
+        p, log10_p = paradox_p_value(spec, counts)
+        assert p == pytest.approx(math.exp(-8.0), rel=1e-12)
+        assert log10_p == pytest.approx(-8.0 / math.log(10.0), rel=1e-12)
 
     def test_more_data_means_smaller_p(self):
         spec = two_party_mixture_spec()
@@ -400,8 +422,10 @@ class TestPValues:
             ("10", "ZZ"): hand_table([[c * 4 for c in row] for row in flat]),
             ("00", "ZZ"): hand_table([[c * 4 for c in row] for row in skew]),
         }
-        assert paradox_log10_p_value(spec, big) < paradox_log10_p_value(spec, small)
-        assert paradox_p_value(spec, big) < paradox_p_value(spec, small)
+        p_big, log10_p_big = paradox_p_value(spec, big)
+        p_small, log10_p_small = paradox_p_value(spec, small)
+        assert log10_p_big < log10_p_small
+        assert p_big < p_small
 
     def test_underflow_clamps_but_log_stays_exact(self):
         spec = two_party_mixture_spec()
@@ -414,15 +438,14 @@ class TestPValues:
             ("10", "ZZ"): hand_table(flat),
             ("00", "ZZ"): hand_table(skew),
         }
-        p = paradox_p_value(spec, counts)
-        log10_p = paradox_log10_p_value(spec, counts)
+        p, log10_p = paradox_p_value(spec, counts)
         assert p == 5e-324
         assert log10_p == pytest.approx(-(1e8 * 0.16) / (2 * math.log(10)), rel=1e-6)
 
     def test_missing_table_rejected(self):
         spec = two_party_mixture_spec()
         counts = {("01", "ZZ"): hand_table([[25, 25], [25, 25]])}
-        with pytest.raises(ValueError, match="missing count tables"):
+        with pytest.raises(ValueError, match="missing observations"):
             paradox_p_value(spec, counts)
 
     def test_simulated_full_pipeline_is_significant(self):
@@ -434,7 +457,7 @@ class TestPValues:
             "00": epr_family(theta, "00"),
         }
         counts = paradox_counts(spec, sources, DESK)
-        assert paradox_p_value(spec, counts) < 1e-10
+        assert paradox_p_value(spec, counts)[0] < 1e-10
 
 
 class TestVisibilityScan:

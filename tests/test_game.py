@@ -8,7 +8,6 @@ import pytest
 
 from cohsim.game import (
     GameEvaluation,
-    classical_identity_check,
     coherence_term,
     quantum_strategy,
     winning_probability,
@@ -90,7 +89,6 @@ class TestIdentities:
             dist = random_distribution(seed)
             ev = winning_probability(dist)
             assert ev.identity_holds
-            assert classical_identity_check(dist)
             assert ev.p_win == pytest.approx(
                 0.5 + (ev.i_terms[0, 0] + ev.i_terms[1, 1]) / 4.0, abs=1e-10
             )
