@@ -40,7 +40,7 @@ from .reports import (
     write_rows_csv,
 )
 from .states import epr_family
-from .tomography import report_states, tomography_report
+from .tomography import FIDELITY_TABLE, report_states, tomography_report
 
 _ANGLE_RE = re.compile(r"^\s*([0-9]+)?\s*\*?\s*pi\s*(?:/\s*([0-9]+))?\s*$", re.IGNORECASE)
 
@@ -70,7 +70,8 @@ def parse_angle(text: str) -> float:
 
     Raises:
         ValueError: text matches neither form, divides by zero, or is
-            not finite (``nan``, ``inf``, ``1e400``).
+            not finite or overflows a float (``nan``, ``inf``,
+            ``1e400``, ``1<400 zeros>pi``).
     """
     match = _ANGLE_RE.match(text)
     if match:
@@ -78,14 +79,18 @@ def parse_angle(text: str) -> float:
         den = int(match.group(2)) if match.group(2) else 1
         if den == 0:
             raise ValueError(f"angle {text!r} divides by zero")
-        return num * math.pi / den
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(
-            f"cannot parse angle {text!r}; use a multiple of pi like 'pi/12' or"
-            " '3pi/4', or a decimal in radians"
-        ) from None
+        try:
+            value = num * math.pi / den
+        except OverflowError:
+            raise ValueError(f"angle {text!r} is out of floating-point range") from None
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(
+                f"cannot parse angle {text!r}; use a multiple of pi like 'pi/12' or"
+                " '3pi/4', or a decimal in radians"
+            ) from None
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not a finite number of radians")
     return value
@@ -196,7 +201,7 @@ def _bootstrap_count(args: argparse.Namespace) -> int:
 def _tomography(run: _Run, prefix: str, cfg: ExperimentConfig, **kwargs) -> list[dict]:
     """Tomography dumps under ``prefix`` in the run directory, each file recorded."""
     records = tomography_report(cfg, run.dir / prefix, **kwargs)
-    for name in [f for rec in records for f in rec["files"]] + ["fidelities.csv"]:
+    for name in [f for rec in records for f in rec["files"]] + [FIDELITY_TABLE]:
         run.path(prefix + name)
     return records
 

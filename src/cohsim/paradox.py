@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .measurement import ObservableChain, as_chain, expectation
 from .states import EQ_ATOL, MAX_QUBITS, StateVector
@@ -207,7 +206,11 @@ def _min_max_residual(
             if val < best_g:
                 best_p, best_g = p, val
         return best_g, np.array([best_p, 1.0 - best_p])
-    # k >= 3: minimize t subject to |w_j (row_j . p - targ_j)| <= t on the simplex
+    # k >= 3: minimize t subject to |w_j (row_j . p - targ_j)| <= t on the simplex.
+    # Imported here because scipy.optimize dominates the package's import
+    # time and only this branch needs it.
+    from scipy.optimize import linprog
+
     c = np.zeros(k + 1)
     c[-1] = 1.0
     a_ub = np.zeros((2 * m, k + 1))

@@ -23,6 +23,7 @@ from .measurement import AXES, PAULI
 from .states import DensityOperator, StateVector, epr_family, fidelity
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
+FIDELITY_TABLE = "fidelities.csv"
 
 
 def tomography_settings() -> tuple[tuple[str, str], ...]:
@@ -219,10 +220,12 @@ def tomography_report(
     """Reconstruct each source and dump matrices plus a fidelity table.
 
     Writes per state ``rho_<label>.csv`` (Re and Im blocks) and
-    ``rho_<label>.json``, plus ``fidelities.csv``. Returns one record
-    per state with the fidelity against the ideal pure source. Stream
-    tags run from ``tag_base`` so a caller reusing one seed for several
-    artifact groups can keep their count draws independent.
+    ``rho_<label>.json``, plus the ``FIDELITY_TABLE`` summary. Returns
+    one record per state with the fidelity against the ideal pure source
+    and the names of the state's two files (``"files"``); those names
+    and ``FIDELITY_TABLE`` are every file written. Stream tags run from
+    ``tag_base`` so a caller reusing one seed for several artifact groups
+    can keep their count draws independent.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,7 +256,7 @@ def tomography_report(
                 "files": [f"rho_{slug}.csv", f"rho_{slug}.json"],
             }
         )
-    with open(out / "fidelities.csv", "w", newline="") as fh:
+    with open(out / FIDELITY_TABLE, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "fidelity", "fidelity_std_err", "clip_magnitude"])
         for rec in records:

@@ -5,9 +5,13 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import cohsim
 from cohsim import __version__
 from cohsim.cli import main, parse_angle, parse_angle_list
 from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
@@ -67,7 +71,19 @@ class TestParseAngle:
         assert parse_angle(text) == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize(
-        "text", ["pi/0", "junk", "", "pi/pi", "4/pi", "nan", "inf", "1e400"]
+        "text",
+        [
+            "pi/0",
+            "junk",
+            "",
+            "pi/pi",
+            "4/pi",
+            "nan",
+            "inf",
+            "1e400",
+            pytest.param("1" + "0" * 308 + "pi", id="1e308pi"),
+            pytest.param("1" + "0" * 400 + "pi", id="1e400pi"),
+        ],
     )
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
@@ -105,6 +121,13 @@ class TestExitCodes:
         assert code == 2
         assert "'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("zeros", [308, 400])
+    def test_huge_multiple_of_pi_exits_two(self, zeros, tmp_path, capsys):
+        text = "1" + "0" * zeros + "pi"
+        code = main(["visibility", "--fixed", text, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert repr(text) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["tomo", "report"])
     def test_negative_bootstrap_exits_two(self, command, tmp_path, capsys):
         out = tmp_path / "o"
@@ -131,6 +154,32 @@ class TestExitCodes:
         code = main(["visibility", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "cohsim: numerical failure:" in capsys.readouterr().err
+
+
+class TestLazySolverImport:
+    def test_scipy_optimize_loaded_only_for_three_components(self, tmp_path):
+        # A fresh interpreter, since this test process may already hold
+        # scipy.optimize from other tests.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import cohsim.cli
+            assert "scipy.optimize" not in sys.modules, "on import"
+            assert cohsim.cli.main(["paradox", "--out", {str(tmp_path / "p")!r}]) == 0
+            assert "scipy.optimize" not in sys.modules, "after exact paradox"
+            from cohsim.paradox import dicke_paradox, lhv_mixture_test, theoretical_values
+            spec = dicke_paradox(3, 0)
+            verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+            assert abs(verdict.violation_gap - 2 / 3) < 1e-9, verdict.violation_gap
+            assert "scipy.optimize" in sys.modules, "after a 3-component mixture"
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigPlumbing:

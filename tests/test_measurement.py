@@ -1,6 +1,8 @@
 """Observables, projectors, Born-rule tables, and correlators."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +21,35 @@ from cohsim.measurement import (
     setting_distribution,
 )
 from cohsim.states import (
+    MAX_QUBITS,
     DensityOperator,
     StateVector,
     density_from_state,
+    dicke_one_excitation,
     epr_family,
     ghz_state,
     werner_mix,
 )
 
 from .test_states import random_state
+
+
+def dense_expectation(state, chain):
+    """Reference value from the full ``2^n x 2^n`` ``np.kron`` operator."""
+    op = np.array([[1.0 + 0j]])
+    for ax in as_chain(chain).axes:
+        op = np.kron(op, PAULI[ax])
+    if isinstance(state, StateVector):
+        v = state.amplitudes
+        return float(complex(np.conj(v) @ (op @ v)).real)
+    return float(complex(np.trace(op @ state.matrix)).real)
+
+
+def random_density(num_qubits, seed):
+    """Rank-two mixture of two random pure states."""
+    a = density_from_state(random_state(num_qubits, seed)).matrix
+    b = density_from_state(random_state(num_qubits, seed + 1)).matrix
+    return DensityOperator(0.6 * a + 0.4 * b)
 
 
 class TestPauli:
@@ -88,14 +110,6 @@ class TestObservableChain:
         assert chain.label == "XYZ"
         assert chain.num_qubits == 3
 
-    def test_matrix_is_kron(self):
-        chain = ObservableChain(("X", "Z"))
-        np.testing.assert_array_equal(chain.matrix(), np.kron(PAULI["X"], PAULI["Z"]))
-
-    def test_identity_factor(self):
-        chain = ObservableChain(("I", "Z"))
-        np.testing.assert_array_equal(chain.matrix(), np.kron(np.eye(2), PAULI["Z"]))
-
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
             ObservableChain(("X", "Q"))
@@ -146,15 +160,74 @@ class TestExpectation:
                 )
 
     def test_matches_dense_oracle(self):
+        # Every phase is one of +-1, +-i, so the mask/phase kernel must
+        # reproduce the dense Kronecker contraction to the last bit.
         rng = np.random.default_rng(42)
-        for seed in range(20):
-            psi = random_state(2, seed + 500)
-            chain = "".join(rng.choice(["I", "X", "Y", "Z"], size=2))
-            obs = ObservableChain.from_string(chain)
-            dense = float(
-                np.real(np.vdot(psi.amplitudes, obs.matrix() @ psi.amplitudes))
+        for n in range(1, 9):
+            if n <= 2:
+                chains = ["".join(c) for c in itertools.product("IXYZ", repeat=n)]
+            else:
+                chains = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(8)]
+            for k, chain in enumerate(chains):
+                seed = 1000 * n + 2 * k
+                for state in (random_state(n, seed), random_density(n, seed)):
+                    assert expectation(state, chain) == dense_expectation(state, chain), (
+                        n,
+                        chain,
+                        type(state).__name__,
+                    )
+
+    def test_qubit_order_matches_kron(self):
+        # Qubit 0 is the leftmost Kronecker factor: |01> has Z_0 = +1, Z_1 = -1.
+        ket01 = StateVector([0.0, 1.0, 0.0, 0.0])
+        assert expectation(ket01, "ZI") == 1.0
+        assert expectation(ket01, "IZ") == -1.0
+        psi = random_state(2, 3)
+        assert expectation(psi, "XZ") == dense_expectation(psi, "XZ")
+        assert expectation(psi, "XZ") != pytest.approx(expectation(psi, "ZX"), abs=1e-6)
+
+    def test_identity_factor_is_marginal(self):
+        # "I" leaves its qubit alone: <Z (x) I> on |psi>|0> equals <Z> on |psi>.
+        psi = random_state(1, 11)
+        joint = StateVector(np.kron(psi.amplitudes, [1.0, 0.0]))
+        for ax in AXES:
+            assert expectation(joint, ax + "I") == pytest.approx(expectation(psi, ax), abs=1e-15)
+            assert expectation(werner_mix(joint, 0.5), ax + "I") == pytest.approx(
+                0.5 * expectation(psi, ax), abs=1e-15
             )
-            assert expectation(psi, obs) == pytest.approx(dense, abs=1e-12)
+
+    def test_closed_forms_at_max_qubits(self):
+        n = MAX_QUBITS
+        ghz = ghz_state(n)
+        assert expectation(ghz, "X" * n) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(ghz, "Z" * n) == pytest.approx(1.0, abs=1e-12)
+        # k Y factors and n - k X factors give cos(k pi / 2): all four phases of (-i)^k.
+        for k in range(n + 1):
+            chain = "Y" * k + "X" * (n - k)
+            assert expectation(ghz, chain) == pytest.approx(math.cos(k * math.pi / 2), abs=1e-12)
+        # One excitation: odd Z parity on every branch, and the mixed
+        # chain (X everywhere but one Z) vanishes for n != 3.
+        dicke = dicke_one_excitation(n)
+        assert expectation(dicke, "Z" * n) == pytest.approx(-1.0, abs=1e-12)
+        for z in range(n):
+            mixed = "X" * z + "Z" + "X" * (n - 1 - z)
+            assert expectation(dicke, mixed) == pytest.approx(0.0, abs=1e-12)
+        # Two-site marginals of the one-excitation state: <X_i X_j> = 2/n.
+        assert expectation(dicke, "XX" + "I" * (n - 2)) == pytest.approx(2.0 / n, abs=1e-12)
+
+    def test_no_dense_operator_at_max_qubits(self):
+        # The dense operator alone would be 2^10 x 2^10 complex = 16 MB.
+        n = MAX_QUBITS
+        psi = random_state(n, 5)
+        rho = werner_mix(ghz_state(n), 0.5)
+        for state in (psi, rho):
+            tracemalloc.start()
+            try:
+                expectation(state, "XYZI" * (n // 4) + "Y" * (n % 4))
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (type(state).__name__, peak)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
