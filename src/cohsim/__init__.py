@@ -27,7 +27,6 @@ from .measurement import (
     expectation,
     outcome_distribution,
     parse_signed_axis,
-    projectors,
     setting_distribution,
 )
 from .paradox import (
@@ -117,7 +116,6 @@ __all__ = [
     "paradox_p_value",
     "parse_signed_axis",
     "point_correlator",
-    "projectors",
     "quantum_strategy",
     "reconstruct",
     "report_states",

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .measurement import AXES, setting_distribution
+from .measurement import AXES, expectation, setting_distribution
 from .paradox import ParadoxSpec, _mixture_gap
 from .states import DensityOperator, StateVector, werner_mix
 
@@ -447,11 +447,6 @@ class VisibilityScan:
                     writer.writerow([repr(float(ang)), repr(float(rate)), int(n)])
 
 
-def _polarizer_projector(angle: float) -> np.ndarray:
-    ket = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    return np.outer(ket, ket.conj())
-
-
 def visibility_scan(
     state: StateVector | DensityOperator,
     fixed_arm_angle: float,
@@ -477,14 +472,17 @@ def visibility_scan(
     if state.num_qubits != 2:
         raise ValueError("visibility scan needs a 2-qubit state")
     cfg = cfg or ExperimentConfig()
-    rho = werner_mix(state, cfg.visibility_v).matrix
-    fixed_proj = _polarizer_projector(fixed_arm_angle)
-    probs = np.array(
-        [
-            max(0.0, float(np.real(np.trace(np.kron(fixed_proj, _polarizer_projector(ang)) @ rho))))
-            for ang in grid
-        ]
+    rho = werner_mix(state, cfg.visibility_v)
+    # A polarizer at angle t passes (I + cos 2t Z + sin 2t X)/2, so with
+    # a(t) = (1, cos 2t, sin 2t) and corr[p, q] = <P Q> over P, Q in
+    # (I, Z, X), the coincidence probability is a(fixed) @ corr @ a(t) / 4.
+    corr = np.array([[expectation(rho, p + q) for q in "IZX"] for p in "IZX"])
+    angles_arr = np.array(grid)
+    design = np.column_stack(
+        [np.ones_like(angles_arr), np.cos(2.0 * angles_arr), np.sin(2.0 * angles_arr)]
     )
+    fixed = np.array([1.0, math.cos(2.0 * fixed_arm_angle), math.sin(2.0 * fixed_arm_angle)])
+    probs = np.maximum(0.0, design @ (fixed @ corr) / 4.0)
     rate_scale = cfg.pair_rate * cfg.efficiency
     measure_time = cfg.duration_per_setting * cfg.num_trials
     counts: tuple[int, ...] | None = None
@@ -499,10 +497,6 @@ def visibility_scan(
         rates = drawn / measure_time
     else:
         rates = rate_scale * probs
-    angles_arr = np.array(grid)
-    design = np.column_stack(
-        [np.ones_like(angles_arr), np.cos(2.0 * angles_arr), np.sin(2.0 * angles_arr)]
-    )
     coeffs, *_ = np.linalg.lstsq(design, rates, rcond=None)
     offset = float(coeffs[0])
     amplitude = float(math.hypot(coeffs[1], coeffs[2]))

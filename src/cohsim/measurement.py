@@ -1,13 +1,11 @@
 """Dichotomic Pauli measurements, Born-rule distributions, correlators.
 
 Outcome convention: outcome ``0`` corresponds to the ``+1`` eigenvalue of
-the measured observable and outcome ``1`` to ``-1``, so the dichotomic
-operator decomposes as ``M = P0 - P1`` with ``P0 + P1 = I``. Eigenvector
-phases are fixed once:
-
-* ``X``: ``|+> = (|0> + |1>)/sqrt(2)``, ``|-> = (|0> - |1>)/sqrt(2)``
-* ``Y``: ``|+i> = (|0> + i|1>)/sqrt(2)``, ``|-i> = (|0> - i|1>)/sqrt(2)``
-* ``Z``: ``|0>``, ``|1>``
+the measured observable and outcome ``1`` to ``-1``. Measuring the signed
+axis ``s M`` (``s = ±1``, ``M`` one of X, Y, Z) gives outcome ``a`` with
+the projector ``P_a = (I + (-1)^a s M)/2``, so ``P0 - P1 = s M`` and
+``P0 + P1 = I``. Every Born-rule value is therefore a combination of
+Pauli-chain expectations, evaluated by ``expectation``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import EQ_ATOL, DensityOperator, StateVector, _as_matrix
+from .states import EQ_ATOL, DensityOperator, StateVector
 
 AXES = ("X", "Y", "Z")
 CHAIN_AXES = ("X", "Y", "Z", "I")
@@ -30,13 +28,6 @@ PAULI = {
 }
 for _m in PAULI.values():
     _m.setflags(write=False)
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-_EIGVECS = {
-    "X": (np.array([_SQ2, _SQ2], dtype=complex), np.array([_SQ2, -_SQ2], dtype=complex)),
-    "Y": (np.array([_SQ2, 1j * _SQ2], dtype=complex), np.array([_SQ2, -1j * _SQ2], dtype=complex)),
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-}
 
 
 @dataclass(frozen=True)
@@ -92,43 +83,49 @@ def parse_signed_axis(spec: str) -> tuple[str, int]:
     return text, sign
 
 
-def projectors(axis: str, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome projectors ``(P0, P1)`` for the signed single-qubit axis.
-
-    ``P0 - P1 == sign * PAULI[axis]``; a negative sign swaps the outcome
-    labels.
-    """
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}")
-    plus, minus = _EIGVECS[axis]
-    p_plus = np.outer(plus, plus.conj())
-    p_minus = np.outer(minus, minus.conj())
-    return (p_plus, p_minus) if sign >= 0 else (p_minus, p_plus)
-
-
 # (-i)^k for k = number of Y factors mod 4, as exact complex constants.
 _Y_PHASE = (1.0 + 0.0j, -1j, -1.0 + 0.0j, 1j)
+
+
+def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
+    """A Pauli chain as a permutation plus a phase: ``O[i, i ^ flip] = phase[i]``.
+
+    This is the binary symplectic form of a Pauli string (Aaronson &
+    Gottesman, PRA 70, 052328, 2004): X and Y set bits of the flip mask,
+    Z and Y set bits of a sign mask ``z``, and each Y contributes a
+    factor ``-i``. Qubit 0 is the most significant bit (the leftmost
+    tensor factor), so
+    ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)``. Returns
+    ``(idx, flip, phase)`` with ``idx = arange(2^n)``; building it takes
+    O(n 2^n) integer operations and O(2^n) memory, and every phase is
+    exactly one of ``±1, ±i``.
+    """
+    n = len(axes)
+    idx = np.arange(1 << n)
+    flip = 0
+    parity = np.zeros_like(idx)  # bit 0 holds popcount(idx & z) mod 2
+    for q, ax in enumerate(axes):
+        bit = n - 1 - q
+        if ax in "XY":
+            flip |= 1 << bit
+        if ax in "YZ":
+            parity ^= idx >> bit
+    base = _Y_PHASE[axes.count("Y") % 4]
+    return idx, flip, np.where(parity & 1, -base, base)
 
 
 def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str) -> float:
     """Exact expectation value ``tr(O rho)``.
 
-    The chain is applied as a permutation plus a phase (the binary
-    symplectic form of a Pauli string): X and Y set bits of a flip mask
-    ``f``, Z and Y set bits of a sign mask ``z``, and each Y contributes
-    a factor ``-i``. Qubit 0 is the most significant bit, as in
-    ``np.kron``. Row ``i`` of the chain then has its one nonzero entry
-    ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)`` in column ``i ^ f``,
-    so
+    With the chain's action ``O[i, i ^ f] = phase[i]`` from
+    ``_pauli_action``,
 
     * a vector gives ``<v|O|v> = conj(v) @ (phase * v[i ^ f])``;
     * a density gives ``tr(O rho) = sum_i phase[i] * rho[i ^ f, i]``.
 
-    For ``n`` qubits the phase vector takes O(n 2^n) integer operations
-    and the contraction O(2^n); memory is O(2^n), and no ``2^n x 2^n``
-    operator is built. The products are exact (each phase is one of
-    ``±1, ±i``), so the values equal those of the dense Kronecker
-    product bit for bit.
+    The contraction is O(2^n) and no ``2^n x 2^n`` operator is built.
+    The products are exact, so the values equal those of the dense
+    tensor-product operator bit for bit.
 
     Raises:
         ValueError: on qubit-count mismatch or if the value has an
@@ -141,17 +138,7 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
         raise ValueError(
             f"observable on {n} qubits does not match state on {state.num_qubits}"
         )
-    idx = np.arange(1 << n)
-    flip = 0
-    parity = np.zeros_like(idx)  # bit 0 holds popcount(idx & z) mod 2
-    for q, ax in enumerate(chain.axes):
-        bit = n - 1 - q
-        if ax in "XY":
-            flip |= 1 << bit
-        if ax in "YZ":
-            parity ^= idx >> bit
-    base = _Y_PHASE[chain.axes.count("Y") % 4]
-    phase = np.where(parity & 1, -base, base)
+    idx, flip, phase = _pauli_action(chain.axes)
     if isinstance(state, StateVector):
         v = state.amplitudes
         val = complex(np.conj(v) @ (phase * v[idx ^ flip]))
@@ -190,18 +177,27 @@ def setting_distribution(
 
     ``obs_a`` and ``obs_b`` are single-qubit signed axes (``"X"``,
     ``"-Y"``, or ``(axis, sign)`` tuples) measured on qubits 0 and 1.
+    With ``P_a = (I + (-1)^a s_a A)/2`` on each side,
+
+    ``p[a, b] = (1 + (-1)^a s_a <A I> + (-1)^b s_b <I B>
+    + (-1)^(a+b) s_a s_b <A B>) / 4``.
+
+    Rounding can push an entry just below zero; entries are clipped at
+    zero and the table renormalized.
+
+    Raises:
+        ValueError: a state that is not on two qubits, or a table that
+            does not sum to one within ``EQ_ATOL`` (a numerical guard).
     """
     if state.num_qubits != 2:
         raise ValueError(f"two-party setting needs a 2-qubit state, got {state.num_qubits}")
-    rho = _as_matrix(state)
     ax_a, sg_a = _signed_single(obs_a)
     ax_b, sg_b = _signed_single(obs_b)
-    pa = projectors(ax_a, sg_a)
-    pb = projectors(ax_b, sg_b)
-    table = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            table[a, b] = float(np.real(np.trace(np.kron(pa[a], pb[b]) @ rho)))
+    e_a = sg_a * expectation(state, ax_a + "I")
+    e_b = sg_b * expectation(state, "I" + ax_b)
+    e_ab = sg_a * sg_b * expectation(state, ax_a + ax_b)
+    sign = np.array([1.0, -1.0])
+    table = (1.0 + sign[:, None] * e_a + sign[None, :] * e_b + np.outer(sign, sign) * e_ab) / 4.0
     table = np.clip(table, 0.0, None)
     total = table.sum()
     if abs(total - 1.0) > EQ_ATOL:

@@ -202,12 +202,6 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return root
 
 
-def _as_matrix(state: StateVector | DensityOperator) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return density_from_state(state).matrix
-    return state.matrix
-
-
 def fidelity(rho: StateVector | DensityOperator, sigma: StateVector | DensityOperator) -> float:
     """Uhlmann fidelity ``tr sqrt(sqrt(rho) sigma sqrt(rho))``.
 

@@ -19,11 +19,19 @@ from typing import Mapping
 import numpy as np
 
 from .experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig, simulate_counts
-from .measurement import AXES, PAULI
+from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, epr_family, fidelity
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
 FIDELITY_TABLE = "fidelities.csv"
+
+# The 16 two-qubit Pauli pairs as (i, j, idx, flip, phase), where i and j
+# index ("I", X, Y, Z) and the pair acts as O[idx, idx ^ flip] = phase.
+_PAIR_ACTIONS = tuple(
+    (i, j, *_pauli_action((si, sj)))
+    for i, si in enumerate(("I",) + AXES)
+    for j, sj in enumerate(("I",) + AXES)
+)
 
 
 def tomography_settings() -> tuple[tuple[str, str], ...]:
@@ -123,11 +131,9 @@ def _invert(pooled: Mapping[tuple[str, str], np.ndarray]) -> np.ndarray:
     for i, u in enumerate(AXES):
         coeff[i + 1, 0] = float(np.mean(marg_a[u]))
         coeff[0, i + 1] = float(np.mean(marg_b[u]))
-    labels = ("I",) + AXES
     rho = np.zeros((4, 4), dtype=complex)
-    for i, si in enumerate(labels):
-        for j, sj in enumerate(labels):
-            rho += coeff[i, j] * np.kron(PAULI[si], PAULI[sj]) / 4.0
+    for i, j, idx, flip, phase in _PAIR_ACTIONS:
+        rho[idx, idx ^ flip] += coeff[i, j] * phase / 4.0
     return rho
 
 

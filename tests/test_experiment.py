@@ -20,7 +20,9 @@ from cohsim.experiment import (
 )
 from cohsim.measurement import ObservableChain
 from cohsim.paradox import MixtureClaim, ParadoxConstraint, ParadoxSpec, coherence_paradox
-from cohsim.states import StateVector, epr_family
+from cohsim.states import StateVector, epr_family, werner_mix
+
+from .test_states import random_state
 
 DESK = ExperimentConfig(
     pair_rate=1.0e5,
@@ -511,6 +513,35 @@ class TestVisibilityScan:
                 0.8 * math.sin(angle) ** 2 / 2.0 + 0.2 / 4.0
             )
             assert rate == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_rates_match_dense_oracle(self):
+        # Rates against np.kron polarizer projectors |t><t|, t = (cos, sin),
+        # traced with the Werner state, on random states and angles.
+        def polarizer(angle):
+            ket = np.array([math.cos(angle), math.sin(angle)])
+            return np.outer(ket, ket)
+
+        rng = np.random.default_rng(17)
+        for seed in range(20):
+            if seed % 2:
+                state = random_state(2, seed + 500)
+            else:
+                state = epr_family(rng.uniform(0.1, 1.4), "00")
+            cfg = ExperimentConfig(visibility_v=float(rng.uniform(0.0, 1.0)))
+            fixed = float(rng.uniform(-4.0, 4.0))
+            grid = rng.uniform(-4.0, 4.0, size=12)
+            rho = werner_mix(state, cfg.visibility_v).matrix
+            want = [
+                max(0.0, np.trace(np.kron(polarizer(fixed), polarizer(t)) @ rho).real)
+                for t in grid
+            ]
+            rate_scale = cfg.pair_rate * cfg.efficiency
+            np.testing.assert_allclose(
+                visibility_scan(state, fixed, grid, cfg).rates,
+                rate_scale * np.array(want),
+                rtol=0.0,
+                atol=1e-15 * rate_scale,
+            )
 
     def test_csv_schemas(self, tmp_path):
         state = epr_family(math.pi / 4, "00")

@@ -1,4 +1,4 @@
-"""Observables, projectors, Born-rule tables, and correlators."""
+"""Observables, outcome projectors, Born-rule tables, and correlators."""
 
 import itertools
 import math
@@ -17,7 +17,6 @@ from cohsim.measurement import (
     expectation,
     outcome_distribution,
     parse_signed_axis,
-    projectors,
     setting_distribution,
 )
 from cohsim.states import (
@@ -45,6 +44,33 @@ def dense_expectation(state, chain):
     return float(complex(np.trace(op @ state.matrix)).real)
 
 
+# Eigenvectors for eigenvalues +1 and -1 of each axis: the oracle's own
+# projectors, built without the Pauli-expectation form under test.
+_SQ2 = 1.0 / math.sqrt(2.0)
+EIGVECS = {
+    "X": ([_SQ2, _SQ2], [_SQ2, -_SQ2]),
+    "Y": ([_SQ2, 1j * _SQ2], [_SQ2, -1j * _SQ2]),
+    "Z": ([1.0, 0.0], [0.0, 1.0]),
+}
+SIGNED_AXES = [(ax, sign) for ax in AXES for sign in (1, -1)]
+
+
+def dense_projectors(axis, sign):
+    """``(P0, P1)`` of the signed axis from its eigenvectors."""
+    plus, minus = (np.outer(v, np.conj(v)) for v in map(np.asarray, EIGVECS[axis]))
+    return (plus, minus) if sign > 0 else (minus, plus)
+
+
+def dense_setting_distribution(state, obs_a, obs_b):
+    """Reference ``p[a, b] = tr((P_a (x) P_b) rho)`` from ``np.kron`` projectors."""
+    if isinstance(state, StateVector):
+        state = density_from_state(state)
+    pa, pb = dense_projectors(*obs_a), dense_projectors(*obs_b)
+    return np.array(
+        [[np.trace(np.kron(pa[a], pb[b]) @ state.matrix).real for b in range(2)] for a in range(2)]
+    )
+
+
 def random_density(num_qubits, seed):
     """Rank-two mixture of two random pure states."""
     a = density_from_state(random_state(num_qubits, seed)).matrix
@@ -64,29 +90,57 @@ class TestPauli:
 
 
 class TestProjectors:
+    """The outcome convention ``P_a = (I + (-1)^a s M)/2``, seen through tables."""
+
     @pytest.mark.parametrize("axis", AXES)
     def test_complete_and_idempotent(self, axis):
-        p0, p1 = projectors(axis)
-        np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(p0 @ p0, p0, atol=1e-15)
-        np.testing.assert_allclose(p1 @ p1, p1, atol=1e-15)
-        np.testing.assert_allclose(p0 @ p1, np.zeros((2, 2)), atol=1e-15)
+        # An eigenstate of the measured axis gives its outcome with
+        # certainty (P0 P0 = P0, P0 P1 = 0) on either qubit ...
+        plus = np.asarray(EIGVECS[axis][0])
+        zero = np.array([1.0, 0.0])
+        table = setting_distribution(StateVector(np.kron(plus, zero)), axis, "Z")
+        np.testing.assert_allclose(table, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+        table = setting_distribution(StateVector(np.kron(zero, plus)), "Z", axis)
+        np.testing.assert_allclose(table, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+        # ... and P0 + P1 = I: one party's marginal ignores the other's axis.
+        psi = random_state(2, 31)
+        rows = [setting_distribution(psi, axis, other).sum(axis=1) for other in SIGNED_AXES]
+        cols = [setting_distribution(psi, other, axis).sum(axis=0) for other in SIGNED_AXES]
+        for got in rows[1:]:
+            np.testing.assert_allclose(got, rows[0], atol=1e-15)
+        for got in cols[1:]:
+            np.testing.assert_allclose(got, cols[0], atol=1e-15)
 
     @pytest.mark.parametrize("axis", AXES)
     def test_difference_is_pauli(self, axis):
-        p0, p1 = projectors(axis)
-        np.testing.assert_allclose(p0 - p1, PAULI[axis], atol=1e-15)
+        # P0 - P1 = s M on each side, and on both together.
+        for state in (random_state(2, 41), random_density(2, 43)):
+            for sign in (1, -1):
+                for other, other_sign in SIGNED_AXES:
+                    table = setting_distribution(state, (axis, sign), (other, other_sign))
+                    marg_a = table[0, :].sum() - table[1, :].sum()
+                    corr = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
+                    want_a = sign * dense_expectation(state, axis + "I")
+                    want_ab = sign * other_sign * dense_expectation(state, axis + other)
+                    assert marg_a == pytest.approx(want_a, abs=1e-15)
+                    assert corr == pytest.approx(want_ab, abs=1e-15)
 
     @pytest.mark.parametrize("axis", AXES)
     def test_negative_sign_swaps_outcomes(self, axis):
-        p0, p1 = projectors(axis)
-        q0, q1 = projectors(axis, -1)
-        np.testing.assert_array_equal(q0, p1)
-        np.testing.assert_array_equal(q1, p0)
+        psi = random_state(2, 53)
+        for other in AXES:
+            plain = setting_distribution(psi, axis, other)
+            np.testing.assert_allclose(
+                setting_distribution(psi, (axis, -1), other), plain[::-1, :], atol=1e-15
+            )
+            plain = setting_distribution(psi, other, axis)
+            np.testing.assert_allclose(
+                setting_distribution(psi, other, (axis, -1)), plain[:, ::-1], atol=1e-15
+            )
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
-            projectors("W")
+            setting_distribution(epr_family(0.4, "00"), "W", "Z")
 
 
 class TestParseSignedAxis:
@@ -271,6 +325,26 @@ class TestSettingDistribution:
             assert marg_a == pytest.approx(expectation(psi, ax_a + "I"), abs=1e-10)
             marg_b = table[:, 0].sum() - table[:, 1].sum()
             assert marg_b == pytest.approx(expectation(psi, "I" + ax_b), abs=1e-10)
+
+    def test_matches_dense_oracle(self):
+        # All 36 signed-axis pairs against np.kron projector traces.
+        for seed in range(5):
+            for state in (random_state(2, 2 * seed + 60), random_density(2, 2 * seed + 70)):
+                for obs_a, obs_b in itertools.product(SIGNED_AXES, repeat=2):
+                    np.testing.assert_allclose(
+                        setting_distribution(state, obs_a, obs_b),
+                        dense_setting_distribution(state, obs_a, obs_b),
+                        rtol=0.0,
+                        atol=1e-15,
+                        err_msg=f"{obs_a} {obs_b} {type(state).__name__}",
+                    )
+
+    def test_exact_zero_where_born_rule_is_zero(self):
+        # At theta = pi/4 the XX table has no anticorrelated outcomes;
+        # the dense projector trace leaves about 1e-32 there.
+        table = setting_distribution(epr_family(math.pi / 4, "00"), "X", "X")
+        assert table[0, 1] == 0.0
+        assert table[1, 0] == 0.0
 
     def test_accepts_mixed_state(self):
         rho = werner_mix(epr_family(math.pi / 4, "00"), 0.8)

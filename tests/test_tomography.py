@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from cohsim.experiment import CountTable, ExperimentConfig
-from cohsim.measurement import setting_distribution
+from cohsim.measurement import AXES, PAULI, setting_distribution
 from cohsim.states import DensityOperator, StateVector, density_from_state, epr_family, werner_mix
 from cohsim.tomography import (
     SETTINGS,
     TomographyResult,
+    _invert,
     _simplex_project,
     reconstruct,
     report_states,
@@ -50,6 +51,34 @@ def exact_tables(state, scale: int) -> dict:
         cells = np.round(probs * scale).astype(np.int64).reshape(1, 2, 2)
         tables[setting] = CountTable({setting: cells}, FLAT_CFG)
     return tables
+
+
+CORR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+ROW_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])
+
+
+def dense_invert(pooled) -> np.ndarray:
+    """Reference inversion: ``sum_ij c_ij (P_i (x) P_j) / 4`` with ``np.kron``.
+
+    ``c_ij`` are the pooled correlators, and the marginals averaged over
+    the partner's three axes.
+    """
+    def signed(cell, signs):
+        return (signs * cell).sum() / cell.sum()
+
+    coeff = np.zeros((4, 4))
+    coeff[0, 0] = 1.0
+    for i, u in enumerate(AXES, 1):
+        coeff[i, 0] = np.mean([signed(pooled[(u, v)], ROW_SIGNS) for v in AXES])
+        coeff[0, i] = np.mean([signed(pooled[(v, u)], ROW_SIGNS.T) for v in AXES])
+        for j, v in enumerate(AXES, 1):
+            coeff[i, j] = signed(pooled[(u, v)], CORR_SIGNS)
+    labels = ("I",) + AXES
+    rho = np.zeros((4, 4), dtype=complex)
+    for i, si in enumerate(labels):
+        for j, sj in enumerate(labels):
+            rho += coeff[i, j] * np.kron(PAULI[si], PAULI[sj]) / 4.0
+    return rho
 
 
 class TestSettings:
@@ -93,6 +122,14 @@ class TestLinearInversion:
         rho = werner_mix(epr_family(math.pi / 4, "00"), 0.75)
         result = reconstruct(exact_tables(rho, 2**22))
         np.testing.assert_allclose(result.rho_linear, rho.matrix, atol=1e-12)
+
+    def test_matches_dense_pauli_sum(self):
+        # Random count tables give random coefficient tables; every Pauli
+        # entry is one of 0, +-1, +-i, so the scatter agrees to the last bit.
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            pooled = {s: rng.integers(1, 1000, size=(2, 2)).astype(float) for s in SETTINGS}
+            np.testing.assert_array_equal(_invert(pooled), dense_invert(pooled))
 
     def test_single_table_and_mapping_agree(self):
         table = simulate_tomography_counts(epr_family(0.6, "00"), DESK, stream_tag=2)
