@@ -375,10 +375,13 @@ def paradox_p_value(
     """Hoeffding tail bound against the best convex-mixture model, and its log10.
 
     The per-coincidence win variable lies in [-1, 1], so the chance that
-    a mixed-row correlator lands ``g`` away from the best mixture
-    prediction is at most ``exp(-N g^2 / 2)``; the bound is maximized
-    over the weight simplex (the most favorable LHV model), which
-    minimizes the worst ``sqrt(N) |residual|`` over the mixed rows.
+    one mixed-row correlator lands ``g`` or more away from its mixture
+    prediction, in either direction, is at most ``2 exp(-N g^2 / 2)``
+    (two-sided Hoeffding). The gap ``g`` is the largest
+    ``sqrt(N) |residual|`` over the ``m`` mixed rows, minimized over the
+    weight simplex (the most favorable LHV model), so a union bound over
+    the rows gives ``p = min(1, 2 m exp(-g^2 / 2))``. The component rows
+    are still treated as exact, not as estimates.
 
     Returns ``(p, log10_p)``. ``p`` lies in (0, 1]: bounds below the
     smallest positive float are clamped to it, while ``log10_p`` stays
@@ -396,8 +399,10 @@ def paradox_p_value(
         {key: value for key, (value, _n) in estimates.items()},
         {key: math.sqrt(n_total) for key, (_v, n_total) in estimates.items()},
     )
-    p = max(math.exp(-(gap * gap) / 2.0), _MIN_POSITIVE)
-    return p, -(gap * gap) / (2.0 * math.log(10.0))
+    mixed = spec.mixture_claim.mixed_label
+    rows = sum((mixed, chain.label) in estimates for chain in spec.observables())
+    p = max(min(1.0, 2 * rows * math.exp(-(gap * gap) / 2.0)), _MIN_POSITIVE)
+    return p, min(0.0, math.log10(2 * rows) - (gap * gap) / (2.0 * math.log(10.0)))
 
 
 @dataclass(frozen=True, eq=False)

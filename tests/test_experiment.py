@@ -397,8 +397,8 @@ class TestPValues:
 
     def test_hand_computed_bound(self):
         # Components read E = 0 on N = 100; the mixed row reads E = 0.4
-        # on N = 100, so the weighted gap is sqrt(100) * 0.4 = 4 and the
-        # bound is exp(-8).
+        # on N = 100, so the weighted gap is sqrt(100) * 0.4 = 4. One
+        # mixed row and a two-sided tail make the bound 2 exp(-8).
         spec = two_party_mixture_spec()
         flat = [[25, 25], [25, 25]]
         counts = {
@@ -407,8 +407,8 @@ class TestPValues:
             ("00", "ZZ"): hand_table([[45, 15], [15, 25]]),
         }
         p, log10_p = paradox_p_value(spec, counts)
-        assert p == pytest.approx(math.exp(-8.0), rel=1e-12)
-        assert log10_p == pytest.approx(-8.0 / math.log(10.0), rel=1e-12)
+        assert p == pytest.approx(2.0 * math.exp(-8.0), rel=1e-12)
+        assert log10_p == pytest.approx(math.log10(2.0) - 8.0 / math.log(10.0), rel=1e-12)
 
     def test_more_data_means_smaller_p(self):
         spec = two_party_mixture_spec()
