@@ -306,8 +306,13 @@ def correlator_from_counts(
 
     Each replicate redraws every cell from a Poisson at its observed
     pooled count; the standard error is the standard deviation of the
-    replicate estimates. A replicate with zero total contributes 0.0
-    (only reachable for tiny means).
+    estimates of the replicates with a nonzero total (the estimator is
+    undefined at N = 0, so the bootstrap conditions on N > 0; empty
+    replicates only occur for tiny means).
+
+    Raises:
+        ValueError: zero total count, or ``num_bootstrap > 1`` with
+            fewer than two nonempty replicates.
     """
     value, total = point_correlator(table, u, v)
     pooled = table.pooled(u, v).astype(float)
@@ -319,7 +324,13 @@ def correlator_from_counts(
     draws = rng.poisson(pooled, size=(num_bootstrap, 2, 2))
     totals = draws.sum(axis=(1, 2))
     signed = draws[:, 0, 0] - draws[:, 0, 1] - draws[:, 1, 0] + draws[:, 1, 1]
-    estimates = np.where(totals > 0, signed / np.maximum(totals, 1), 0.0)
+    nonempty = totals > 0
+    if num_bootstrap > 1 and np.count_nonzero(nonempty) < 2:
+        raise ValueError(
+            f"only {np.count_nonzero(nonempty)} of {num_bootstrap} bootstrap replicates"
+            f" of setting ({u},{v}) have a nonzero total"
+        )
+    estimates = signed[nonempty] / totals[nonempty]
     std_err = float(np.std(estimates, ddof=1)) if num_bootstrap > 1 else 0.0
     return EstimatedCorrelator(value=value, std_err=std_err, n_total=total)
 

@@ -39,10 +39,9 @@ DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
+    # repr(float(x)): numpy 2 reprs np.float64(0.5) as "np.float64(0.5)".
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

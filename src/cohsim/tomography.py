@@ -158,10 +158,14 @@ def reconstruct(
     from setting to table. With a ``target`` and ``num_bootstrap > 0``,
     the fidelity's standard error is estimated by redrawing every pooled
     cell from a Poisson at its observed value and re-running the
-    reconstruction.
+    reconstruction. Replicates in which some setting redraws to a zero
+    total cannot be inverted and are left out, so the standard error
+    conditions on every setting having N > 0.
 
     Raises:
-        ValueError: missing settings or zero totals.
+        ValueError: missing settings, zero totals, or
+            ``num_bootstrap > 1`` with fewer than two replicates that
+            can be inverted.
     """
     pooled, cfg, tag = _pooled_map(counts)
     rho_linear = _invert(pooled)
@@ -174,14 +178,17 @@ def reconstruct(
             rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.seed, tag, _TOMO_DOMAIN, 1))
             )
-            reps = np.empty(num_bootstrap)
-            for r in range(num_bootstrap):
+            reps = []
+            for _ in range(num_bootstrap):
                 redrawn = {s: rng.poisson(cell).astype(float) for s, cell in pooled.items()}
-                if any(c.sum() == 0 for c in redrawn.values()):
-                    reps[r] = 0.0
-                    continue
-                rho_rep, _ = _project(_invert(redrawn))
-                reps[r] = fidelity(rho_rep, target)
+                if all(c.sum() > 0 for c in redrawn.values()):
+                    rho_rep, _ = _project(_invert(redrawn))
+                    reps.append(fidelity(rho_rep, target))
+            if num_bootstrap > 1 and len(reps) < 2:
+                raise ValueError(
+                    f"only {len(reps)} of {num_bootstrap} bootstrap replicates"
+                    " have a nonzero total in every setting"
+                )
             fid_se = float(np.std(reps, ddof=1)) if num_bootstrap > 1 else 0.0
     return TomographyResult(
         rho_hat=rho_hat,

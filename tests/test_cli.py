@@ -9,12 +9,14 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import cohsim
 from cohsim import __version__
 from cohsim.cli import main, parse_angle, parse_angle_list
 from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
+from cohsim.reports import write_rows_csv
 
 FAST_CFG_TEXT = (
     "pair_rate = 1e5\n"
@@ -466,3 +468,22 @@ class TestReportCommand:
         assert not sim["lhv_feasible"]
         assert sim["p_value"] < 1e-6
         assert manifest["wall_clock_seconds"] > 0.0
+
+
+class TestWriteRowsCsv:
+    def test_numpy_scalars_write_like_python_scalars(self, tmp_path):
+        header = ["label", "value", "small", "count", "flag"]
+        plain = [{"label": "a", "value": 0.5, "small": 1e-300, "count": 3, "flag": True}]
+        numpy_row = [
+            {
+                "label": "a",
+                "value": np.float64(0.5),
+                "small": np.float64(1e-300),
+                "count": np.int64(3),
+                "flag": np.bool_(True),
+            }
+        ]
+        write_rows_csv(tmp_path / "plain.csv", header, plain)
+        write_rows_csv(tmp_path / "numpy.csv", header, numpy_row)
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert read_csv(tmp_path / "numpy.csv")[0]["value"] == "0.5"

@@ -280,6 +280,20 @@ class TestCorrelatorFromCounts:
         est = correlator_from_counts(hand_table([[1, 49], [49, 1]]), "Z", "Z", num_bootstrap=1)
         assert est.std_err == 0.0
 
+    def test_empty_replicates_are_left_out(self):
+        # Every replicate with a nonzero total reads exactly -1; the
+        # exp(-2) share redrawn to N = 0 has no estimate and must not
+        # count as 0.0.
+        est = correlator_from_counts(hand_table([[0, 2], [0, 0]]), "Z", "Z")
+        assert est.value == -1.0
+        assert est.std_err == 0.0
+
+    def test_too_few_nonempty_replicates_rejected(self):
+        # At stream tag 5 all three redraws of the single count are zero.
+        table = hand_table([[0, 1], [0, 0]], stream_tag=5)
+        with pytest.raises(ValueError, match="nonzero total"):
+            correlator_from_counts(table, "Z", "Z", num_bootstrap=3)
+
 
 class TestEstimatedCorrelator:
     def test_validation(self):

@@ -236,6 +236,28 @@ class TestReconstructValidation:
         with pytest.raises(ValueError, match="zero total"):
             reconstruct(tables)
 
+    @staticmethod
+    def one_cell_tables(count):
+        """Every setting records ``count`` coincidences, all in cell (0, 0)."""
+        cells = np.zeros((1, 2, 2), dtype=np.int64)
+        cells[0, 0, 0] = count
+        return {s: CountTable({s: cells}, FLAT_CFG) for s in SETTINGS}
+
+    def test_bootstrap_leaves_out_empty_replicates(self):
+        # Empty cells redraw to zero, so every replicate whose nine
+        # settings all stay nonempty rebuilds the same matrix; those with
+        # an empty setting (about 37 % at three counts) are left out.
+        result = reconstruct(
+            self.one_cell_tables(3), target=epr_family(math.pi / 4, "00"), num_bootstrap=200
+        )
+        assert result.fidelity_std_err == pytest.approx(0.0, abs=1e-12)
+
+    def test_too_few_invertible_replicates_rejected(self):
+        with pytest.raises(ValueError, match="nonzero total in every setting"):
+            reconstruct(
+                self.one_cell_tables(1), target=epr_family(math.pi / 4, "00"), num_bootstrap=2
+            )
+
     def test_result_validation(self):
         with pytest.raises(ValueError, match="clip magnitude"):
             TomographyResult(
