@@ -306,9 +306,8 @@ def correlator_from_counts(
 
     Each replicate redraws every cell from a Poisson at its observed
     pooled count; the standard error is the standard deviation of the
-    estimates of the replicates with a nonzero total (the estimator is
-    undefined at N = 0, so the bootstrap conditions on N > 0; empty
-    replicates only occur for tiny means).
+    estimates over replicates with N > 0 (the estimator is undefined at
+    N = 0, which only tiny means reach).
 
     Raises:
         ValueError: zero total count, or ``num_bootstrap > 1`` with
@@ -385,14 +384,13 @@ def paradox_p_value(
 ) -> tuple[float, float]:
     """Hoeffding tail bound against the best convex-mixture model, and its log10.
 
-    The per-coincidence win variable lies in [-1, 1], so the chance that
-    one mixed-row correlator lands ``g`` or more away from its mixture
-    prediction, in either direction, is at most ``2 exp(-N g^2 / 2)``
-    (two-sided Hoeffding). The gap ``g`` is the largest
-    ``sqrt(N) |residual|`` over the ``m`` mixed rows, minimized over the
-    weight simplex (the most favorable LHV model), so a union bound over
-    the rows gives ``p = min(1, 2 m exp(-g^2 / 2))``. The component rows
-    are still treated as exact, not as estimates.
+    The per-coincidence win variable lies in [-1, 1], so a mixed-row
+    correlator from N coincidences lands ``d`` or more from its
+    prediction, either way, with chance at most ``2 exp(-N d^2 / 2)``
+    (two-sided Hoeffding). With ``g`` the worst ``sqrt(N) |residual|``
+    over the ``m`` mixed rows at the best mixture weights, a union bound
+    over the rows gives ``p = min(1, 2 m exp(-g^2 / 2))``. Component
+    rows are treated as exact.
 
     Returns ``(p, log10_p)``. ``p`` lies in (0, 1]: bounds below the
     smallest positive float are clamped to it, while ``log10_p`` stays
@@ -492,6 +490,7 @@ def visibility_scan(
     # A polarizer at angle t passes (I + cos 2t Z + sin 2t X)/2, so with
     # a(t) = (1, cos 2t, sin 2t) and corr[p, q] = <P Q> over P, Q in
     # (I, Z, X), the coincidence probability is a(fixed) @ corr @ a(t) / 4.
+    # The rows of ``design`` are a(t); the fringe fit below reuses them.
     corr = np.array([[expectation(rho, p + q) for q in "IZX"] for p in "IZX"])
     angles_arr = np.array(grid)
     design = np.column_stack(

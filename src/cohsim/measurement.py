@@ -94,11 +94,10 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     Gottesman, PRA 70, 052328, 2004): X and Y set bits of the flip mask,
     Z and Y set bits of a sign mask ``z``, and each Y contributes a
     factor ``-i``. Qubit 0 is the most significant bit (the leftmost
-    tensor factor), so
-    ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)``. Returns
-    ``(idx, flip, phase)`` with ``idx = arange(2^n)``; building it takes
-    O(n 2^n) integer operations and O(2^n) memory, and every phase is
-    exactly one of ``±1, ±i``.
+    tensor factor), so ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)``.
+    Returns ``(idx, flip, phase)`` with ``idx = arange(2^n)``; building
+    it takes O(n 2^n) integer operations and O(2^n) memory, and every
+    phase is exactly one of ``±1, ±i``.
     """
     n = len(axes)
     idx = np.arange(1 << n)
@@ -149,9 +148,6 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
     return float(val.real)
 
 
-_ObsSpec = "ObservableChain | str | tuple[str, int]"
-
-
 def _signed_single(obs) -> tuple[str, int]:
     """Normalize a single-qubit observable description to (axis, sign)."""
     if isinstance(obs, tuple) and len(obs) == 2 and isinstance(obs[1], int):
@@ -180,14 +176,7 @@ def setting_distribution(
     With ``P_a = (I + (-1)^a s_a A)/2`` on each side,
 
     ``p[a, b] = (1 + (-1)^a s_a <A I> + (-1)^b s_b <I B>
-    + (-1)^(a+b) s_a s_b <A B>) / 4``.
-
-    Rounding can push an entry just below zero; entries are clipped at
-    zero and the table renormalized.
-
-    Raises:
-        ValueError: a state that is not on two qubits, or a table that
-            does not sum to one within ``EQ_ATOL`` (a numerical guard).
+    + (-1)^(a+b) s_a s_b <A B>) / 4``, clipped at zero and renormalized.
     """
     if state.num_qubits != 2:
         raise ValueError(f"two-party setting needs a 2-qubit state, got {state.num_qubits}")

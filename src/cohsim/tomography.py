@@ -163,9 +163,8 @@ def reconstruct(
     conditions on every setting having N > 0.
 
     Raises:
-        ValueError: missing settings, zero totals, or
-            ``num_bootstrap > 1`` with fewer than two replicates that
-            can be inverted.
+        ValueError: missing settings, zero totals, or ``num_bootstrap > 1``
+            with fewer than two replicates that can be inverted.
     """
     pooled, cfg, tag = _pooled_map(counts)
     rho_linear = _invert(pooled)
