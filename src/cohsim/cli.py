@@ -158,6 +158,7 @@ class _Run:
             "started_utc": datetime.now(timezone.utc).isoformat(),
             "output_files": ["manifest.json"],
             "wall_clock_seconds": None,
+            "counters": {},
         }
         self.json("manifest.json", self.manifest)
         self._t_start = time.monotonic()
@@ -198,11 +199,19 @@ def _bootstrap_count(args: argparse.Namespace) -> int:
     return args.bootstrap
 
 
-def _tomography(run: _Run, prefix: str, cfg: ExperimentConfig, **kwargs) -> list[dict]:
-    """Tomography dumps under ``prefix`` in the run directory, each file recorded."""
-    records = tomography_report(cfg, run.dir / prefix, **kwargs)
+def _tomography(
+    run: _Run, prefix: str, cfg: ExperimentConfig, num_bootstrap: int, **kwargs
+) -> list[dict]:
+    """Tomography dumps under ``prefix`` in the run directory, each file
+    recorded, and each state's requested and used bootstrap replicates
+    counted in the manifest."""
+    records = tomography_report(cfg, run.dir / prefix, num_bootstrap=num_bootstrap, **kwargs)
     for name in [f for rec in records for f in rec["files"]] + [FIDELITY_TABLE]:
         run.path(prefix + name)
+    run.manifest["counters"]["tomography_bootstrap"] = {
+        rec["label"]: {"requested": num_bootstrap, "used": rec["bootstrap_used"]}
+        for rec in records
+    }
     return records
 
 

@@ -125,6 +125,13 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
+def _check_bootstrap_count(num_bootstrap: int) -> None:
+    if num_bootstrap < 0:
+        raise ValueError(
+            f"num_bootstrap={num_bootstrap}: the replicate count must be nonnegative"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Per-trial coincidence counts for one or more settings.
@@ -310,9 +317,10 @@ def correlator_from_counts(
     N = 0, which only tiny means reach).
 
     Raises:
-        ValueError: zero total count, or ``num_bootstrap > 1`` with
-            fewer than two nonempty replicates.
+        ValueError: zero total count, a negative ``num_bootstrap``, or
+            ``num_bootstrap > 1`` with fewer than two nonempty replicates.
     """
+    _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)
     pooled = table.pooled(u, v).astype(float)
     rng = np.random.default_rng(

@@ -18,7 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig, simulate_counts
+from .experiment import (
+    _TOMO_DOMAIN, CountTable, ExperimentConfig, _check_bootstrap_count, simulate_counts
+)
 from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, epr_family, fidelity
 
@@ -58,7 +60,9 @@ class TomographyResult:
     ``rho_linear`` is the raw linear-inversion matrix (unit trace,
     possibly indefinite); ``rho_hat`` is its projection to the physical
     cone. ``clip_magnitude`` is the total negative eigenvalue mass of
-    the raw spectrum. Fidelity fields are None when no target was given.
+    the raw spectrum. Fidelity fields are None when no target was given;
+    ``bootstrap_used`` is the number of replicates the standard error
+    runs over, None when no bootstrap ran.
     """
 
     rho_hat: DensityOperator
@@ -67,6 +71,7 @@ class TomographyResult:
     clip_magnitude: float
     fidelity_to_target: float | None = None
     fidelity_std_err: float | None = None
+    bootstrap_used: int | None = None
 
     def __post_init__(self) -> None:
         lin = np.array(self.rho_linear, dtype=complex)
@@ -79,25 +84,27 @@ class TomographyResult:
 
 
 def _simplex_project(eigs: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex.
+    """Euclidean projection of real vectors onto the probability simplex.
 
+    Works on the last axis of ``eigs``, any leading axes being a batch.
     Shift-and-threshold: subtract the largest uniform shift that keeps
     the clipped vector summing to one. This is the Frobenius-closest
     spectrum among trace-one nonnegative ones.
     """
-    desc = np.sort(eigs)[::-1]
-    csum = np.cumsum(desc)
-    ranks = np.arange(1, eigs.size + 1)
-    valid = desc * ranks > (csum - 1.0)
-    k = int(np.nonzero(valid)[0][-1])
-    shift = (csum[k] - 1.0) / (k + 1.0)
+    n = eigs.shape[-1]
+    desc = np.sort(eigs, axis=-1)[..., ::-1]
+    csum = np.cumsum(desc, axis=-1)
+    valid = desc * np.arange(1, n + 1) > (csum - 1.0)
+    # The last valid rank; rank 1 is always valid.
+    k = n - 1 - np.argmax(valid[..., ::-1], axis=-1, keepdims=True)
+    shift = (np.take_along_axis(csum, k, axis=-1) - 1.0) / (k + 1.0)
     return np.maximum(eigs - shift, 0.0)
 
 
-def _pooled_map(
+def _pooled_stack(
     counts: CountTable | Mapping[tuple[str, str], CountTable],
-) -> tuple[dict[tuple[str, str], np.ndarray], ExperimentConfig, int]:
-    """Pooled 2x2 counts per setting plus the seed-bearing config/tag."""
+) -> tuple[np.ndarray, ExperimentConfig, int]:
+    """Pooled ``(9, 2, 2)`` counts in ``SETTINGS`` order plus the seed-bearing config/tag."""
     if isinstance(counts, CountTable):
         tables = {setting: counts for setting in counts.settings()}
     else:
@@ -105,46 +112,48 @@ def _pooled_map(
     missing = [s for s in SETTINGS if s not in tables]
     if missing:
         raise ValueError(f"missing tomography settings: {missing}")
-    pooled = {}
-    for setting in SETTINGS:
-        cell = tables[setting].pooled(*setting)
-        if int(cell.sum()) == 0:
+    stack = np.array([tables[s].pooled(*s) for s in SETTINGS], dtype=float)
+    for setting, cell in zip(SETTINGS, stack):
+        if cell.sum() == 0.0:
             raise ValueError(f"zero total count for setting {setting}")
-        pooled[setting] = cell.astype(float)
     anchor = tables[SETTINGS[0]]
-    return pooled, anchor.config, anchor.stream_tag
+    return stack, anchor.config, anchor.stream_tag
 
 
-def _invert(pooled: Mapping[tuple[str, str], np.ndarray]) -> np.ndarray:
-    """Linear inversion of pooled counts into a unit-trace matrix."""
-    coeff = np.zeros((4, 4))
-    coeff[0, 0] = 1.0
-    marg_a = {u: [] for u in AXES}
-    marg_b = {v: [] for v in AXES}
-    for i, u in enumerate(AXES):
-        for j, v in enumerate(AXES):
-            cell = pooled[(u, v)]
-            total = cell.sum()
-            coeff[i + 1, j + 1] = (cell[0, 0] - cell[0, 1] - cell[1, 0] + cell[1, 1]) / total
-            marg_a[u].append((cell[0, :].sum() - cell[1, :].sum()) / total)
-            marg_b[v].append((cell[:, 0].sum() - cell[:, 1].sum()) / total)
-    for i, u in enumerate(AXES):
-        coeff[i + 1, 0] = float(np.mean(marg_a[u]))
-        coeff[0, i + 1] = float(np.mean(marg_b[u]))
-    rho = np.zeros((4, 4), dtype=complex)
+def _invert(pooled: np.ndarray) -> np.ndarray:
+    """Linear inversion of pooled ``(..., 9, 2, 2)`` counts into unit-trace matrices."""
+    batch = pooled.shape[:-3]
+    cells = pooled.reshape(batch + (3, 3, 2, 2))
+    total = cells.sum(axis=(-2, -1))
+    coeff = np.zeros(batch + (4, 4))
+    coeff[..., 0, 0] = 1.0
+    coeff[..., 1:, 1:] = (
+        cells[..., 0, 0] - cells[..., 0, 1] - cells[..., 1, 0] + cells[..., 1, 1]
+    ) / total
+    # Marginals: party A's axis indexes dim -2, B's dim -1; each is
+    # averaged over the partner's three axes.
+    marg_a = (cells[..., 0, :].sum(axis=-1) - cells[..., 1, :].sum(axis=-1)) / total
+    marg_b = (cells[..., :, 0].sum(axis=-1) - cells[..., :, 1].sum(axis=-1)) / total
+    coeff[..., 1:, 0] = marg_a.mean(axis=-1)
+    coeff[..., 0, 1:] = marg_b.mean(axis=-2)
+    rho = np.zeros(batch + (4, 4), dtype=complex)
     for i, j, idx, flip, phase in _PAIR_ACTIONS:
-        rho[idx, idx ^ flip] += coeff[i, j] * phase / 4.0
+        rho[..., idx, idx ^ flip] += coeff[..., i, j, None] * phase / 4.0
     return rho
 
 
-def _project(rho_linear: np.ndarray) -> tuple[DensityOperator, float]:
-    herm = 0.5 * (rho_linear + rho_linear.conj().T)
-    eigs, vecs = np.linalg.eigh(herm)
-    clip = float(np.sum(np.clip(-eigs, 0.0, None)))
-    projected = _simplex_project(eigs)
-    mat = (vecs * projected) @ vecs.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(mat / np.trace(mat).real), clip
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
+
+
+def _project(rho_linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``(..., 4, 4)`` matrices to the physical cone; also the
+    negative eigenvalue mass of each."""
+    eigs, vecs = np.linalg.eigh(0.5 * (rho_linear + _dagger(rho_linear)))
+    clip = np.clip(-eigs, 0.0, None).sum(axis=-1)
+    mat = (vecs * _simplex_project(eigs)[..., None, :]) @ _dagger(vecs)
+    mat = 0.5 * (mat + _dagger(mat))
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None], clip
 
 
 def reconstruct(
@@ -158,44 +167,49 @@ def reconstruct(
     from setting to table. With a ``target`` and ``num_bootstrap > 0``,
     the fidelity's standard error is estimated by redrawing every pooled
     cell from a Poisson at its observed value and re-running the
-    reconstruction. Replicates in which some setting redraws to a zero
-    total cannot be inverted and are left out, so the standard error
-    conditions on every setting having N > 0.
+    reconstruction on all replicates at once. The draws come from one
+    stream in replicate-major order, the nine settings of a replicate in
+    ``SETTINGS`` order and each setting's cells row-major, so they equal
+    one redraw of the nine settings per replicate in turn. Replicates in
+    which some setting redraws to a zero total cannot be inverted and
+    are left out: the standard error runs over the replicates in which
+    every setting is nonempty (``bootstrap_used`` of them).
 
     Raises:
-        ValueError: missing settings, zero totals, or ``num_bootstrap > 1``
-            with fewer than two replicates that can be inverted.
+        ValueError: missing settings, zero totals, a negative
+            ``num_bootstrap``, or ``num_bootstrap > 1`` with fewer than
+            two replicates that can be inverted.
     """
-    pooled, cfg, tag = _pooled_map(counts)
+    _check_bootstrap_count(num_bootstrap)
+    pooled, cfg, tag = _pooled_stack(counts)
     rho_linear = _invert(pooled)
-    rho_hat, clip = _project(rho_linear)
+    mat, clip = _project(rho_linear)
+    rho_hat = DensityOperator(mat)
     fid: float | None = None
     fid_se: float | None = None
+    used: int | None = None
     if target is not None:
         fid = fidelity(rho_hat, target)
         if num_bootstrap > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, tag, _TOMO_DOMAIN, 1))
-            )
-            reps = []
-            for _ in range(num_bootstrap):
-                redrawn = {s: rng.poisson(cell).astype(float) for s, cell in pooled.items()}
-                if all(c.sum() > 0 for c in redrawn.values()):
-                    rho_rep, _ = _project(_invert(redrawn))
-                    reps.append(fidelity(rho_rep, target))
-            if num_bootstrap > 1 and len(reps) < 2:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, _TOMO_DOMAIN, 1)))
+            draws = rng.poisson(pooled, size=(num_bootstrap,) + pooled.shape)
+            kept = draws[(draws.sum(axis=(-2, -1)) > 0).all(axis=-1)].astype(float)
+            used = len(kept)
+            if num_bootstrap > 1 and used < 2:
                 raise ValueError(
-                    f"only {len(reps)} of {num_bootstrap} bootstrap replicates"
+                    f"only {used} of {num_bootstrap} bootstrap replicates"
                     " have a nonzero total in every setting"
                 )
+            reps = [fidelity(DensityOperator(m), target) for m in _project(_invert(kept))[0]]
             fid_se = float(np.std(reps, ddof=1)) if num_bootstrap > 1 else 0.0
     return TomographyResult(
         rho_hat=rho_hat,
         rho_linear=rho_linear,
         settings_used=SETTINGS,
-        clip_magnitude=clip,
+        clip_magnitude=float(clip),
         fidelity_to_target=fid,
         fidelity_std_err=fid_se,
+        bootstrap_used=used,
     )
 
 
@@ -265,6 +279,7 @@ def tomography_report(
                 "fidelity_std_err": result.fidelity_std_err,
                 "clip_magnitude": result.clip_magnitude,
                 "max_abs_imag": float(np.abs(np.imag(rho)).max()),
+                "bootstrap_used": result.bootstrap_used,
                 "files": [f"rho_{slug}.csv", f"rho_{slug}.json"],
             }
         )

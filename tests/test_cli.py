@@ -17,6 +17,7 @@ from cohsim import __version__
 from cohsim.cli import main, parse_angle, parse_angle_list
 from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
 from cohsim.reports import write_rows_csv
+from cohsim.tomography import report_states
 
 FAST_CFG_TEXT = (
     "pair_rate = 1e5\n"
@@ -415,6 +416,20 @@ class TestTomoCommand:
         assert [r["label"] for r in rows] == ["01", "00(theta=0.785398)", "10"]
         for row in rows:
             assert float(row["fidelity"]) > 0.99
+
+    @pytest.mark.parametrize(
+        "command, bootstrap, used", [("tomo", "0", None), ("tomo", "7", 7), ("report", "5", 5)]
+    )
+    def test_manifest_counts_bootstrap_replicates(
+        self, command, bootstrap, used, tmp_path, fast_cfg, capsys
+    ):
+        out = tmp_path / "o"
+        args = [command, "--bootstrap", bootstrap, "--config", fast_cfg, "--out", str(out)]
+        assert main(args) == 0
+        counts = manifest_of(out)["counters"]["tomography_bootstrap"]
+        assert sorted(counts) == sorted(label for label, _psi in report_states())
+        for count in counts.values():
+            assert count == {"requested": int(bootstrap), "used": used}
 
 
 class TestVisibilityCommand:

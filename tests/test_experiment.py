@@ -294,6 +294,10 @@ class TestCorrelatorFromCounts:
         with pytest.raises(ValueError, match="nonzero total"):
             correlator_from_counts(table, "Z", "Z", num_bootstrap=3)
 
+    def test_negative_replicate_count_rejected(self):
+        with pytest.raises(ValueError, match="num_bootstrap=-1"):
+            correlator_from_counts(hand_table([[1, 49], [49, 1]]), "Z", "Z", num_bootstrap=-1)
+
 
 class TestEstimatedCorrelator:
     def test_validation(self):

@@ -3,17 +3,26 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cohsim.experiment import CountTable, ExperimentConfig
+from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig
 from cohsim.measurement import AXES, PAULI, setting_distribution
-from cohsim.states import DensityOperator, StateVector, density_from_state, epr_family, werner_mix
+from cohsim.states import (
+    DensityOperator,
+    StateVector,
+    density_from_state,
+    epr_family,
+    fidelity,
+    werner_mix,
+)
 from cohsim.tomography import (
     SETTINGS,
     TomographyResult,
     _invert,
+    _project,
     _simplex_project,
     reconstruct,
     report_states,
@@ -129,7 +138,8 @@ class TestLinearInversion:
         rng = np.random.default_rng(23)
         for _ in range(50):
             pooled = {s: rng.integers(1, 1000, size=(2, 2)).astype(float) for s in SETTINGS}
-            np.testing.assert_array_equal(_invert(pooled), dense_invert(pooled))
+            stack = np.array([pooled[s] for s in SETTINGS])
+            np.testing.assert_array_equal(_invert(stack), dense_invert(pooled))
 
     def test_single_table_and_mapping_agree(self):
         table = simulate_tomography_counts(epr_family(0.6, "00"), DESK, stream_tag=2)
@@ -172,6 +182,12 @@ class TestSimplexProjection:
             assert ours.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(ours >= 0.0)
             np.testing.assert_allclose(ours, brute_simplex_project(eigs), atol=1e-10)
+
+    def test_batch_matches_one_vector_at_a_time(self):
+        rng = np.random.default_rng(22)
+        stack = rng.normal(size=(5, 40, 4)) * rng.choice([0.01, 0.3, 1.0, 3.0], size=(5, 40, 1))
+        single = np.array([[_simplex_project(eigs) for eigs in row] for row in stack])
+        np.testing.assert_array_equal(_simplex_project(stack), single)
 
     def test_single_dominant_eigenvalue(self):
         eigs = np.array([1.4, -0.1, -0.2, -0.1])
@@ -220,6 +236,85 @@ class TestReconstructionQuality:
         table = simulate_tomography_counts(state, DESK)
         result = reconstruct(table, target=state, num_bootstrap=1)
         assert result.fidelity_std_err == 0.0
+
+
+def loop_bootstrap(tables, target, num_bootstrap):
+    """Reference bootstrap, one replicate at a time.
+
+    Nine ``rng.poisson(cell)`` calls per replicate in ``SETTINGS`` order;
+    each replicate with every setting nonempty is inverted by
+    ``dense_invert`` and projected without a batch axis. Returns the
+    standard error and the number of replicates it runs over.
+    """
+    pooled = {s: tables[s].pooled(*s).astype(float) for s in SETTINGS}
+    anchor = tables[SETTINGS[0]]
+    rng = np.random.default_rng(
+        np.random.SeedSequence((anchor.config.seed, anchor.stream_tag, _TOMO_DOMAIN, 1))
+    )
+    reps = []
+    for _ in range(num_bootstrap):
+        redrawn = {s: rng.poisson(cell).astype(float) for s, cell in pooled.items()}
+        if all(c.sum() > 0 for c in redrawn.values()):
+            mat, _clip = _project(dense_invert(redrawn))
+            reps.append(fidelity(DensityOperator(mat), target))
+    return float(np.std(reps, ddof=1)), len(reps)
+
+
+class TestBatchedBootstrap:
+    @staticmethod
+    def assert_matches_loop(tables, target, num_bootstrap):
+        result = reconstruct(tables, target=target, num_bootstrap=num_bootstrap)
+        std_err, used = loop_bootstrap(tables, target, num_bootstrap)
+        assert result.fidelity_std_err == std_err
+        assert result.bootstrap_used == used
+        return result
+
+    @pytest.mark.parametrize("num_bootstrap", [2, 30, 100])
+    @pytest.mark.parametrize("visibility", [1.0, 0.9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_replicate_loop(self, seed, visibility, num_bootstrap):
+        # One report state per seed, so all six are covered.
+        _label, psi = report_states()[seed]
+        cfg = DESK.replace(seed=seed, visibility_v=visibility)
+        table = simulate_tomography_counts(psi, cfg, stream_tag=seed)
+        tables = {s: table for s in SETTINGS}
+        result = self.assert_matches_loop(tables, psi, num_bootstrap)
+        assert result.bootstrap_used == num_bootstrap
+
+    def test_matches_loop_with_empty_replicates(self):
+        tables = TestReconstructValidation.one_cell_tables(3)
+        result = self.assert_matches_loop(tables, epr_family(math.pi / 4, "00"), 200)
+        assert 0 < result.bootstrap_used < 200
+
+    def test_matches_loop_for_density_target(self):
+        psi = epr_family(math.pi / 4, "00")
+        table = simulate_tomography_counts(psi, DESK.replace(visibility_v=0.9), stream_tag=3)
+        self.assert_matches_loop({s: table for s in SETTINGS}, werner_mix(psi, 0.9), 30)
+
+    def test_no_bootstrap_reports_no_count(self):
+        table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        assert reconstruct(table).bootstrap_used is None
+        assert reconstruct(table, target=epr_family(0.5, "00")).bootstrap_used is None
+
+    def test_negative_replicate_count_rejected(self):
+        table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        with pytest.raises(ValueError, match="num_bootstrap=-1"):
+            reconstruct(table, target=epr_family(0.5, "00"), num_bootstrap=-1)
+
+    def test_memory_stays_small(self):
+        # 1000 replicates hold a few (1000, 4, 4) stacks, about 2 MB at
+        # peak; one dense per-replicate intermediate such as a
+        # (1000, 16, 4, 4) Pauli stack would pass 4 MB on its own.
+        _label, psi = report_states()[4]
+        table = simulate_tomography_counts(psi, DESK, stream_tag=4)
+        reconstruct(table, target=psi, num_bootstrap=2)
+        tracemalloc.start()
+        try:
+            reconstruct(table, target=psi, num_bootstrap=1000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
 
 
 class TestReconstructValidation:
