@@ -27,7 +27,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .experiment import CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, visibility_scan
+from .experiment import (
+    CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count, visibility_scan
+)
 from .reports import (
     DEFAULT_THETAS,
     correlator_detail_rows,
@@ -194,8 +196,7 @@ def _verdict_line(verdict: dict) -> str:
 
 
 def _bootstrap_count(args: argparse.Namespace) -> int:
-    if args.bootstrap < 0:
-        raise ValueError(f"bootstrap={args.bootstrap}: the replicate count must be nonnegative")
+    _check_bootstrap_count(args.bootstrap, allow_none=True)
     return args.bootstrap
 
 
@@ -435,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="'all' for the six standard sources, or a comma list of angles"
         " for the superposition family",
     )
-    sp.add_argument("--bootstrap", type=int, default=100, help="bootstrap replicates")
+    sp.add_argument(
+        "--bootstrap", type=int, default=100, help="bootstrap replicates: 0 for none, else at least 2"
+    )
     add_common(sp)
     sp.set_defaults(func=cmd_tomo)
 
@@ -452,7 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_visibility)
 
     sp = sub.add_parser("report", help="regenerate every table and dataset in one directory")
-    sp.add_argument("--bootstrap", type=int, default=100, help="tomography bootstrap replicates")
+    sp.add_argument(
+        "--bootstrap",
+        type=int,
+        default=100,
+        help="tomography bootstrap replicates: 0 for none, else at least 2",
+    )
     add_common(sp)
     sp.set_defaults(func=cmd_report)
 

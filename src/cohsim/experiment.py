@@ -125,10 +125,13 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
-def _check_bootstrap_count(num_bootstrap: int) -> None:
-    if num_bootstrap < 0:
+def _check_bootstrap_count(num_bootstrap: int, allow_none: bool = False) -> None:
+    """A standard error needs two or more replicates; with ``allow_none``,
+    0 (no bootstrap at all) passes too."""
+    if num_bootstrap < 2 and not (allow_none and num_bootstrap == 0):
+        none = " (or 0 for no bootstrap)" if allow_none else ""
         raise ValueError(
-            f"num_bootstrap={num_bootstrap}: the replicate count must be nonnegative"
+            f"num_bootstrap={num_bootstrap}: a standard error needs at least 2 replicates{none}"
         )
 
 
@@ -317,8 +320,9 @@ def correlator_from_counts(
     N = 0, which only tiny means reach).
 
     Raises:
-        ValueError: zero total count, a negative ``num_bootstrap``, or
-            ``num_bootstrap > 1`` with fewer than two nonempty replicates.
+        ValueError: zero total count, ``num_bootstrap`` below 2 (one
+            replicate has no spread to measure), or fewer than two
+            nonempty replicates.
     """
     _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)
@@ -332,13 +336,13 @@ def correlator_from_counts(
     totals = draws.sum(axis=(1, 2))
     signed = draws[:, 0, 0] - draws[:, 0, 1] - draws[:, 1, 0] + draws[:, 1, 1]
     nonempty = totals > 0
-    if num_bootstrap > 1 and np.count_nonzero(nonempty) < 2:
+    if np.count_nonzero(nonempty) < 2:
         raise ValueError(
             f"only {np.count_nonzero(nonempty)} of {num_bootstrap} bootstrap replicates"
             f" of setting ({u},{v}) have a nonzero total"
         )
     estimates = signed[nonempty] / totals[nonempty]
-    std_err = float(np.std(estimates, ddof=1)) if num_bootstrap > 1 else 0.0
+    std_err = float(np.std(estimates, ddof=1))
     return EstimatedCorrelator(value=value, std_err=std_err, n_total=total)
 
 

@@ -172,8 +172,12 @@ def _min_max_residual(
     ``component_values`` has one row per observable and one column per
     mixture component. Two columns are solved exactly (the objective is
     piecewise linear in the single free weight, so the minimum sits at a
-    kink or an endpoint); more columns go through an exact linear
-    program. Returns ``(gap, weights_vector)``.
+    kink or an endpoint). One row is solved exactly too: the values a
+    mixture reaches on it are the interval between its smallest and
+    largest entries, so the two-column problem on those two components
+    has the same minimum. Two or more rows over three or more columns go
+    through an exact linear program, the only use of ``scipy.optimize``.
+    Returns ``(gap, weights_vector)``.
     """
     vals = np.asarray(component_values, dtype=float)
     m, k = vals.shape
@@ -206,7 +210,14 @@ def _min_max_residual(
             if val < best_g:
                 best_p, best_g = p, val
         return best_g, np.array([best_p, 1.0 - best_p])
-    # k >= 3: minimize t subject to |w_j (row_j . p - targ_j)| <= t on the simplex.
+    if m == 1:
+        cols = [int(np.argmin(vals[0])), int(np.argmax(vals[0]))]
+        gap, pair = _min_max_residual(vals[:, cols], targ, w)
+        p = np.zeros(k)
+        # add.at, not p[cols] = pair: a constant row picks one column twice.
+        np.add.at(p, cols, pair)
+        return gap, p
+    # m >= 2, k >= 3: minimize t subject to |w_j (row_j . p - targ_j)| <= t on the simplex.
     # Imported here because scipy.optimize dominates the package's import
     # time and only this branch needs it.
     from scipy.optimize import linprog

@@ -202,6 +202,11 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return root
 
 
+def _vector_fidelity(v: np.ndarray, mat: np.ndarray) -> float:
+    """``sqrt(<v|mat|v>)`` clipped into ``[0, 1]``, with no check of ``mat``."""
+    return min(math.sqrt(max(0.0, float(np.real(np.conj(v) @ mat @ v)))), 1.0)
+
+
 def fidelity(rho: StateVector | DensityOperator, sigma: StateVector | DensityOperator) -> float:
     """Uhlmann fidelity ``tr sqrt(sqrt(rho) sigma sqrt(rho))``.
 
@@ -222,11 +227,9 @@ def fidelity(rho: StateVector | DensityOperator, sigma: StateVector | DensityOpe
     if isinstance(rho, StateVector) and isinstance(sigma, StateVector):
         val = abs(complex(np.vdot(rho.amplitudes, sigma.amplitudes)))
     elif isinstance(rho, StateVector):
-        v = rho.amplitudes
-        val = math.sqrt(max(0.0, float(np.real(np.conj(v) @ sigma.matrix @ v))))
+        return _vector_fidelity(rho.amplitudes, sigma.matrix)
     elif isinstance(sigma, StateVector):
-        v = sigma.amplitudes
-        val = math.sqrt(max(0.0, float(np.real(np.conj(v) @ rho.matrix @ v))))
+        return _vector_fidelity(sigma.amplitudes, rho.matrix)
     else:
         root = _sqrtm_psd(rho.matrix)
         inner = root @ sigma.matrix @ root

@@ -22,7 +22,7 @@ from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _check_bootstrap_count, simulate_counts
 )
 from .measurement import AXES, _pauli_action
-from .states import DensityOperator, StateVector, epr_family, fidelity
+from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
 FIDELITY_TABLE = "fidelities.csv"
@@ -175,12 +175,15 @@ def reconstruct(
     are left out: the standard error runs over the replicates in which
     every setting is nonempty (``bootstrap_used`` of them).
 
+    ``num_bootstrap = 0`` means no bootstrap; one replicate has no
+    spread to measure, so 1 is refused.
+
     Raises:
-        ValueError: missing settings, zero totals, a negative
-            ``num_bootstrap``, or ``num_bootstrap > 1`` with fewer than
-            two replicates that can be inverted.
+        ValueError: missing settings, zero totals, ``num_bootstrap`` of 1
+            or below 0, or fewer than two replicates that can be
+            inverted.
     """
-    _check_bootstrap_count(num_bootstrap)
+    _check_bootstrap_count(num_bootstrap, allow_none=True)
     pooled, cfg, tag = _pooled_stack(counts)
     rho_linear = _invert(pooled)
     mat, clip = _project(rho_linear)
@@ -195,13 +198,20 @@ def reconstruct(
             draws = rng.poisson(pooled, size=(num_bootstrap,) + pooled.shape)
             kept = draws[(draws.sum(axis=(-2, -1)) > 0).all(axis=-1)].astype(float)
             used = len(kept)
-            if num_bootstrap > 1 and used < 2:
+            if used < 2:
                 raise ValueError(
                     f"only {used} of {num_bootstrap} bootstrap replicates"
                     " have a nonzero total in every setting"
                 )
-            reps = [fidelity(DensityOperator(m), target) for m in _project(_invert(kept))[0]]
-            fid_se = float(np.std(reps, ddof=1)) if num_bootstrap > 1 else 0.0
+            mats = _project(_invert(kept))[0]
+            if isinstance(target, StateVector):
+                # _project returns density matrices by construction, so no
+                # DensityOperator checks; one matrix at a time, as a stacked
+                # product rounds some values differently.
+                reps = [_vector_fidelity(target.amplitudes, m) for m in mats]
+            else:
+                reps = [fidelity(DensityOperator(m), target) for m in mats]
+            fid_se = float(np.std(reps, ddof=1))
     return TomographyResult(
         rho_hat=rho_hat,
         rho_linear=rho_linear,

@@ -138,6 +138,13 @@ class TestExitCodes:
         assert "bootstrap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tomo", "report"])
+    def test_single_bootstrap_replicate_exits_two(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--bootstrap", "1", "--out", str(out)]) == 2
+        assert "at least 2 replicates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_raises_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -160,7 +167,7 @@ class TestExitCodes:
 
 
 class TestLazySolverImport:
-    def test_scipy_optimize_loaded_only_for_three_components(self, tmp_path):
+    def test_scipy_optimize_loaded_only_for_multi_row_programs(self, tmp_path):
         # A fresh interpreter, since this test process may already hold
         # scipy.optimize from other tests.
         script = textwrap.dedent(
@@ -174,7 +181,12 @@ class TestLazySolverImport:
             spec = dicke_paradox(3, 0)
             verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
             assert abs(verdict.violation_gap - 2 / 3) < 1e-9, verdict.violation_gap
-            assert "scipy.optimize" in sys.modules, "after a 3-component mixture"
+            assert "scipy.optimize" not in sys.modules, "after a one-row 3-component mixture"
+            from cohsim.paradox import ghz_stabilizer_check
+            from cohsim.states import ghz_state
+            verdict = ghz_stabilizer_check(ghz_state(3))
+            assert abs(verdict.violation_gap - 0.5) < 1e-9, verdict.violation_gap
+            assert "scipy.optimize" in sys.modules, "after the four-row GHZ check"
             """
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))

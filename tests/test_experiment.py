@@ -276,9 +276,12 @@ class TestCorrelatorFromCounts:
         b = correlator_from_counts(table, "X", "X")
         assert (a.value, a.std_err) == (b.value, b.std_err)
 
-    def test_single_replicate_gives_zero_std(self):
-        est = correlator_from_counts(hand_table([[1, 49], [49, 1]]), "Z", "Z", num_bootstrap=1)
-        assert est.std_err == 0.0
+    @pytest.mark.parametrize("num_bootstrap", [0, 1])
+    def test_fewer_than_two_replicates_rejected(self, num_bootstrap):
+        # No spread to measure; a 0.0 error would read as exact.
+        table = hand_table([[1, 49], [49, 1]])
+        with pytest.raises(ValueError, match=f"num_bootstrap={num_bootstrap}: .* at least 2"):
+            correlator_from_counts(table, "Z", "Z", num_bootstrap=num_bootstrap)
 
     def test_empty_replicates_are_left_out(self):
         # Every replicate with a nonzero total reads exactly -1; the

@@ -115,6 +115,49 @@ def exact_min_max_k3(rows, targets, weights=None) -> float:
     return min(objective(p) for p in candidates)
 
 
+def linprog_min_max(rows, targets, weights):
+    """Reference minimax through the linear program, for any row count."""
+    from scipy.optimize import linprog
+
+    m, k = rows.shape
+    scaled = weights[:, None] * rows
+    a_ub = np.block([[scaled, -np.ones((m, 1))], [-scaled, -np.ones((m, 1))]])
+    b_ub = np.concatenate([weights * targets, -weights * targets])
+    res = linprog(
+        np.eye(k + 1)[-1],
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=np.append(np.ones(k), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * k + [(None, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return max(0.0, float(res.x[-1]))
+
+
+def one_row_cases(count, seed):
+    """Seeded one-row problems: random, constant and tied rows, targets
+    inside and outside the row's range, unit and non-unit weights."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(3, 12))
+        kind = i % 3
+        if kind == 0:
+            row = rng.uniform(-1, 1, size=k)
+        elif kind == 1:
+            row = np.full(k, rng.uniform(-1, 1))
+        else:
+            row = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=k)
+        lo, hi = row.min(), row.max()
+        if i % 2:
+            target = rng.uniform(lo, hi)
+        else:
+            target = rng.choice([lo - 1.0, hi + 1.0]) * rng.uniform(0.1, 1.0)
+        weight = 1.0 if i % 4 == 0 else rng.uniform(0.1, 5.0)
+        yield row[None, :], np.array([target]), np.array([weight])
+
+
 class TestGhzEnumeration:
     def test_products_match_independent_enumeration(self):
         ours = ghz_sign_assignment_products()
@@ -242,6 +285,33 @@ class TestMinMaxResidual:
             gap, weights = _min_max_residual(rows, targets)
             assert gap <= 1e-9
             assert weights.sum() == pytest.approx(1.0, abs=1e-8)
+
+    def test_one_row_matches_linear_program(self):
+        cases = list(one_row_cases(300, seed=41))
+        assert sum(rows.min() == rows.max() for rows, _t, _w in cases) >= 50
+        for rows, targets, weights in cases:
+            gap, p = _min_max_residual(rows, targets, weights)
+            assert gap == pytest.approx(linprog_min_max(rows, targets, weights), abs=1e-12)
+            assert p.shape == (rows.shape[1],)
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            residual = float(weights[0] * abs(rows[0] @ p - targets[0]))
+            assert residual == pytest.approx(gap, abs=1e-12)
+
+    def test_one_row_programs_need_no_solver(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        with pytest.raises(AssertionError, match="linprog called"):
+            ghz_stabilizer_check(ghz_state(3))
+        for n in range(3, MAX_QUBITS + 1):
+            for z_position in range(n):
+                spec = dicke_paradox(n, z_position)
+                verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+                assert verdict.violation_gap == (n - 1) / n
 
     def test_order_of_constraints_irrelevant(self):
         rng = np.random.default_rng(17)

@@ -231,11 +231,12 @@ class TestReconstructionQuality:
         b = reconstruct(table, target=state, num_bootstrap=30)
         assert a.fidelity_std_err == b.fidelity_std_err
 
-    def test_single_bootstrap_replicate_gives_zero_std(self):
+    def test_single_bootstrap_replicate_rejected(self):
+        # One replicate has no spread; a 0.0 error would read as exact.
         state = epr_family(math.pi / 4, "00")
         table = simulate_tomography_counts(state, DESK)
-        result = reconstruct(table, target=state, num_bootstrap=1)
-        assert result.fidelity_std_err == 0.0
+        with pytest.raises(ValueError, match="num_bootstrap=1: .* at least 2 replicates"):
+            reconstruct(table, target=state, num_bootstrap=1)
 
 
 def loop_bootstrap(tables, target, num_bootstrap):
