@@ -23,9 +23,7 @@ from .measurement import (
     AXES,
     JointDistribution,
     ObservableChain,
-    correlator,
     expectation,
-    outcome_distribution,
     parse_signed_axis,
     setting_distribution,
 )
@@ -69,7 +67,6 @@ from .tomography import (
     report_states,
     simulate_tomography_counts,
     tomography_report,
-    tomography_settings,
     write_density_csv,
 )
 
@@ -98,7 +95,6 @@ __all__ = [
     "VisibilityScan",
     "coherence_paradox",
     "coherence_term",
-    "correlator",
     "correlator_from_counts",
     "delta_method_std_err",
     "density_from_state",
@@ -111,7 +107,6 @@ __all__ = [
     "ghz_stabilizer_check",
     "ghz_state",
     "lhv_mixture_test",
-    "outcome_distribution",
     "paradox_counts",
     "paradox_p_value",
     "parse_signed_axis",
@@ -124,7 +119,6 @@ __all__ = [
     "simulate_tomography_counts",
     "theoretical_values",
     "tomography_report",
-    "tomography_settings",
     "visibility_scan",
     "werner_mix",
     "winning_probability",

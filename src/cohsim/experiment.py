@@ -19,7 +19,6 @@ order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -241,14 +240,6 @@ class CountTable:
             counts[key] = np.array([cellmap[cell] for cell in grid]).reshape(-1, 2, 2)
         return cls(counts, config, stream_tag)
 
-    def to_json(self) -> str:
-        doc = {
-            "config": self.config.to_dict(),
-            "stream_tag": self.stream_tag,
-            "counts": {f"{u},{v}": arr.tolist() for (u, v), arr in self.counts.items()},
-        }
-        return json.dumps(doc, indent=2)
-
 
 @dataclass(frozen=True)
 class EstimatedCorrelator:
@@ -446,9 +437,6 @@ class VisibilityScan:
     fit_amplitude: float
     exceeds_classical_bound: bool
     counts: tuple[int, ...] | None = None
-
-    def records(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.angles, self.rates))
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,6 @@ win with probability 1/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ class GameEvaluation:
     p_win: float
     i_terms: np.ndarray
     identity_holds: bool
-    strategy_note: dict | None = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.i_terms, dtype=float)
@@ -54,11 +52,7 @@ class GameEvaluation:
                 f"{a}{b}": float(self.i_terms[a, b]) for a in range(2) for b in range(2)
             },
             "identity_holds": self.identity_holds,
-            "strategy_note": self.strategy_note,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def coherence_term(dist: JointDistribution, a: int, b: int) -> float:
@@ -70,7 +64,7 @@ def coherence_term(dist: JointDistribution, a: int, b: int) -> float:
     return total
 
 
-def winning_probability(dist: JointDistribution, strategy_note: dict | None = None) -> GameEvaluation:
+def winning_probability(dist: JointDistribution) -> GameEvaluation:
     """Score a distribution against the winning rule ``a xor b = x xor y``.
 
     Each input pair is weighted 1/4. The returned evaluation carries all
@@ -94,7 +88,6 @@ def winning_probability(dist: JointDistribution, strategy_note: dict | None = No
         p_win=float(p_win),
         i_terms=i_terms,
         identity_holds=identity,
-        strategy_note=strategy_note,
     )
 
 

@@ -1,4 +1,4 @@
-"""Dichotomic Pauli measurements, Born-rule distributions, correlators.
+"""Dichotomic Pauli measurements and Born-rule distributions.
 
 Outcome convention: outcome ``0`` corresponds to the ``+1`` eigenvalue of
 the measured observable and outcome ``1`` to ``-1``. Measuring the signed
@@ -11,7 +11,7 @@ Pauli-chain expectations, evaluated by ``expectation``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -19,15 +19,6 @@ from .states import EQ_ATOL, DensityOperator, StateVector
 
 AXES = ("X", "Y", "Z")
 CHAIN_AXES = ("X", "Y", "Z", "I")
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-for _m in PAULI.values():
-    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -223,42 +214,3 @@ class JointDistribution:
     def setting(self, x: int, y: int) -> np.ndarray:
         """The ``p[a, b]`` table for input pair ``(x, y)``."""
         return np.array(self.probs[:, :, x, y])
-
-
-def outcome_distribution(
-    states: Mapping[tuple[int, int], StateVector | DensityOperator],
-    obs_a,
-    obs_b,
-) -> JointDistribution:
-    """Assemble the full joint distribution from per-input source states.
-
-    ``states`` must provide a state for every input pair in ``{0,1}^2``.
-    ``obs_a`` maps Alice's input ``x`` to her signed measurement axis
-    (a plain axis means the same measurement for both inputs), and
-    ``obs_b`` does the same for Bob.
-
-    Raises:
-        ValueError: if a state for some input pair is missing.
-    """
-    def per_input(obs, x: int):
-        if isinstance(obs, Mapping):
-            if x not in obs:
-                raise ValueError(f"no observable declared for input {x}")
-            return obs[x]
-        return obs
-
-    probs = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            if (x, y) not in states:
-                raise ValueError(f"no source state for input pair ({x}, {y})")
-            probs[:, :, x, y] = setting_distribution(
-                states[(x, y)], per_input(obs_a, x), per_input(obs_b, y)
-            )
-    return JointDistribution(probs)
-
-
-def correlator(dist: JointDistribution, x: int, y: int) -> float:
-    """Two-party correlator ``sum_ab (-1)^(a xor b) P(a, b | x, y)``."""
-    table = dist.probs[:, :, x, y]
-    return float(table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1])

@@ -19,10 +19,20 @@ from typing import Mapping
 import numpy as np
 
 from .measurement import ObservableChain, as_chain, expectation
-from .states import EQ_ATOL, MAX_QUBITS, StateVector
+from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector
 
 GHZ_CHAINS = ("XYY", "YXY", "YYX", "XXX")
 GHZ_TARGET = (-1.0, -1.0, -1.0, 1.0)
+
+# Rows h_i of the 4x4 Hadamard matrix: +-h_i are the 8 sign vectors with
+# product +1, the only products the GHZ sign assignments reach.
+_HADAMARD = np.array(
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
+)
+# The 8 sign vectors with product -1: outward normals of the Mermin facets.
+_MERMIN_NORMALS = np.array(
+    [s for s in itertools.product((-1.0, 1.0), repeat=4) if math.prod(s) < 0]
+)
 
 
 @dataclass(frozen=True)
@@ -176,8 +186,10 @@ def _min_max_residual(
     mixture reaches on it are the interval between its smallest and
     largest entries, so the two-column problem on those two components
     has the same minimum. Two or more rows over three or more columns go
-    through an exact linear program, the only use of ``scipy.optimize``.
-    Returns ``(gap, weights_vector)``.
+    through an exact linear program, the only use of ``scipy.optimize``;
+    only a user spec with two or more mixed rows and three or more
+    components reaches it (the GHZ check has its own closed form,
+    ``_ghz_hull_residual``). Returns ``(gap, weights_vector)``.
     """
     vals = np.asarray(component_values, dtype=float)
     m, k = vals.shape
@@ -262,15 +274,52 @@ def ghz_sign_assignment_products() -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def ghz_stabilizer_check(state: StateVector, tol: float = EQ_ATOL) -> ParadoxVerdict:
+def _ghz_hull_residual(products: np.ndarray, observed: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact ``_min_max_residual(products.T, observed)`` for the GHZ sign products.
+
+    The 64 assignments give only the 8 even vectors of {-1, 1}^4 (product
+    +1), which are the rows of the Hadamard matrix H and their negatives.
+    Their hull is the cross-polytope ``||H x||_1 <= 4``, cut out by the
+    cube ``|x_i| <= 1`` and the 8 Mermin facets ``s . x <= 2``, one for
+    each odd sign vector ``s``. For ``observed`` in the cube the
+    l-infinity distance to it is ``max(0, max_s (s . e - 2) / 4)``:
+    Hoelder's inequality (``||s||_1 = 4``) bounds it from below, and
+    ``x = e - gap s*`` lies in the hull, since two odd vectors differ in
+    2 or 4 places, so within the cube at most one Mermin facet is
+    violated. The witness writes ``x`` through ``alpha = H x / 4``:
+    weight ``|alpha_i|`` on ``sign(alpha_i) h_i``, the rest
+    ``1 - ||alpha||_1`` split evenly over ``+-h_1``, each weight on the
+    first assignment whose product vector is that vertex.
+    Returns ``(gap, weights_vector)``.
+    """
+    scores = _MERMIN_NORMALS @ observed
+    best = int(np.argmax(scores))
+    gap = max(0.0, (float(scores[best]) - 2.0) / 4.0)
+    alpha = _HADAMARD @ (observed - gap * _MERMIN_NORMALS[best]) / 4.0
+    rest = max(0.0, 1.0 - float(np.abs(alpha).sum())) / 2.0
+    vertices = [math.copysign(1.0, a) * h for a, h in zip(alpha, _HADAMARD)]
+    vertices += [_HADAMARD[0], -_HADAMARD[0]]
+    amounts = [abs(float(a)) for a in alpha] + [rest, rest]
+    weights = np.zeros(len(products))
+    for vertex, amount in zip(vertices, amounts):
+        weights[int(np.argmax(np.all(products == vertex, axis=1)))] += amount
+    return gap, weights
+
+
+def ghz_stabilizer_check(
+    state: StateVector | DensityOperator, tol: float = EQ_ATOL
+) -> ParadoxVerdict:
     """Evaluate the four three-qubit stabilizer chains against sign models.
 
     Computes the expectations of XYY, YXY, YYX, XXX, enumerates all 64
     deterministic sign assignments (none reproduces the pattern
     (-1, -1, -1, +1), which is the multiply-the-four-equations
-    contradiction), and reports the distance between the observed
-    4-vector and the convex hull of the assignment products. The state
-    is LHV-feasible exactly when that distance is within ``tol``.
+    contradiction), and reports the l-infinity distance between the
+    observed 4-vector and the convex hull of the assignment products,
+    in closed form from Mermin's bound (see ``_ghz_hull_residual``); a
+    Werner-mixed GHZ state at visibility v sits ``max(0, v - 1/2)`` from
+    it. The state is LHV-feasible exactly when that distance is within
+    ``tol``.
 
     Raises:
         ValueError: if the state is not on 3 qubits.
@@ -281,7 +330,7 @@ def ghz_stabilizer_check(state: StateVector, tol: float = EQ_ATOL) -> ParadoxVer
     observed = np.array([values[("ghz", ch)] for ch in GHZ_CHAINS])
     products = ghz_sign_assignment_products()
     satisfying = int(np.sum(np.all(products == np.array(GHZ_TARGET), axis=1)))
-    gap, weights = _min_max_residual(products.T, observed)
+    gap, weights = _ghz_hull_residual(products, observed)
     return ParadoxVerdict(
         per_constraint_values=values,
         lhv_feasible=gap <= tol,

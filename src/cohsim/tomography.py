@@ -36,11 +36,6 @@ _PAIR_ACTIONS = tuple(
 )
 
 
-def tomography_settings() -> tuple[tuple[str, str], ...]:
-    """The full 3x3 grid of axis pairs, row-major."""
-    return SETTINGS
-
-
 def simulate_tomography_counts(
     state: StateVector | DensityOperator,
     cfg: ExperimentConfig,
@@ -67,7 +62,6 @@ class TomographyResult:
 
     rho_hat: DensityOperator
     rho_linear: np.ndarray
-    settings_used: tuple[tuple[str, str], ...]
     clip_magnitude: float
     fidelity_to_target: float | None = None
     fidelity_std_err: float | None = None
@@ -215,7 +209,6 @@ def reconstruct(
     return TomographyResult(
         rho_hat=rho_hat,
         rho_linear=rho_linear,
-        settings_used=SETTINGS,
         clip_magnitude=float(clip),
         fidelity_to_target=fid,
         fidelity_std_err=fid_se,

@@ -186,7 +186,19 @@ class TestLazySolverImport:
             from cohsim.states import ghz_state
             verdict = ghz_stabilizer_check(ghz_state(3))
             assert abs(verdict.violation_gap - 0.5) < 1e-9, verdict.violation_gap
-            assert "scipy.optimize" in sys.modules, "after the four-row GHZ check"
+            assert "scipy.optimize" not in sys.modules, "after the GHZ check"
+            from cohsim.paradox import ParadoxSpec
+            rows = {{"A": (1, 1), "B": (-1, 1), "C": (1, -1), "M": (-1, -1)}}
+            spec = ParadoxSpec.from_dict({{
+                "constraints": [
+                    {{"source": lb, "observable": ob, "expected": val}}
+                    for lb, pair in rows.items() for ob, val in zip(("XX", "ZZ"), pair)
+                ],
+                "mixture_claim": {{"mixed": "M", "components": ["A", "B", "C"]}},
+            }})
+            verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+            assert abs(verdict.violation_gap - 1.0) < 1e-9, verdict.violation_gap
+            assert "scipy.optimize" in sys.modules, "after a two-row 3-component mixture"
             """
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))

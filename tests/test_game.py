@@ -135,12 +135,8 @@ class TestGameEvaluation:
             GameEvaluation(p_win=0.5, i_terms=np.zeros(3), identity_holds=True)
 
     def test_to_dict_round_trip(self):
-        ev = winning_probability(
-            quantum_strategy(math.pi / 4, "X", "X"),
-            strategy_note={"axes": ["X", "X"]},
-        )
-        doc = json.loads(ev.to_json())
+        ev = winning_probability(quantum_strategy(math.pi / 4, "X", "X"))
+        doc = json.loads(json.dumps(ev.to_dict()))
         assert doc["p_win"] == pytest.approx(0.625)
         assert set(doc["i_terms"]) == {"00", "01", "10", "11"}
         assert doc["identity_holds"] is True
-        assert doc["strategy_note"] == {"axes": ["X", "X"]}

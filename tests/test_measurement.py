@@ -9,13 +9,10 @@ import pytest
 
 from cohsim.measurement import (
     AXES,
-    PAULI,
     JointDistribution,
     ObservableChain,
     as_chain,
-    correlator,
     expectation,
-    outcome_distribution,
     parse_signed_axis,
     setting_distribution,
 )
@@ -31,6 +28,15 @@ from cohsim.states import (
 )
 
 from .test_states import random_state
+
+# Dense single-qubit Pauli matrices, for the np.kron oracles here and in
+# the tomography tests.
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def dense_expectation(state, chain):
@@ -385,55 +391,6 @@ class TestJointDistribution:
         dist = JointDistribution(np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError):
             dist.probs[0, 0, 0, 0] = 1.0
-
-
-class TestOutcomeDistribution:
-    @staticmethod
-    def family_states(theta):
-        return {
-            (0, 0): epr_family(theta, "00"),
-            (0, 1): epr_family(theta, "01"),
-            (1, 0): epr_family(theta, "10"),
-            (1, 1): epr_family(theta, "01"),
-        }
-
-    def test_rows_match_setting_distribution(self):
-        states = self.family_states(0.5)
-        dist = outcome_distribution(states, "X", "X")
-        for x in range(2):
-            for y in range(2):
-                np.testing.assert_allclose(
-                    dist.setting(x, y),
-                    setting_distribution(states[(x, y)], "X", "X"),
-                    atol=1e-14,
-                )
-
-    def test_per_input_observable_maps(self):
-        states = self.family_states(0.5)
-        dist = outcome_distribution(states, {0: "X", 1: "-X"}, {0: "X", 1: "X"})
-        np.testing.assert_allclose(
-            dist.setting(1, 0),
-            setting_distribution(states[(1, 0)], "-X", "X"),
-            atol=1e-14,
-        )
-
-    def test_missing_state_rejected(self):
-        states = self.family_states(0.5)
-        del states[(1, 1)]
-        with pytest.raises(ValueError, match="input pair"):
-            outcome_distribution(states, "X", "X")
-
-    def test_missing_observable_rejected(self):
-        with pytest.raises(ValueError, match="observable"):
-            outcome_distribution(self.family_states(0.5), {0: "X"}, "X")
-
-    def test_correlator_accessor(self):
-        theta = 0.7
-        dist = outcome_distribution(self.family_states(theta), "X", "X")
-        assert correlator(dist, 0, 0) == pytest.approx(
-            math.sin(2 * theta), abs=1e-12
-        )
-        assert correlator(dist, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMixedStateInputs:

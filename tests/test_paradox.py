@@ -15,6 +15,7 @@ from cohsim.paradox import (
     ParadoxConstraint,
     ParadoxSpec,
     ParadoxVerdict,
+    _ghz_hull_residual,
     _min_max_residual,
     coherence_paradox,
     dicke_paradox,
@@ -23,7 +24,13 @@ from cohsim.paradox import (
     lhv_mixture_test,
     theoretical_values,
 )
-from cohsim.states import MAX_QUBITS, StateVector, dicke_one_excitation, ghz_state
+from cohsim.states import (
+    MAX_QUBITS,
+    StateVector,
+    dicke_one_excitation,
+    ghz_state,
+    werner_mix,
+)
 
 THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 
@@ -158,6 +165,33 @@ def one_row_cases(count, seed):
         yield row[None, :], np.array([target]), np.array([weight])
 
 
+def two_row_three_component_spec() -> ParadoxSpec:
+    """Two mixed rows over three components, so only the LP solves it.
+
+    A mixture gives XX + ZZ = 2 p_A >= 0 against the mixed row's -2, so
+    the worst residual is at least 1, reached at p = (0, 1/2, 1/2).
+    """
+    values = {"A": (1.0, 1.0), "B": (-1.0, 1.0), "C": (1.0, -1.0), "M": (-1.0, -1.0)}
+    constraints = tuple(
+        ParadoxConstraint(label, ObservableChain.from_string(chain), value)
+        for label, pair in values.items()
+        for chain, value in zip(("XX", "ZZ"), pair)
+    )
+    return ParadoxSpec(constraints, MixtureClaim("M", ("A", "B", "C")))
+
+
+def cube_points(count, seed):
+    """Seeded points of [-1, 1]^4: a third inside, two thirds on faces
+    (one to four coordinates pinned at +-1, vertices included)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        e = rng.uniform(-1.0, 1.0, size=4)
+        if i % 3:
+            pinned = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+            e[pinned] = rng.choice([-1.0, 1.0], size=len(pinned))
+        yield e
+
+
 class TestGhzEnumeration:
     def test_products_match_independent_enumeration(self):
         ours = ghz_sign_assignment_products()
@@ -176,6 +210,50 @@ class TestGhzEnumeration:
             products[:, 0] * products[:, 1] * products[:, 2], products[:, 3]
         )
         assert not np.any(np.all(products == np.array(GHZ_TARGET), axis=1))
+
+
+class TestGhzHullClosedForm:
+    PRODUCTS = ghz_sign_assignment_products()
+    # The hull of the 8 distinct product vectors is the hull of all 64
+    # rows, and the smaller program solves about three times faster.
+    VERTICES = np.unique(PRODUCTS, axis=0)
+
+    def check_against_linear_program(self, e):
+        gap, weights = _ghz_hull_residual(self.PRODUCTS, e)
+        reference = linprog_min_max(self.VERTICES.T, e, np.ones(4))
+        assert gap == pytest.approx(reference, abs=1e-12)
+        assert weights.shape == (64,)
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        worst = float(np.max(np.abs(self.PRODUCTS.T @ weights - e)))
+        assert worst == pytest.approx(gap, abs=1e-12)
+        return gap
+
+    def test_products_are_the_even_sign_vectors(self):
+        even = {s for s in itertools.product((-1.0, 1.0), repeat=4) if math.prod(s) > 0}
+        assert {tuple(row) for row in self.PRODUCTS} == even
+
+    def test_cube_matches_linear_program(self):
+        gaps = [self.check_against_linear_program(e) for e in cube_points(900, seed=71)]
+        assert sum(g > 0.0 for g in gaps) >= 100
+        assert sum(g == 0.0 for g in gaps) >= 100
+
+    def test_werner_sweep_is_mermins_bound(self):
+        for v in np.linspace(0.0, 1.0, 101):
+            gap = self.check_against_linear_program(v * np.array(GHZ_TARGET))
+            assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
+
+    def test_witness_uses_first_assignment_of_each_vertex(self):
+        first = {tuple(row): i for i, row in reversed(list(enumerate(self.PRODUCTS)))}
+        for e in cube_points(30, seed=72):
+            _gap, weights = _ghz_hull_residual(self.PRODUCTS, e)
+            assert set(np.flatnonzero(weights)) <= set(first.values())
+
+    def test_werner_mixed_state(self):
+        for v in (0.0, 0.3, 0.5, 0.51, 0.8, 1.0):
+            verdict = ghz_stabilizer_check(werner_mix(ghz_state(3), v))
+            assert verdict.violation_gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
+            assert verdict.satisfying_assignments == 0
 
 
 class TestGhzStabilizerCheck:
@@ -298,6 +376,12 @@ class TestMinMaxResidual:
             residual = float(weights[0] * abs(rows[0] @ p - targets[0]))
             assert residual == pytest.approx(gap, abs=1e-12)
 
+    def test_two_rows_three_components_use_the_linear_program(self):
+        spec = two_row_three_component_spec()
+        verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+        assert verdict.violation_gap == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(verdict.witness_weights, [0.0, 0.5, 0.5], atol=1e-9)
+
     def test_one_row_programs_need_no_solver(self, monkeypatch):
         import scipy.optimize
 
@@ -305,8 +389,10 @@ class TestMinMaxResidual:
             raise AssertionError("linprog called")
 
         monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        spec = two_row_three_component_spec()
         with pytest.raises(AssertionError, match="linprog called"):
-            ghz_stabilizer_check(ghz_state(3))
+            lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+        assert ghz_stabilizer_check(ghz_state(3)).violation_gap == pytest.approx(0.5, abs=1e-12)
         for n in range(3, MAX_QUBITS + 1):
             for z_position in range(n):
                 spec = dicke_paradox(n, z_position)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig
-from cohsim.measurement import AXES, PAULI, setting_distribution
+from cohsim.measurement import AXES, setting_distribution
 from cohsim.states import (
     DensityOperator,
     StateVector,
@@ -28,10 +28,10 @@ from cohsim.tomography import (
     report_states,
     simulate_tomography_counts,
     tomography_report,
-    tomography_settings,
     write_density_csv,
 )
 
+from .test_measurement import PAULI
 from .test_states import random_state
 
 FLAT_CFG = ExperimentConfig(
@@ -55,7 +55,7 @@ def exact_tables(state, scale: int) -> dict:
     round-off.
     """
     tables = {}
-    for setting in tomography_settings():
+    for setting in SETTINGS:
         probs = setting_distribution(state, *setting)
         cells = np.round(probs * scale).astype(np.int64).reshape(1, 2, 2)
         tables[setting] = CountTable({setting: cells}, FLAT_CFG)
@@ -92,10 +92,9 @@ def dense_invert(pooled) -> np.ndarray:
 
 class TestSettings:
     def test_nine_axis_pairs(self):
-        settings = tomography_settings()
-        assert len(settings) == 9
-        assert len(set(settings)) == 9
-        assert all(u in "XYZ" and v in "XYZ" for u, v in settings)
+        assert len(SETTINGS) == 9
+        assert len(set(SETTINGS)) == 9
+        assert all(u in "XYZ" and v in "XYZ" for u, v in SETTINGS)
 
     def test_simulated_table_covers_all_settings(self):
         table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
@@ -359,14 +358,12 @@ class TestReconstructValidation:
             TomographyResult(
                 rho_hat=DensityOperator(np.eye(4) / 4.0),
                 rho_linear=np.eye(4) / 4.0,
-                settings_used=SETTINGS,
                 clip_magnitude=-0.1,
             )
         with pytest.raises(ValueError, match="fidelity"):
             TomographyResult(
                 rho_hat=DensityOperator(np.eye(4) / 4.0),
                 rho_linear=np.eye(4) / 4.0,
-                settings_used=SETTINGS,
                 clip_magnitude=0.0,
                 fidelity_to_target=1.3,
             )
