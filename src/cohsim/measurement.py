@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .states import EQ_ATOL, DensityOperator, StateVector
+from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector
 
 AXES = ("X", "Y", "Z")
 CHAIN_AXES = ("X", "Y", "Z", "I")
@@ -78,6 +78,22 @@ def parse_signed_axis(spec: str) -> tuple[str, int]:
 _Y_PHASE = (1.0 + 0.0j, -1j, -1.0 + 0.0j, 1j)
 
 
+def _parity_table(n: int) -> np.ndarray:
+    """``popcount(i) mod 2`` for ``i < 2^n``, read-only (Thue-Morse doubling)."""
+    table = np.zeros(1, dtype=bool)
+    for _ in range(n):
+        table = np.concatenate((table, ~table))
+    table.setflags(write=False)
+    return table
+
+
+# Basis indices and their popcount parities up to MAX_QUBITS, shared
+# read-only by every chain action (8 KB and 1 KB).
+_INDEX = np.arange(1 << MAX_QUBITS)
+_INDEX.setflags(write=False)
+_PARITY = _parity_table(MAX_QUBITS)
+
+
 def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     """A Pauli chain as a permutation plus a phase: ``O[i, i ^ flip] = phase[i]``.
 
@@ -86,22 +102,19 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     Z and Y set bits of a sign mask ``z``, and each Y contributes a
     factor ``-i``. Qubit 0 is the most significant bit (the leftmost
     tensor factor), so ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)``.
-    Returns ``(idx, flip, phase)`` with ``idx = arange(2^n)``; building
-    it takes O(n 2^n) integer operations and O(2^n) memory, and every
-    phase is exactly one of ``±1, ±i``.
+    Returns ``(idx, flip, phase)`` with ``idx = arange(2^n)``, a
+    read-only view of a shared table. Building it takes one Python pass
+    over the n axes for the two masks, then O(1) numpy gathers over the
+    2^n entries (the parity of ``i & z`` is looked up in a table), and
+    every phase is exactly one of ``±1, ±i``.
     """
-    n = len(axes)
-    idx = np.arange(1 << n)
-    flip = 0
-    parity = np.zeros_like(idx)  # bit 0 holds popcount(idx & z) mod 2
-    for q, ax in enumerate(axes):
-        bit = n - 1 - q
-        if ax in "XY":
-            flip |= 1 << bit
-        if ax in "YZ":
-            parity ^= idx >> bit
+    flip = z = 0
+    for ax in axes:
+        flip = flip << 1 | (ax in "XY")
+        z = z << 1 | (ax in "YZ")
+    idx = _INDEX[: 1 << len(axes)]
     base = _Y_PHASE[axes.count("Y") % 4]
-    return idx, flip, np.where(parity & 1, -base, base)
+    return idx, flip, np.where(_PARITY[idx & z], -base, base)
 
 
 def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str) -> float:
@@ -113,7 +126,8 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
     * a vector gives ``<v|O|v> = conj(v) @ (phase * v[i ^ f])``;
     * a density gives ``tr(O rho) = sum_i phase[i] * rho[i ^ f, i]``.
 
-    The contraction is O(2^n) and no ``2^n x 2^n`` operator is built.
+    The cost is one Python pass over the n axes plus O(1) numpy
+    gathers over the 2^n entries, and no ``2^n x 2^n`` operator is built.
     The products are exact, so the values equal those of the dense
     tensor-product operator bit for bit.
 

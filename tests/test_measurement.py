@@ -11,6 +11,7 @@ from cohsim.measurement import (
     AXES,
     JointDistribution,
     ObservableChain,
+    _pauli_action,
     as_chain,
     expectation,
     parse_signed_axis,
@@ -292,6 +293,60 @@ class TestExpectation:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             expectation(epr_family(0.4, "00"), "XXX")
+
+
+def loop_pauli_action(axes):
+    """The per-qubit shift-and-xor form of ``_pauli_action``, kept as its oracle."""
+    n = len(axes)
+    idx = np.arange(1 << n)
+    flip = 0
+    parity = np.zeros_like(idx)  # bit 0 holds popcount(idx & z) mod 2
+    for q, ax in enumerate(axes):
+        bit = n - 1 - q
+        if ax in "XY":
+            flip |= 1 << bit
+        if ax in "YZ":
+            parity ^= idx >> bit
+    base = (1.0 + 0.0j, -1j, -1.0 + 0.0j, 1j)[axes.count("Y") % 4]
+    return idx, flip, np.where(parity & 1, -base, base)
+
+
+class TestPauliAction:
+    """The table-driven kernel against the bit loop, bit for bit."""
+
+    def assert_same_action(self, axes):
+        idx, flip, phase = _pauli_action(axes)
+        want_idx, want_flip, want_phase = loop_pauli_action(axes)
+        assert flip == want_flip, axes
+        assert idx.dtype == want_idx.dtype and phase.dtype == want_phase.dtype, axes
+        np.testing.assert_array_equal(idx, want_idx, err_msg=str(axes))
+        np.testing.assert_array_equal(phase, want_phase, err_msg=str(axes))
+        # Signed zeros too: -base and base differ only in the sign of a zero part.
+        for part in (np.real, np.imag):
+            np.testing.assert_array_equal(
+                np.signbit(part(phase)), np.signbit(part(want_phase)), err_msg=str(axes)
+            )
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_chain_up_to_five_qubits(self, n):
+        for axes in itertools.product("IXYZ", repeat=n):
+            self.assert_same_action(axes)
+
+    @pytest.mark.parametrize("n", range(6, MAX_QUBITS + 1))
+    def test_random_chains_up_to_max_qubits(self, n):
+        rng = np.random.default_rng(8000 + n)
+        chains = ["I" * n, "X" * n, "Y" * n, "Z" * n]
+        chains += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(60)]
+        for chain in chains:
+            self.assert_same_action(tuple(chain))
+
+    def test_shared_index_is_read_only(self):
+        idx, _flip, phase = _pauli_action(("X", "Y", "Z"))
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        # The phase is the caller's own array.
+        phase[0] = 0.0
+        assert _pauli_action(("X", "Y", "Z"))[2][0] != 0.0
 
 
 class TestSettingDistribution:
