@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad arguments or values, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -24,7 +25,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .experiment import (
@@ -106,11 +106,26 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(parse_angle(p) for p in parts)
 
 
+def _scipy_version() -> str:
+    """``scipy.__version__`` read from ``scipy/version.py``.
+
+    Importing scipy itself costs about 15 ms per interpreter and only the
+    LP of ``paradox._min_max_residual`` needs it, so the version file is
+    run on its own, without ``scipy/__init__``.
+    """
+    package = importlib.util.find_spec("scipy")
+    path = os.path.join(package.submodule_search_locations[0], "version.py")
+    spec = importlib.util.spec_from_file_location("scipy.version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _versions() -> dict:
     return {
         "cohsim": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "python": platform.python_version(),
     }
 

@@ -60,7 +60,7 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
         _num_qubits_from_dim(amps.size, "state vector")
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state vector norm {norm} is not 1 within {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
@@ -181,7 +181,10 @@ def werner_mix(psi: StateVector | DensityOperator, v: float) -> DensityOperator:
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility v={v} must lie in [0, 1]")
-    rho = density_from_state(psi).matrix if isinstance(psi, StateVector) else psi.matrix
+    if isinstance(psi, StateVector):
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    else:
+        rho = psi.matrix
     dim = rho.shape[0]
     return DensityOperator(v * rho + (1.0 - v) * np.eye(dim) / dim)
 
