@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohsim.measurement import (
     AXES,
@@ -416,6 +418,56 @@ class TestSettingDistribution:
     def test_rejects_single_qubit_state(self):
         with pytest.raises(ValueError):
             setting_distribution(StateVector([1.0, 0.0]), "Z", "Z")
+
+
+@st.composite
+def unit_vectors(draw, num_qubits):
+    """A random pure state from 2^n complex amplitudes with parts in [-1, 1]."""
+    size = 2 << num_qubits
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = float(np.linalg.norm(amps))
+    assume(norm > 1e-3)
+    return StateVector(amps / norm)
+
+
+@st.composite
+def states(draw, num_qubits):
+    """A random pure state, or its Werner mixture at a random visibility."""
+    psi = draw(unit_vectors(num_qubits))
+    if draw(st.booleans()):
+        return psi
+    return werner_mix(psi, draw(st.floats(0.0, 1.0)))
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+
+class TestBornTableProperties:
+    """Randomized counterparts of the seeded oracle suites above."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        state=states(2),
+        obs_a=st.sampled_from(SIGNED_AXES),
+        obs_b=st.sampled_from(SIGNED_AXES),
+    )
+    def test_setting_distribution_is_the_born_table(self, state, obs_a, obs_b):
+        table = setting_distribution(state, obs_a, obs_b)
+        assert table.min() >= 0.0
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(
+            table, dense_setting_distribution(state, obs_a, obs_b), rtol=0.0, atol=1e-12
+        )
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_expectation_matches_dense_oracle(self, data, n):
+        state = data.draw(states(n))
+        chain = "".join(data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+        assert expectation(state, chain) == pytest.approx(
+            dense_expectation(state, chain), abs=1e-12
+        )
 
 
 class TestJointDistribution:

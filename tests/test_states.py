@@ -190,6 +190,19 @@ class TestWernerMix:
         rho = werner_mix(rho_in, 0.5)
         assert rho.num_qubits == 2
 
+    def test_vector_input_validated_once(self, monkeypatch):
+        checks = []
+        check = DensityOperator.__post_init__
+        monkeypatch.setattr(
+            DensityOperator, "__post_init__", lambda rho: checks.append(1) or check(rho)
+        )
+        psi = random_state(3, 17)
+        rho = werner_mix(psi, 0.7)
+        assert len(checks) == 1
+        # The same bytes as mixing the validated projector.
+        want = werner_mix(density_from_state(psi), 0.7)
+        assert rho.matrix.tobytes() == want.matrix.tobytes()
+
 
 class TestDensityFromState:
     def test_rank_one_projector(self):
