@@ -1,11 +1,15 @@
 """Command-line frontend.
 
 Each subcommand writes one output directory holding ``manifest.json``
-plus its data files (CSV/JSON). The manifest is written first, then
-finalized with the full file list and wall-clock time, so a run can be
-audited and replayed: the same command, seed, and config reproduce
-every data file bit for bit. Timing fields in the manifest itself are
-the only non-deterministic bytes.
+plus its data files (CSV/JSON). Every data file goes through ``_Run``,
+which picks its path and records it in the manifest; the library modules
+return rows, documents and matrices, and their writers (``write_rows_csv``,
+``write_density_csv``, the ``to_csv`` methods) write only the paths
+``_Run`` hands them. The manifest is written first, then finalized with
+the full file list and wall-clock time, so a run can be audited and
+replayed: the same command, seed, and config reproduce every data file
+bit for bit. Timing fields in the manifest itself are the only
+non-deterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values, 3 numerical failure.
 """
@@ -42,21 +46,9 @@ from .reports import (
     write_rows_csv,
 )
 from .states import epr_family
-from .tomography import FIDELITY_TABLE, report_states, tomography_report
+from .tomography import report_states, tomography_report, write_density_csv
 
 _ANGLE_RE = re.compile(r"^\s*([0-9]+)?\s*\*?\s*pi\s*(?:/\s*([0-9]+))?\s*$", re.IGNORECASE)
-
-_EXACT_HEADER = ["theta", "label", "observable", "theoretical"]
-_SIMULATED_HEADER = _EXACT_HEADER + ["estimate", "std_err", "delta_std_err", "n_total"]
-_GAME_EXACT_HEADER = ["theta", "p_win", "i_00", "i_01", "i_10", "i_11"]
-_GAME_SIM_HEADER = _GAME_EXACT_HEADER + [
-    "e_00",
-    "e_01",
-    "e_10",
-    "p_win_estimate",
-    "p_win_std_err",
-]
-_DICKE_HEADER = ["z_position", "label", "observable", "expected", "born_value"]
 
 # Stream-tag bases keep the full report's count draws independent even
 # though every block shares one seed.
@@ -153,9 +145,9 @@ class _Run:
     """One output directory and its manifest, the audit record of the run.
 
     The directory is created and the manifest written on construction.
-    Every file goes through ``path``, ``csv`` or ``json``, which record
-    it; ``finish`` rewrites the manifest with the sorted file list and
-    the wall-clock time.
+    Every data file goes through ``path``, ``csv`` or ``json``, which
+    record it; ``finish`` rewrites the manifest with the sorted file list
+    and the wall-clock time.
     """
 
     def __init__(self, args: argparse.Namespace, cfg: ExperimentConfig) -> None:
@@ -181,12 +173,15 @@ class _Run:
         self._t_start = time.monotonic()
 
     def path(self, name: str) -> Path:
-        """Record ``name`` (relative to the run directory) and return its path."""
+        """Record ``name`` (relative to the run directory), create its
+        parent directory, and return its path."""
         self.files.add(name)
-        return self.dir / name
+        path = self.dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
-    def csv(self, name: str, header: list[str], rows: list[dict]) -> None:
-        write_rows_csv(self.path(name), header, rows)
+    def csv(self, name: str, rows: list[dict]) -> None:
+        write_rows_csv(self.path(name), rows)
 
     def json(self, name: str, doc) -> None:
         self.path(name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -215,15 +210,34 @@ def _bootstrap_count(args: argparse.Namespace) -> int:
     return args.bootstrap
 
 
+def _slug(label: str) -> str:
+    return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
+
+
 def _tomography(
     run: _Run, prefix: str, cfg: ExperimentConfig, num_bootstrap: int, **kwargs
 ) -> list[dict]:
-    """Tomography dumps under ``prefix`` in the run directory, each file
-    recorded, and each state's requested and used bootstrap replicates
-    counted in the manifest."""
-    records = tomography_report(cfg, run.dir / prefix, num_bootstrap=num_bootstrap, **kwargs)
-    for name in [f for rec in records for f in rec["files"]] + [FIDELITY_TABLE]:
-        run.path(prefix + name)
+    """Tomography dumps under ``prefix``, with each state's requested and
+    used bootstrap replicates counted in the manifest.
+
+    Per state, ``rho_<slug>.csv`` (Re and Im blocks) and
+    ``rho_<slug>.json``; then ``fidelities.csv``, one row per state, with
+    an empty std-err cell when no bootstrap ran.
+    """
+    records = tomography_report(cfg, num_bootstrap=num_bootstrap, **kwargs)
+    scores = ("fidelity", "fidelity_std_err", "clip_magnitude")
+    for rec in records:
+        stem = f"{prefix}rho_{_slug(rec['label'])}"
+        rho = rec["rho"]
+        write_density_csv(run.path(stem + ".csv"), rho)
+        doc = {"label": rec["label"], "re": np.real(rho).tolist(), "im": np.imag(rho).tolist()}
+        doc.update((key, rec[key]) for key in scores)
+        # Unsorted keys and no final newline, unlike _Run.json.
+        run.path(stem + ".json").write_text(json.dumps(doc, indent=2))
+    run.csv(
+        prefix + "fidelities.csv",
+        [{"label": rec["label"], **{key: rec[key] for key in scores}} for rec in records],
+    )
     run.manifest["counters"]["tomography_bootstrap"] = {
         rec["label"]: {"requested": num_bootstrap, "used": rec["bootstrap_used"]}
         for rec in records
@@ -237,13 +251,11 @@ def cmd_paradox(args: argparse.Namespace) -> int:
     run = _Run(args, cfg)
     if args.mode == "exact":
         _spec, rows, verdict = paradox_exact_block(theta, args.axis)
-        header = _EXACT_HEADER
     else:
         _spec, rows, verdict, counts = paradox_simulated_block(theta, args.axis, cfg)
-        header = _SIMULATED_HEADER
         for (label, obs), table in sorted(counts.items()):
             table.to_csv(run.path(f"counts_{label}_{obs}.csv"))
-    run.csv("paradox.csv", header, rows)
+    run.csv("paradox.csv", rows)
     run.json("verdict.json", verdict)
     lines = []
     for row in rows:
@@ -260,11 +272,9 @@ def cmd_game(args: argparse.Namespace) -> int:
     run = _Run(args, cfg)
     if args.mode == "exact":
         rows = game_exact_rows(thetas, args.strategy)
-        header = _GAME_EXACT_HEADER
     else:
         rows = game_simulated_rows(thetas, args.strategy, cfg)
-        header = _GAME_SIM_HEADER
-    run.csv("game.csv", header, rows)
+    run.csv("game.csv", rows)
     lines = []
     for row in rows:
         line = f"  theta {row['theta']:.6f}  p_win {row['p_win']:.6f}"
@@ -296,7 +306,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_dicke(args: argparse.Namespace) -> int:
     rows, docs = dicke_rows(args.n)
     run = _Run(args, ExperimentConfig())
-    run.csv("dicke.csv", _DICKE_HEADER, rows)
+    run.csv("dicke.csv", rows)
     run.json("dicke_specs.json", docs)
     lines = []
     for z_position in range(args.n):
@@ -348,33 +358,29 @@ def cmd_report(args: argparse.Namespace) -> int:
             _spec, rows, verdict = paradox_exact_block(theta, axis)
             axis_rows.extend(rows)
             axis_verdicts[f"theta={theta:.6g}"] = verdict
-        run.csv(f"paradox_{axis.lower()}.csv", _EXACT_HEADER, axis_rows)
+        run.csv(f"paradox_{axis.lower()}.csv", axis_rows)
         verdicts["exact"][axis] = axis_verdicts
 
     # Headline simulated table at theta = pi/4 along X.
     _spec, sim_rows, sim_verdict, _counts = paradox_simulated_block(
         math.pi / 4, "X", cfg, tag_base=_TAG_PARADOX_SIM
     )
-    run.csv("paradox_simulated.csv", _SIMULATED_HEADER, sim_rows)
+    run.csv("paradox_simulated.csv", sim_rows)
     verdicts["simulated"]["axis=X theta=pi/4"] = sim_verdict
     run.json("verdicts.json", verdicts)
 
     # Plot-ready exact correlator sweep.
     sweep = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
-    run.csv(
-        "paradox_curve.csv",
-        ["theta", "label", "zz", "aa", "axis"],
-        correlator_detail_rows(sweep, "X"),
-    )
+    run.csv("paradox_curve.csv", correlator_detail_rows(sweep, "X"))
 
     # Game tables (exact values plus count-based estimates) and curve.
     for strategy, tag in (("x", _TAG_GAME_X), ("z", _TAG_GAME_Z)):
         rows = game_simulated_rows(DEFAULT_THETAS, strategy, cfg, tag_base=tag)
-        run.csv(f"game_{strategy}.csv", _GAME_SIM_HEADER, rows)
-    run.csv("game_curve.csv", ["theta", "p_win_x", "p_win_z", "sin_2theta"], game_curve_rows())
+        run.csv(f"game_{strategy}.csv", rows)
+    run.csv("game_curve.csv", game_curve_rows())
 
     # Multi-source family table at n = 3.
-    run.csv("dicke.csv", _DICKE_HEADER, dicke_rows(3)[0])
+    run.csv("dicke.csv", dicke_rows(3)[0])
 
     # Tomography dumps.
     records = _tomography(run, "tomo/", cfg, num_bootstrap=num_bootstrap, tag_base=_TAG_TOMO)

@@ -1,9 +1,10 @@
 """Table assembly shared by the CLI commands.
 
-Builders return plain row dicts ready for CSV/JSON serialization; all
-simulation goes through the experiment module so seeds behave
-identically whether a table is produced alone or inside the bundled
-report.
+Builders return plain row dicts ready for CSV/JSON serialization, each
+row's keys in column order, so a builder alone fixes its table's
+columns; all simulation goes through the experiment module so seeds
+behave identically whether a table is produced alone or inside the
+bundled report.
 """
 
 from __future__ import annotations
@@ -42,11 +43,16 @@ def _cell(value) -> str:
     # repr(float(x)): numpy 2 reprs np.float64(0.5) as "np.float64(0.5)".
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def write_rows_csv(path: str | Path, header: list[str], rows: list[dict]) -> None:
-    """CSV with repr-formatted floats (deterministic, round-trippable)."""
+def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
+    """CSV with repr-formatted floats (deterministic, round-trippable).
+
+    The header is the first row's keys, in order; ``rows`` must be
+    nonempty. None is written as an empty cell.
+    """
+    header = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -10,7 +10,6 @@ partner's three bases so every recorded count contributes.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
-FIDELITY_TABLE = "fidelities.csv"
 
 # The 16 two-qubit Pauli pairs as (i, j, idx, flip, phase), where i and j
 # index ("I", X, Y, Z) and the pair acts as O[idx, idx ^ flip] = phase.
@@ -216,17 +214,23 @@ def reconstruct(
     )
 
 
-def report_states(thetas: tuple[float, ...] = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)) -> tuple[tuple[str, StateVector], ...]:
-    """The standard six sources: |01>, the superpositions, |10>."""
+def report_states(
+    thetas: tuple[float, ...] = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4),
+) -> tuple[tuple[str, StateVector], ...]:
+    """The standard six sources: |01>, the superpositions, |10>.
+
+    Raises:
+        ValueError: two states share a label, as two angles equal to
+            six significant digits do.
+    """
     out: list[tuple[str, StateVector]] = [("01", epr_family(0.0, "01"))]
     for theta in thetas:
-        out.append((f"00(theta={theta:.6g})", epr_family(theta, "00")))
+        label = f"00(theta={theta:.6g})"
+        if label in dict(out):
+            raise ValueError(f"tomography state {label!r} is listed twice")
+        out.append((label, epr_family(theta, "00")))
     out.append(("10", epr_family(0.0, "10")))
     return tuple(out)
-
-
-def _slug(label: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
 def write_density_csv(path: str | Path, rho: np.ndarray) -> None:
@@ -241,62 +245,32 @@ def write_density_csv(path: str | Path, rho: np.ndarray) -> None:
 
 def tomography_report(
     cfg: ExperimentConfig,
-    out_dir: str | Path,
     states: tuple[tuple[str, StateVector], ...] | None = None,
     num_bootstrap: int = 100,
     tag_base: int = 0,
 ) -> list[dict]:
-    """Reconstruct each source and dump matrices plus a fidelity table.
+    """Reconstruct each source and score it against the ideal pure source.
 
-    Writes per state ``rho_<label>.csv`` (Re and Im blocks) and
-    ``rho_<label>.json``, plus the ``FIDELITY_TABLE`` summary. Returns
-    one record per state with the fidelity against the ideal pure source
-    and the names of the state's two files (``"files"``); those names
-    and ``FIDELITY_TABLE`` are every file written. Stream tags run from
-    ``tag_base`` so a caller reusing one seed for several artifact groups
-    can keep their count draws independent.
+    Returns one record per state (``report_states()`` by default) with
+    its ``label``, the reconstructed matrix ``rho``, ``fidelity``,
+    ``fidelity_std_err`` and ``bootstrap_used`` (both None without a
+    bootstrap) and ``clip_magnitude``. Nothing is written to disk. Stream
+    tags run from ``tag_base`` so a caller reusing one seed for several
+    artifact groups can keep their count draws independent.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chosen = states if states is not None else report_states()
     records = []
     for idx, (label, psi) in enumerate(chosen):
         table = simulate_tomography_counts(psi, cfg, stream_tag=tag_base + idx)
         result = reconstruct(table, target=psi, num_bootstrap=num_bootstrap)
-        rho = result.rho_hat.matrix
-        slug = _slug(label)
-        write_density_csv(out / f"rho_{slug}.csv", rho)
-        doc = {
-            "label": label,
-            "re": np.real(rho).tolist(),
-            "im": np.imag(rho).tolist(),
-            "fidelity": result.fidelity_to_target,
-            "fidelity_std_err": result.fidelity_std_err,
-            "clip_magnitude": result.clip_magnitude,
-        }
-        (out / f"rho_{slug}.json").write_text(json.dumps(doc, indent=2))
         records.append(
             {
                 "label": label,
+                "rho": result.rho_hat.matrix,
                 "fidelity": result.fidelity_to_target,
                 "fidelity_std_err": result.fidelity_std_err,
                 "clip_magnitude": result.clip_magnitude,
-                "max_abs_imag": float(np.abs(np.imag(rho)).max()),
                 "bootstrap_used": result.bootstrap_used,
-                "files": [f"rho_{slug}.csv", f"rho_{slug}.json"],
             }
         )
-    with open(out / FIDELITY_TABLE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "fidelity", "fidelity_std_err", "clip_magnitude"])
-        for rec in records:
-            se = rec["fidelity_std_err"]
-            writer.writerow(
-                [
-                    rec["label"],
-                    repr(float(rec["fidelity"])),
-                    "" if se is None else repr(float(se)),
-                    repr(float(rec["clip_magnitude"])),
-                ]
-            )
     return records

@@ -146,6 +146,13 @@ class TestExitCodes:
         assert "at least 2 replicates" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("states", ["pi/4,pi/4", "pi/4,0.7853982"])
+    def test_repeated_tomography_state_exits_two(self, states, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["tomo", "--states", states, "--bootstrap", "0", "--out", str(out)]) == 2
+        assert "'00(theta=0.785398)'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_raises_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -443,6 +450,30 @@ class TestTomoCommand:
         for row in rows:
             assert float(row["fidelity"]) > 0.99
 
+    @pytest.mark.parametrize("bootstrap", ["0", "5"])
+    def test_dump_agrees_with_itself(self, bootstrap, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "o"
+        args = ["tomo", "--states", "pi/6,pi/4", "--bootstrap", bootstrap]
+        assert main(args + ["--config", fast_cfg, "--out", str(out)]) == 0
+        rows = {row["label"]: row for row in read_csv(out / "fidelities.csv")}
+        docs = sorted(out.glob("rho_*.json"))
+        assert len(docs) == len(rows) == 4
+        for path in docs:
+            doc = json.loads(path.read_text())
+            re, im = np.zeros((4, 4)), np.zeros((4, 4))
+            for cell in read_csv(path.with_suffix(".csv")):
+                block = re if cell["block"] == "re" else im
+                block[int(cell["row"])] = [float(cell[f"c{j}"]) for j in range(4)]
+            np.testing.assert_array_equal(re, doc["re"])
+            np.testing.assert_array_equal(im, doc["im"])
+            row = rows[doc["label"]]
+            assert float(row["fidelity"]) == doc["fidelity"]
+            assert float(row["clip_magnitude"]) == doc["clip_magnitude"]
+            if bootstrap == "0":
+                assert row["fidelity_std_err"] == "" and doc["fidelity_std_err"] is None
+            else:
+                assert float(row["fidelity_std_err"]) == doc["fidelity_std_err"]
+
     @pytest.mark.parametrize(
         "command, bootstrap, used", [("tomo", "0", None), ("tomo", "7", 7), ("report", "5", 5)]
     )
@@ -510,10 +541,45 @@ class TestReportCommand:
         assert sim["p_value"] < 1e-6
         assert manifest["wall_clock_seconds"] > 0.0
 
+    def test_count_draws_use_distinct_stream_keys(self, tmp_path, monkeypatch, capsys):
+        """Every count the report draws shares one seed, so its blocks stay
+        independent only if no two draws are seeded with the same key."""
+        seed_sequence = np.random.SeedSequence
+        keys = []
+
+        def recording(entropy, **kwargs):
+            keys.append(tuple(entropy))
+            return seed_sequence(entropy, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        assert main(["report", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
+        assert keys
+        assert len(set(keys)) == len(keys)
+
+    def test_reproducible_across_interpreters(self, tmp_path):
+        """Two fresh interpreters with different string hashing write the
+        same data files and the same file list."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))
+        manifests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            args = ["-m", "cohsim.cli", "report", "--seed", "0", "--out", str(tmp_path / hash_seed)]
+            proc = subprocess.run(
+                [sys.executable] + args, env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(manifest_of(tmp_path / hash_seed))
+        files = manifests[0]["output_files"]
+        assert files == manifests[1]["output_files"]
+        data = [name for name in files if name != "manifest.json"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "1", tmp_path / "2", data, shallow=False
+        )
+        assert (sorted(match), mismatch, errors) == (sorted(data), [], [])
+
 
 class TestWriteRowsCsv:
     def test_numpy_scalars_write_like_python_scalars(self, tmp_path):
-        header = ["label", "value", "small", "count", "flag"]
         plain = [{"label": "a", "value": 0.5, "small": 1e-300, "count": 3, "flag": True}]
         numpy_row = [
             {
@@ -524,7 +590,12 @@ class TestWriteRowsCsv:
                 "flag": np.bool_(True),
             }
         ]
-        write_rows_csv(tmp_path / "plain.csv", header, plain)
-        write_rows_csv(tmp_path / "numpy.csv", header, numpy_row)
+        write_rows_csv(tmp_path / "plain.csv", plain)
+        write_rows_csv(tmp_path / "numpy.csv", numpy_row)
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert read_csv(tmp_path / "numpy.csv")[0]["value"] == "0.5"
+
+    def test_header_is_first_row_key_order(self, tmp_path):
+        rows = [{"b": 1, "a": None}, {"a": 0.25, "b": 2}]
+        write_rows_csv(tmp_path / "rows.csv", rows)
+        assert (tmp_path / "rows.csv").read_bytes() == b"b,a\r\n1,\r\n2,0.25\r\n"

@@ -25,6 +25,9 @@ def random_state(num_qubits: int, seed: int) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps))
 
 
+NONFINITE = [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)]
+
+
 class TestStateVector:
     def test_accepts_normalized_vector(self):
         psi = StateVector(np.array([1.0, 0.0]))
@@ -59,6 +62,11 @@ class TestStateVector:
         amps = np.array([1.0 + 5e-13, 0.0])
         assert StateVector(amps).dim == 2
 
+    @pytest.mark.parametrize("bad", NONFINITE, ids=repr)
+    def test_rejects_nonfinite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(np.array([bad, 0.0]))
+
 
 class TestDensityOperator:
     def test_accepts_maximally_mixed(self):
@@ -83,6 +91,11 @@ class TestDensityOperator:
         rho = DensityOperator(np.eye(2) / 2.0)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", NONFINITE, ids=repr)
+    def test_rejects_nonfinite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestEprFamily:

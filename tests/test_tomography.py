@@ -1,7 +1,6 @@
 """Nine-setting two-qubit state reconstruction."""
 
 import csv
-import json
 import math
 import tracemalloc
 
@@ -389,29 +388,32 @@ class TestReportOutputs:
                 (re if row["block"] == "re" else im)[int(row["row"])] = vals
         np.testing.assert_array_equal(re + 1j * im, rho)
 
-    def test_report_writes_matrices_and_table(self, tmp_path):
+    @pytest.mark.parametrize("thetas", [(math.pi / 4, math.pi / 4), (math.pi / 4, 0.7853982)])
+    def test_repeated_label_rejected(self, thetas):
+        with pytest.raises(ValueError, match=r"'00\(theta=0\.785398\)'"):
+            report_states(thetas)
+
+    def test_report_records(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         states = (("ab", epr_family(math.pi / 4, "00")), ("cd e", epr_family(0.4, "01")))
-        records = tomography_report(DESK, tmp_path, states=states, num_bootstrap=5)
+        records = tomography_report(DESK, states=states, num_bootstrap=5)
+        assert list(tmp_path.iterdir()) == []
         assert [rec["label"] for rec in records] == ["ab", "cd e"]
-        for slug in ("ab", "cd_e"):
-            assert (tmp_path / f"rho_{slug}.csv").exists()
-            doc = json.loads((tmp_path / f"rho_{slug}.json").read_text())
-            assert 0.9 < doc["fidelity"] <= 1.0
-            assert doc["fidelity_std_err"] >= 0.0
-        with open(tmp_path / "fidelities.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["label"] for row in rows] == ["ab", "cd e"]
-        for rec, row in zip(records, rows):
-            assert float(row["fidelity"]) == rec["fidelity"]
-            assert rec["max_abs_imag"] < 0.1
-            assert rec["files"] == [f"rho_{_slug_of(rec['label'])}.csv", f"rho_{_slug_of(rec['label'])}.json"]
+        for rec in records:
+            assert set(rec) == {
+                "label", "rho", "fidelity", "fidelity_std_err", "clip_magnitude", "bootstrap_used"
+            }
+            rho = rec["rho"]
+            np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+            assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(np.imag(rho)).max() < 0.1
+            assert 0.9 < rec["fidelity"] <= 1.0
+            assert rec["fidelity_std_err"] >= 0.0
+            assert rec["clip_magnitude"] >= 0.0
+            assert rec["bootstrap_used"] == 5
 
-    def test_tag_base_decorrelates_runs(self, tmp_path):
+    def test_tag_base_decorrelates_runs(self):
         states = (("s", epr_family(math.pi / 4, "00")),)
-        a = tomography_report(DESK, tmp_path / "a", states=states, num_bootstrap=0)
-        b = tomography_report(DESK, tmp_path / "b", states=states, num_bootstrap=0, tag_base=9)
+        a = tomography_report(DESK, states=states, num_bootstrap=0)
+        b = tomography_report(DESK, states=states, num_bootstrap=0, tag_base=9)
         assert a[0]["fidelity"] != b[0]["fidelity"]
-
-
-def _slug_of(label: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
