@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 bad arguments or values, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -98,30 +97,6 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(parse_angle(p) for p in parts)
 
 
-def _scipy_version() -> str:
-    """``scipy.__version__`` read from ``scipy/version.py``.
-
-    Importing scipy itself costs about 15 ms per interpreter and only the
-    LP of ``paradox._min_max_residual`` needs it, so the version file is
-    run on its own, without ``scipy/__init__``.
-    """
-    package = importlib.util.find_spec("scipy")
-    path = os.path.join(package.submodule_search_locations[0], "version.py")
-    spec = importlib.util.spec_from_file_location("scipy.version", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.version
-
-
-def _versions() -> dict:
-    return {
-        "cohsim": __version__,
-        "numpy": np.__version__,
-        "scipy": _scipy_version(),
-        "python": platform.python_version(),
-    }
-
-
 def _json_safe(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -163,7 +138,11 @@ class _Run:
             },
             "config": cfg.to_dict(),
             "seed": cfg.seed,
-            "versions": _versions(),
+            "versions": {
+                "cohsim": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
             "started_utc": datetime.now(timezone.utc).isoformat(),
             "output_files": ["manifest.json"],
             "wall_clock_seconds": None,

@@ -62,10 +62,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pair_rate <= 0.0:
-            raise ValueError(f"pair_rate={self.pair_rate} must be positive")
-        if self.duration_per_setting <= 0.0:
-            raise ValueError(f"duration_per_setting={self.duration_per_setting} must be positive")
+        for name in ("pair_rate", "duration_per_setting"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name}={value} must be positive and finite")
         if int(self.num_trials) != self.num_trials or self.num_trials < 1:
             raise ValueError(f"num_trials={self.num_trials} must be a positive integer")
         if not 0.0 <= self.visibility_v <= 1.0:

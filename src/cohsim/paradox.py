@@ -5,7 +5,9 @@ labeled source state, together with a mixture claim: the assertion that
 one labeled row (the superposition source) should be explainable as a
 convex mixture of the component rows. ``lhv_mixture_test`` measures how
 badly that assertion fails; a strictly positive ``violation_gap`` means
-no mixture weights reproduce the observed values.
+no mixture weights reproduce the observed values. The minimax is exact:
+closed forms cover the shipped families, and a dense-tableau simplex in
+numpy (``_mixture_lp``) covers any other spec.
 """
 
 from __future__ import annotations
@@ -186,17 +188,14 @@ def _min_max_residual(
     mixture reaches on it are the interval between its smallest and
     largest entries, so the two-column problem on those two components
     has the same minimum. Two or more rows over three or more columns go
-    through an exact linear program, the only use of ``scipy.optimize``;
-    only a user spec with two or more mixed rows and three or more
-    components reaches it (the GHZ check has its own closed form,
-    ``_ghz_hull_residual``). Returns ``(gap, weights_vector)``.
+    through the simplex ``_mixture_lp``; no CLI command builds such a spec
+    (the GHZ check has its own closed form, ``_ghz_hull_residual``).
+    Returns ``(gap, weights_vector)``.
     """
     vals = np.asarray(component_values, dtype=float)
     m, k = vals.shape
     targ = np.asarray(targets, dtype=float)
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-    if m == 0:
-        return 0.0, np.full(k, 1.0 / k)
     if k == 1:
         return float(np.max(w * np.abs(vals[:, 0] - targ))), np.array([1.0])
     if k == 2:
@@ -229,36 +228,55 @@ def _min_max_residual(
         # add.at, not p[cols] = pair: a constant row picks one column twice.
         np.add.at(p, cols, pair)
         return gap, p
-    # m >= 2, k >= 3: minimize t subject to |w_j (row_j . p - targ_j)| <= t on the simplex.
-    # Imported here because scipy.optimize dominates the package's import
-    # time and only this branch needs it.
-    from scipy.optimize import linprog
+    return _mixture_lp(vals, targ, w)
 
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * m, k + 1))
-    b_ub = np.zeros(2 * m)
-    for j in range(m):
-        a_ub[2 * j, :k] = w[j] * vals[j]
-        a_ub[2 * j, -1] = -1.0
-        b_ub[2 * j] = w[j] * targ[j]
-        a_ub[2 * j + 1, :k] = -w[j] * vals[j]
-        a_ub[2 * j + 1, -1] = -1.0
-        b_ub[2 * j + 1] = -w[j] * targ[j]
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise ArithmeticError(f"mixture feasibility program failed: {res.message}")
-    return max(0.0, float(res.x[-1])), np.clip(res.x[:k], 0.0, None)
+
+def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_min_max_residual`` of any program, by a dense-tableau simplex.
+
+    The minimum is the value of the zero-sum game with payoff rows
+    ``+-w_j (vals_j - targ_j)``. Shifted so every payoff is at least 1,
+    it is the linear program max ``1 . u`` subject to ``M u <= 1``,
+    ``u >= 0`` (Dantzig 1951), with ``p = u / sum(u)``; the origin is
+    feasible, so there is no phase 1. Bland's rule (lowest-index entering
+    column, ratio ties to the lowest basic index) prevents cycling. Ratios
+    tie only when equal: a tolerance there picks rows whose ratio is not
+    the least and can leave a zero-gap program 1e-5 off. Reduced costs and
+    pivots within ``tol`` of zero count as zero. The gap is the worst
+    weighted residual at p, so the witness attains it.
+
+    Raises:
+        ArithmeticError: no optimum within the pivot cap.
+    """
+    payoff = w[:, None] * (vals - targ[:, None])
+    payoff = np.vstack([payoff, -payoff])
+    rows, k = payoff.shape
+    tab = np.zeros((rows + 1, k + rows + 1))
+    tab[:rows, :k] = payoff + (1.0 - payoff.min())
+    tab[:rows, k:-1] = np.eye(rows)
+    tab[:rows, -1] = 1.0
+    tab[-1, :k] = -1.0
+    basis = np.arange(k, k + rows)
+    tol = 1e-12
+    for _ in range(10 * tab.size):
+        entering = np.flatnonzero(tab[-1, :-1] < -tol)
+        if entering.size == 0:
+            break
+        col = entering[0]
+        rising = np.flatnonzero(tab[:-1, col] > tol)
+        ratios = tab[rising, -1] / tab[rising, col]
+        tied = rising[ratios == ratios.min()]
+        row = tied[np.argmin(basis[tied])]
+        pivot = tab[row] / tab[row, col]
+        tab -= np.outer(tab[:, col], pivot)
+        tab[row] = pivot
+        basis[row] = col
+    else:
+        raise ArithmeticError("mixture program unsolved within the pivot cap")
+    p = np.zeros(k + rows)
+    p[basis] = np.clip(tab[:-1, -1], 0.0, None)
+    p = p[:k] / p[:k].sum()
+    return float(np.max(w * np.abs(vals @ p - targ))), p
 
 
 def ghz_sign_assignment_products() -> np.ndarray:
@@ -426,7 +444,8 @@ def _mixture_gap(
     Returns ``(gap, weights_vector)``.
 
     Raises:
-        ValueError: an unobserved constraint or component value.
+        ValueError: an unobserved constraint or component value, or a
+            non-finite value on a mixture row.
     """
     missing = [key for key in spec.observation_keys() if key not in observed]
     if missing:
@@ -440,19 +459,17 @@ def _mixture_gap(
         if key_mixed not in observed:
             continue
         row = []
-        for lb in claim.component_labels:
+        for lb in claim.component_labels + (claim.mixed_label,):
             key = (lb, chain.label)
             if key not in observed:
                 raise ValueError(f"mixed-row observable {chain.label} lacks component value {key}")
             row.append(float(observed[key]))
+            if not math.isfinite(row[-1]):
+                raise ValueError(f"observation {key} is not finite: {row[-1]}")
+        targets.append(row.pop())
         rows.append(row)
-        targets.append(float(observed[key_mixed]))
         scales.append(1.0 if weight is None else weight[key_mixed])
-    return _min_max_residual(
-        np.array(rows).reshape(len(rows), len(claim.component_labels)),
-        np.array(targets),
-        np.array(scales),
-    )
+    return _min_max_residual(np.array(rows), np.array(targets), np.array(scales))
 
 
 def lhv_mixture_test(
@@ -471,8 +488,8 @@ def lhv_mixture_test(
 
     Raises:
         ValueError: negative tol, a constraint without an observation,
-            or a mixed-row observable whose component values are
-            missing.
+            a mixed-row observable whose component values are missing,
+            or a non-finite value on a mixture row.
     """
     if tol < 0.0:
         raise ValueError(f"tol={tol} must be nonnegative")

@@ -60,7 +60,11 @@ class TestExperimentConfig:
         "field,value",
         [
             ("pair_rate", 0.0),
+            ("pair_rate", math.nan),
+            ("pair_rate", math.inf),
             ("duration_per_setting", -1.0),
+            ("duration_per_setting", math.nan),
+            ("duration_per_setting", math.inf),
             ("num_trials", 0),
             ("visibility_v", 1.5),
             ("efficiency", 0.0),
@@ -103,6 +107,14 @@ class TestExperimentConfig:
         path = tmp_path / "run.cfg"
         path.write_text("rate = 1e5\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("field", ["pair_rate", "duration_per_setting"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_from_file_rejects_nonfinite_value(self, field, text, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} = {text}\n")
+        with pytest.raises(ValueError, match=f"{field}=.* must be positive and finite"):
             ExperimentConfig.from_file(path)
 
     def test_from_file_rejects_malformed_line(self, tmp_path):

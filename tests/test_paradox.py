@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,8 +166,50 @@ def one_row_cases(count, seed):
         yield row[None, :], np.array([target]), np.array([weight])
 
 
+def multi_row_cases(count, seed):
+    """Seeded programs of 2..8 rows over 3..64 components: uniform,
+    ternary-degenerate, zero-gap feasible and all-tied rows, with unit
+    weights and with weights in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, k = int(rng.integers(2, 9)), int(rng.integers(3, 65))
+        kind = i % 4
+        if kind == 0:
+            rows, targets = rng.uniform(-1, 1, size=(m, k)), rng.uniform(-1, 1, size=m)
+        elif kind == 1:
+            rows = rng.choice([-1.0, 0.0, 1.0], size=(m, k))
+            targets = rng.choice([-1.0, 0.0, 1.0], size=m)
+        elif kind == 2:
+            rows = rng.uniform(-1, 1, size=(m, k))
+            targets = rows @ rng.dirichlet(np.ones(k))
+        else:
+            rows = np.repeat(rng.uniform(-1, 1, size=(m, 1)), k, axis=1)
+            targets = rng.uniform(-1, 1, size=m)
+        weights = np.ones(m) if i % 2 == 0 else rng.uniform(0.1, 10.0, size=m)
+        yield rows, targets, weights
+
+
+def feasible_cases(count, seed):
+    """Seeded programs whose targets are a mixture of the columns, so the
+    gap is 0: 2..8 rows over mostly 3..8 columns (highly degenerate at
+    the optimum), some on a half-integer grid or ternary, unit and
+    non-unit weights."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = int(rng.integers(2, 9))
+        k = int(rng.integers(3, 9)) if i % 4 else int(rng.integers(3, 65))
+        rows = rng.uniform(-1, 1, size=(m, k))
+        if i % 3 == 0:
+            rows = np.round(rows * 2) / 2
+        if i % 5 == 0:
+            rows = rng.choice([-1.0, 0.0, 1.0], size=(m, k))
+        targets = rows @ rng.dirichlet(np.full(k, 1.0 if i % 2 else 0.2))
+        weights = np.ones(m) if i % 2 == 0 else rng.uniform(0.1, 10.0, size=m)
+        yield rows, targets, weights
+
+
 def two_row_three_component_spec() -> ParadoxSpec:
-    """Two mixed rows over three components, so only the LP solves it.
+    """Two mixed rows over three components, so only the simplex solves it.
 
     A mixture gives XX + ZZ = 2 p_A >= 0 against the mixed row's -2, so
     the worst residual is at least 1, reached at p = (0, 1/2, 1/2).
@@ -376,13 +419,45 @@ class TestMinMaxResidual:
             residual = float(weights[0] * abs(rows[0] @ p - targets[0]))
             assert residual == pytest.approx(gap, abs=1e-12)
 
+    def test_multi_row_matches_linear_program(self):
+        cases = list(multi_row_cases(1200, seed=43))
+        gaps = []
+        for rows, targets, weights in cases:
+            gap, p = _min_max_residual(rows, targets, weights)
+            reference = linprog_min_max(rows, targets, weights)
+            assert gap == pytest.approx(reference, abs=1e-10 * max(1.0, weights.max()))
+            assert p.shape == (rows.shape[1],)
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert float(np.max(weights * np.abs(rows @ p - targets))) == gap
+            gaps.append(gap)
+        assert sum(g > 1e-9 for g in gaps) >= 300
+        assert sum(g <= 1e-9 for g in gaps) >= 300
+
+    def test_feasible_programs_solve_to_zero(self):
+        for rows, targets, weights in feasible_cases(2000, seed=45):
+            gap, p = _min_max_residual(rows, targets, weights)
+            assert gap <= 1e-12 * max(1.0, weights.max())
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_ghz_program_matches_closed_form(self):
+        products = ghz_sign_assignment_products()
+        for v in np.linspace(0.0, 1.0, 21):
+            e = v * np.array(GHZ_TARGET)
+            gap, p = _min_max_residual(products.T, e)
+            assert gap == pytest.approx(_ghz_hull_residual(products, e)[0], abs=1e-12)
+            assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_two_rows_three_components_use_the_linear_program(self):
         spec = two_row_three_component_spec()
         verdict = lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
         assert verdict.violation_gap == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(verdict.witness_weights, [0.0, 0.5, 0.5], atol=1e-9)
 
-    def test_one_row_programs_need_no_solver(self, monkeypatch):
+    def test_no_program_calls_linprog(self, monkeypatch):
         import scipy.optimize
 
         def refuse(*args, **kwargs):
@@ -390,8 +465,9 @@ class TestMinMaxResidual:
 
         monkeypatch.setattr(scipy.optimize, "linprog", refuse)
         spec = two_row_three_component_spec()
-        with pytest.raises(AssertionError, match="linprog called"):
-            lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9)
+        assert lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9).violation_gap == 1.0
+        for rows, targets, weights in multi_row_cases(20, seed=44):
+            _min_max_residual(rows, targets, weights)
         assert ghz_stabilizer_check(ghz_state(3)).violation_gap == pytest.approx(0.5, abs=1e-12)
         for n in range(3, MAX_QUBITS + 1):
             for z_position in range(n):
@@ -624,6 +700,24 @@ class TestLhvMixtureTestErrors:
         observed = theoretical_values(spec)
         del observed[("00", "XX")]
         with pytest.raises(ValueError, match="missing"):
+            lhv_mixture_test(spec, observed, tol=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            (coherence_paradox(0.4, "X"), ("00", "XX")),
+            (coherence_paradox(0.4, "X"), ("10", "XX")),
+            (dicke_paradox(4, 0), ("0000", "ZXXX")),
+            (dicke_paradox(4, 0), ("0010", "ZXXX")),
+            (two_row_three_component_spec(), ("M", "ZZ")),
+            (two_row_three_component_spec(), ("B", "XX")),
+        ],
+    )
+    def test_nonfinite_observation(self, spec, key, bad):
+        observed = theoretical_values(spec)
+        observed[key] = bad
+        with pytest.raises(ValueError, match=f"observation {re.escape(str(key))} is not finite"):
             lhv_mixture_test(spec, observed, tol=1e-10)
 
     def test_negative_tol(self):
