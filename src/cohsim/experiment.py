@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -40,9 +40,6 @@ _SCAN_DOMAIN = 101
 _TOMO_DOMAIN = 907
 
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
-
-_INT_FIELDS = {"num_trials", "seed"}
-_FLOAT_FIELDS = {"pair_rate", "duration_per_setting", "visibility_v", "efficiency"}
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,7 @@ class ExperimentConfig:
         Raises:
             ValueError: unknown key or unparsable value.
         """
+        parsers = {f.name: type(f.default) for f in fields(cls)}
         values: dict = {}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -108,12 +106,9 @@ class ExperimentConfig:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key in _INT_FIELDS:
-                values[key] = int(text)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(text)
-            else:
+            if key not in parsers:
                 raise ValueError(f"unknown config key {key!r}")
+            values[key] = parsers[key](text)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -406,13 +401,11 @@ def paradox_p_value(
     estimates = {
         key: point_correlator(table, *_chain_setting(key[1])) for key, table in counts.items()
     }
-    gap, _ = _mixture_gap(
+    gap, _, rows = _mixture_gap(
         spec,
         {key: value for key, (value, _n) in estimates.items()},
         {key: math.sqrt(n_total) for key, (_v, n_total) in estimates.items()},
     )
-    mixed = spec.mixture_claim.mixed_label
-    rows = sum((mixed, chain.label) in estimates for chain in spec.observables())
     p = max(min(1.0, 2 * rows * math.exp(-(gap * gap) / 2.0)), _MIN_POSITIVE)
     return p, min(0.0, math.log10(2 * rows) - (gap * gap) / (2.0 * math.log(10.0)))
 

@@ -160,10 +160,6 @@ def _signed_single(obs) -> tuple[str, int]:
         if axis not in AXES or sign not in (-1, 1):
             raise ValueError(f"bad signed axis {obs!r}")
         return axis, sign
-    if isinstance(obs, ObservableChain):
-        if obs.num_qubits != 1 or obs.axes[0] == "I":
-            raise ValueError(f"need a single-qubit measurement axis, got {obs.label!r}")
-        return obs.axes[0], 1
     if isinstance(obs, str):
         return parse_signed_axis(obs)
     raise ValueError(f"cannot interpret observable {obs!r}")

@@ -6,8 +6,9 @@ one labeled row (the superposition source) should be explainable as a
 convex mixture of the component rows. ``lhv_mixture_test`` measures how
 badly that assertion fails; a strictly positive ``violation_gap`` means
 no mixture weights reproduce the observed values. The minimax is exact:
-closed forms cover the shipped families, and a dense-tableau simplex in
-numpy (``_mixture_lp``) covers any other spec.
+one mixed row (every shipped family) is solved in closed form, as is the
+GHZ stabilizer check, and two or more rows go through a dense-tableau
+simplex in numpy (``_mixture_lp``).
 """
 
 from __future__ import annotations
@@ -182,53 +183,35 @@ def _min_max_residual(
     """Minimize ``max_j weights_j |row_j . p - targets_j|`` over the simplex.
 
     ``component_values`` has one row per observable and one column per
-    mixture component. Two columns are solved exactly (the objective is
-    piecewise linear in the single free weight, so the minimum sits at a
-    kink or an endpoint). One row is solved exactly too: the values a
-    mixture reaches on it are the interval between its smallest and
-    largest entries, so the two-column problem on those two components
-    has the same minimum. Two or more rows over three or more columns go
-    through the simplex ``_mixture_lp``; no CLI command builds such a spec
-    (the GHZ check has its own closed form, ``_ghz_hull_residual``).
-    Returns ``(gap, weights_vector)``.
+    mixture component. One row is solved in closed form: the values a
+    mixture reaches on it are the interval between two of its entries
+    (columns 0 and 1 when there are two, else its smallest and largest),
+    and on that pair the weighted residual is ``|a p + b|`` in the free
+    weight ``p``, least at an endpoint or at the kink ``-b / a``. Two or
+    more rows go through the simplex ``_mixture_lp``; no CLI command
+    builds such a spec (the GHZ check has its own closed form,
+    ``_ghz_hull_residual``). Returns ``(gap, weights_vector)``.
     """
     vals = np.asarray(component_values, dtype=float)
     m, k = vals.shape
     targ = np.asarray(targets, dtype=float)
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-    if k == 1:
-        return float(np.max(w * np.abs(vals[:, 0] - targ))), np.array([1.0])
-    if k == 2:
-        a = vals[:, 0] - vals[:, 1]
-        b = vals[:, 1] - targ
+    if m > 1:
+        return _mixture_lp(vals, targ, w)
+    row = vals[0]
+    cols = [0, 1] if k == 2 else [int(np.argmin(row)), int(np.argmax(row))]
+    a = row[cols[0]] - row[cols[1]]
+    b = row[cols[1]] - targ[0]
 
-        def g(p: float) -> float:
-            return float(np.max(w * np.abs(a * p + b)))
+    def residual(p: float) -> float:
+        return w[0] * abs(a * p + b)
 
-        candidates = [0.0, 1.0]
-        for j in range(m):
-            if a[j] != 0.0:
-                candidates.append(-b[j] / a[j])
-        for i in range(m):
-            for j in range(i + 1, m):
-                for s in (1.0, -1.0):
-                    den = w[i] * a[i] - s * w[j] * a[j]
-                    if den != 0.0:
-                        candidates.append((s * w[j] * b[j] - w[i] * b[i]) / den)
-        best_p, best_g = 0.0, g(0.0)
-        for p in sorted(c for c in candidates if 0.0 <= c <= 1.0):
-            val = g(p)
-            if val < best_g:
-                best_p, best_g = p, val
-        return best_g, np.array([best_p, 1.0 - best_p])
-    if m == 1:
-        cols = [int(np.argmin(vals[0])), int(np.argmax(vals[0]))]
-        gap, pair = _min_max_residual(vals[:, cols], targ, w)
-        p = np.zeros(k)
-        # add.at, not p[cols] = pair: a constant row picks one column twice.
-        np.add.at(p, cols, pair)
-        return gap, p
-    return _mixture_lp(vals, targ, w)
+    candidates = [0.0, 1.0] if a == 0.0 else [0.0, 1.0, -b / a]
+    best = min(sorted(c for c in candidates if 0.0 <= c <= 1.0), key=residual)
+    p = np.zeros(k)
+    # add.at, not p[cols] = ...: a constant row picks one column twice.
+    np.add.at(p, cols, [best, 1.0 - best])
+    return float(residual(best)), p
 
 
 def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -441,15 +424,18 @@ def _mixture_gap(
     Each observable with a mixed-row value gives one row (component
     values against that target), its residual scaled by
     ``weight[(mixed_label, observable)]`` when ``weight`` is given.
-    Returns ``(gap, weights_vector)``.
+    Returns ``(gap, weights_vector, number_of_rows)``.
 
     Raises:
         ValueError: an unobserved constraint or component value, or a
-            non-finite value on a mixture row.
+            non-finite observed value.
     """
     missing = [key for key in spec.observation_keys() if key not in observed]
     if missing:
         raise ValueError(f"missing observations for constraints: {missing}")
+    for key, value in observed.items():
+        if not math.isfinite(value):
+            raise ValueError(f"observation {key} is not finite: {value}")
     claim = spec.mixture_claim
     rows: list[list[float]] = []
     targets: list[float] = []
@@ -464,12 +450,11 @@ def _mixture_gap(
             if key not in observed:
                 raise ValueError(f"mixed-row observable {chain.label} lacks component value {key}")
             row.append(float(observed[key]))
-            if not math.isfinite(row[-1]):
-                raise ValueError(f"observation {key} is not finite: {row[-1]}")
         targets.append(row.pop())
         rows.append(row)
         scales.append(1.0 if weight is None else weight[key_mixed])
-    return _min_max_residual(np.array(rows), np.array(targets), np.array(scales))
+    gap, weights = _min_max_residual(np.array(rows), np.array(targets), np.array(scales))
+    return gap, weights, len(rows)
 
 
 def lhv_mixture_test(
@@ -489,11 +474,11 @@ def lhv_mixture_test(
     Raises:
         ValueError: negative tol, a constraint without an observation,
             a mixed-row observable whose component values are missing,
-            or a non-finite value on a mixture row.
+            or a non-finite observed value.
     """
     if tol < 0.0:
         raise ValueError(f"tol={tol} must be nonnegative")
-    gap, weights = _mixture_gap(spec, observed)
+    gap, weights, _ = _mixture_gap(spec, observed)
     values = {key: float(observed[key]) for key in spec.observation_keys()}
     return ParadoxVerdict(
         per_constraint_values=values,

@@ -98,6 +98,21 @@ class TestExperimentConfig:
         assert cfg.visibility_v == 0.9
         assert cfg.duration_per_setting == 100.0
 
+    def test_from_file_round_trips_every_field(self, tmp_path):
+        cfg = ExperimentConfig(
+            pair_rate=1.25e5,
+            duration_per_setting=0.3,
+            num_trials=7,
+            visibility_v=0.85,
+            efficiency=0.45,
+            seed=2**64 - 1,
+        )
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value!r}\n" for key, value in cfg.to_dict().items()))
+        loaded = ExperimentConfig.from_file(path)
+        assert loaded == cfg
+        assert loaded.seed == 2**64 - 1 and isinstance(loaded.seed, int)
+
     def test_from_file_overrides_win(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n")

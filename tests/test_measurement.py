@@ -151,6 +151,10 @@ class TestProjectors:
         with pytest.raises(ValueError):
             setting_distribution(epr_family(0.4, "00"), "W", "Z")
 
+    def test_chain_is_not_a_signed_axis(self):
+        with pytest.raises(ValueError, match="cannot interpret observable"):
+            setting_distribution(epr_family(0.4, "00"), as_chain("X"), "Z")
+
 
 class TestParseSignedAxis:
     @pytest.mark.parametrize(

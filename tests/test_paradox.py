@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from cohsim import paradox
 from cohsim.measurement import ObservableChain, expectation
 from cohsim.paradox import (
     GHZ_CHAINS,
@@ -142,6 +143,93 @@ def linprog_min_max(rows, targets, weights):
     )
     assert res.success, res.message
     return max(0.0, float(res.x[-1]))
+
+
+def breakpoint_min_max(rows, targets, weights=None):
+    """Reference minimax by breakpoint scans, for one row or two columns.
+
+    One column is the residual itself. Two columns leave one free weight
+    ``p``, and the objective is least at ``p = 0``, ``p = 1``, a row's
+    kink or a crossing of two rows' ``+-`` pieces; the scan keeps the
+    first lowest candidate in sorted order. One row over more columns
+    reduces to its smallest and largest entries.
+    """
+    vals = np.asarray(rows, dtype=float)
+    m, k = vals.shape
+    targ = np.asarray(targets, dtype=float)
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    if k == 1:
+        return float(np.max(w * np.abs(vals[:, 0] - targ))), np.array([1.0])
+    if k == 2:
+        a = vals[:, 0] - vals[:, 1]
+        b = vals[:, 1] - targ
+
+        def g(p):
+            return float(np.max(w * np.abs(a * p + b)))
+
+        candidates = [0.0, 1.0]
+        for j in range(m):
+            if a[j] != 0.0:
+                candidates.append(-b[j] / a[j])
+        for i in range(m):
+            for j in range(i + 1, m):
+                for s in (1.0, -1.0):
+                    den = w[i] * a[i] - s * w[j] * a[j]
+                    if den != 0.0:
+                        candidates.append((s * w[j] * b[j] - w[i] * b[i]) / den)
+        best_p, best_g = 0.0, g(0.0)
+        for p in sorted(c for c in candidates if 0.0 <= c <= 1.0):
+            val = g(p)
+            if val < best_g:
+                best_p, best_g = p, val
+        return best_g, np.array([best_p, 1.0 - best_p])
+    assert m == 1, "the breakpoint scan covers one row or two columns"
+    cols = [int(np.argmin(vals[0])), int(np.argmax(vals[0]))]
+    gap, pair = breakpoint_min_max(vals[:, cols], targ, w)
+    p = np.zeros(k)
+    np.add.at(p, cols, pair)
+    return gap, p
+
+
+def oracle_one_row_cases(count, seed):
+    """Seeded one-row programs over k = 1..11 columns.
+
+    Rows are uniform, half-integer, constant, scaled by 1e-6, rounded to
+    2 decimals or ternary. Targets are uniform, equal to an entry, +-1,
+    0, (k - 1)/k or a mixture of the row. Weights are None, 1 or drawn
+    from [0.1, 1e4].
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % 11
+        kind = (i // 11) % 6
+        if kind == 0:
+            row = rng.uniform(-1, 1, size=k)
+        elif kind == 1:
+            row = rng.integers(-2, 3, size=k) / 2.0
+        elif kind == 2:
+            row = np.full(k, rng.uniform(-1, 1))
+        elif kind == 3:
+            row = rng.uniform(-1, 1, size=k) * 1e-6
+        elif kind == 4:
+            row = np.round(rng.uniform(-1, 1, size=k), 2)
+        else:
+            row = rng.choice([-1.0, 0.0, 1.0], size=k)
+        choice = (i // 66) % 6
+        if choice == 0:
+            target = rng.uniform(-1, 1)
+        elif choice == 1:
+            target = row[int(rng.integers(k))]
+        elif choice == 2:
+            target = rng.choice([-1.0, 1.0])
+        elif choice == 3:
+            target = 0.0
+        elif choice == 4:
+            target = (k - 1) / k
+        else:
+            target = row @ rng.dirichlet(np.ones(k))
+        weight = (None, np.array([1.0]), rng.uniform(0.1, 1e4, size=1))[(i // 396) % 3]
+        yield row[None, :], np.array([target]), weight
 
 
 def one_row_cases(count, seed):
@@ -418,6 +506,35 @@ class TestMinMaxResidual:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             residual = float(weights[0] * abs(rows[0] @ p - targets[0]))
             assert residual == pytest.approx(gap, abs=1e-12)
+
+    def test_one_row_is_bit_identical_to_the_breakpoint_scan(self):
+        cases = list(oracle_one_row_cases(2400, seed=47))
+        assert {rows.shape[1] for rows, _t, _w in cases} == set(range(1, 12))
+        assert sum(rows.min() == rows.max() for rows, _t, _w in cases) >= 400
+        for rows, targets, weights in cases:
+            gap, p = _min_max_residual(rows, targets, weights)
+            ref_gap, ref_p = breakpoint_min_max(rows, targets, weights)
+            assert type(gap) is float
+            assert gap.hex() == ref_gap.hex()
+            assert [x.hex() for x in p.tolist()] == [x.hex() for x in ref_p.tolist()]
+
+    def test_only_multi_row_programs_reach_the_simplex(self, monkeypatch):
+        calls = []
+        solve = paradox._mixture_lp
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(paradox, "_mixture_lp", counting)
+        rng = np.random.default_rng(49)
+        for k in range(1, 9):
+            _min_max_residual(rng.uniform(-1, 1, size=(1, k)), rng.uniform(-1, 1, size=1))
+        assert calls == []
+        shapes = [(m, k) for m in (2, 3, 5) for k in (1, 2, 3, 8)]
+        for m, k in shapes:
+            _min_max_residual(rng.uniform(-1, 1, size=(m, k)), rng.uniform(-1, 1, size=m))
+        assert calls == shapes
 
     def test_multi_row_matches_linear_program(self):
         cases = list(multi_row_cases(1200, seed=43))
@@ -708,6 +825,7 @@ class TestLhvMixtureTestErrors:
         [
             (coherence_paradox(0.4, "X"), ("00", "XX")),
             (coherence_paradox(0.4, "X"), ("10", "XX")),
+            (coherence_paradox(0.4, "X"), ("01", "ZZ")),
             (dicke_paradox(4, 0), ("0000", "ZXXX")),
             (dicke_paradox(4, 0), ("0010", "ZXXX")),
             (two_row_three_component_spec(), ("M", "ZZ")),
