@@ -34,6 +34,7 @@ from .experiment import (
     CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count, visibility_scan
 )
 from .reports import (
+    CURVE_THETAS,
     DEFAULT_THETAS,
     correlator_detail_rows,
     dicke_rows,
@@ -349,8 +350,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     run.json("verdicts.json", verdicts)
 
     # Plot-ready exact correlator sweep.
-    sweep = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
-    run.csv("paradox_curve.csv", correlator_detail_rows(sweep, "X"))
+    run.csv("paradox_curve.csv", correlator_detail_rows(CURVE_THETAS, "X"))
 
     # Game tables (exact values plus count-based estimates) and curve.
     for strategy, tag in (("x", _TAG_GAME_X), ("z", _TAG_GAME_Z)):

@@ -10,10 +10,10 @@ from pooled counts; error bars come from a parametric bootstrap
 against the best convex-mixture model is summarized by a Hoeffding tail
 bound optimized over the mixture weights.
 
-Every random quantity draws from its own RNG stream derived from the
-seed, the table's stream tag, the setting, and the trial or replicate
-domain, so results are bit-reproducible and independent of evaluation
-order.
+Every random quantity draws from its own RNG stream (``_stream``) keyed
+by the seed, the table's stream tag, the setting, and the trial or
+replicate domain, so results are bit-reproducible and independent of
+evaluation order. Both bootstraps redraw through ``_poisson_bootstrap``.
 """
 
 from __future__ import annotations
@@ -73,6 +73,14 @@ class ExperimentConfig:
             raise ValueError(f"seed={self.seed} must be an unsigned 64-bit integer")
         object.__setattr__(self, "num_trials", int(self.num_trials))
         object.__setattr__(self, "seed", int(self.seed))
+        # Poisson draws at this mean stay far below 2**53, so counts are
+        # exact as floats (bootstrap, tomography) and never wrap an int64.
+        pooled_mean = self.mean_per_trial * self.num_trials
+        if pooled_mean > 2.0**50:
+            raise ValueError(
+                f"expected pooled count per setting {pooled_mean:.3g} exceeds 2**50"
+                " (pair_rate * efficiency * duration_per_setting * num_trials)"
+            )
 
     @property
     def mean_per_trial(self) -> float:
@@ -119,6 +127,36 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one draw: seeded by ``(seed, *key)`` and nothing else."""
+    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
+
+
+def _cell_correlator(cells: np.ndarray) -> np.ndarray:
+    """``(N00 - N01 - N10 + N11) / N`` of each ``(..., 2, 2)`` table of counts."""
+    signed = cells[..., 0, 0] - cells[..., 0, 1] - cells[..., 1, 0] + cells[..., 1, 1]
+    return signed / cells.sum(axis=(-2, -1))
+
+
+def _poisson_bootstrap(pooled: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Poisson redraws of pooled ``(..., 2, 2)`` cells, replicate-major.
+
+    A replicate in which some 2x2 table sums to zero has no correlator
+    and is left out.
+
+    Raises:
+        ValueError: fewer than two replicates are left.
+    """
+    draws = rng.poisson(pooled, size=(count,) + pooled.shape)
+    kept = draws[(draws.sum(axis=(-2, -1)) > 0).reshape(count, -1).all(axis=1)]
+    if len(kept) < 2:
+        raise ValueError(
+            f"only {len(kept)} of {count} bootstrap replicates"
+            " have a nonzero total in every setting"
+        )
+    return kept
+
+
 def _check_bootstrap_count(num_bootstrap: int, allow_none: bool = False) -> None:
     """A standard error needs two or more replicates; with ``allow_none``,
     0 (no bootstrap at all) passes too."""
@@ -160,6 +198,9 @@ class CountTable:
                 )
             if int(data.min(initial=0)) < 0:
                 raise ValueError(f"negative count in setting ({u},{v})")
+            # A float sum, as an int64 one can itself wrap.
+            if data.sum(dtype=float) > 2.0**53:
+                raise ValueError(f"setting ({u},{v}) totals more than 2**53 counts")
             data.setflags(write=False)
             frozen[(u, v)] = data
         if not frozen:
@@ -274,15 +315,12 @@ def simulate_counts(
     means = cfg.mean_per_trial * probs
     trials = np.empty((cfg.num_trials, 2, 2), dtype=np.int64)
     for t in range(cfg.num_trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, stream_tag, AXIS_CODE[u], AXIS_CODE[v], t))
-        )
-        trials[t] = rng.poisson(means)
+        trials[t] = _stream(cfg.seed, stream_tag, AXIS_CODE[u], AXIS_CODE[v], t).poisson(means)
     return CountTable({(u, v): trials}, cfg, stream_tag)
 
 
 def point_correlator(table: CountTable, u: str, v: str) -> tuple[float, int]:
-    """Pooled correlator ``(N00 - N01 - N10 + N11) / N`` and the total N.
+    """Pooled correlator (``_cell_correlator``) and the total N.
 
     Raises:
         ValueError: zero total count.
@@ -291,8 +329,7 @@ def point_correlator(table: CountTable, u: str, v: str) -> tuple[float, int]:
     total = int(pooled.sum())
     if total == 0:
         raise ValueError(f"zero total count for setting ({u},{v})")
-    value = float(pooled[0, 0] - pooled[0, 1] - pooled[1, 0] + pooled[1, 1]) / total
-    return value, total
+    return float(_cell_correlator(pooled)), total
 
 
 def correlator_from_counts(
@@ -300,10 +337,9 @@ def correlator_from_counts(
 ) -> EstimatedCorrelator:
     """Estimate one setting's correlator with a parametric bootstrap.
 
-    Each replicate redraws every cell from a Poisson at its observed
-    pooled count; the standard error is the standard deviation of the
-    estimates over replicates with N > 0 (the estimator is undefined at
-    N = 0, which only tiny means reach).
+    The standard error is the standard deviation of the estimates over
+    the ``_poisson_bootstrap`` replicates of the pooled cells, which
+    leaves out those with N = 0 (only tiny means reach it).
 
     Raises:
         ValueError: zero total count, ``num_bootstrap`` below 2 (one
@@ -312,23 +348,9 @@ def correlator_from_counts(
     """
     _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)
-    pooled = table.pooled(u, v).astype(float)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            (table.config.seed, table.stream_tag, AXIS_CODE[u], AXIS_CODE[v], _BOOT_DOMAIN, 0)
-        )
-    )
-    draws = rng.poisson(pooled, size=(num_bootstrap, 2, 2))
-    totals = draws.sum(axis=(1, 2))
-    signed = draws[:, 0, 0] - draws[:, 0, 1] - draws[:, 1, 0] + draws[:, 1, 1]
-    nonempty = totals > 0
-    if np.count_nonzero(nonempty) < 2:
-        raise ValueError(
-            f"only {np.count_nonzero(nonempty)} of {num_bootstrap} bootstrap replicates"
-            f" of setting ({u},{v}) have a nonzero total"
-        )
-    estimates = signed[nonempty] / totals[nonempty]
-    std_err = float(np.std(estimates, ddof=1))
+    key = (table.stream_tag, AXIS_CODE[u], AXIS_CODE[v], _BOOT_DOMAIN, 0)
+    draws = _poisson_bootstrap(table.pooled(u, v), _stream(table.config.seed, *key), num_bootstrap)
+    std_err = float(np.std(_cell_correlator(draws), ddof=1))
     return EstimatedCorrelator(value=value, std_err=std_err, n_total=total)
 
 
@@ -497,10 +519,9 @@ def visibility_scan(
     if simulate:
         drawn = np.empty(len(grid), dtype=np.int64)
         for i, prob in enumerate(probs):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, stream_tag, _SCAN_DOMAIN, i))
+            drawn[i] = _stream(cfg.seed, stream_tag, _SCAN_DOMAIN, i).poisson(
+                rate_scale * measure_time * prob
             )
-            drawn[i] = rng.poisson(rate_scale * measure_time * prob)
         counts = tuple(int(n) for n in drawn)
         rates = drawn / measure_time
     else:

@@ -146,7 +146,7 @@ class ParadoxVerdict:
 
     ``violation_gap`` is the smallest worst-case residual achievable by
     any weights on the simplex; ``lhv_feasible`` is exactly
-    ``violation_gap <= tol`` (so a zero gap and feasibility coincide).
+    ``violation_gap <= tol`` (so a zero gap and feasibility coincide), with ``tol >= 0``.
     ``satisfying_assignments`` is filled only by the stabilizer check,
     where deterministic sign assignments are enumerated exhaustively.
     """
@@ -159,6 +159,8 @@ class ParadoxVerdict:
     satisfying_assignments: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol={self.tol} must be nonnegative")
         if self.violation_gap < 0.0:
             raise ValueError(f"violation gap {self.violation_gap} is negative")
         if self.lhv_feasible != (self.violation_gap <= self.tol):
@@ -323,7 +325,7 @@ def ghz_stabilizer_check(
     ``tol``.
 
     Raises:
-        ValueError: if the state is not on 3 qubits.
+        ValueError: a state not on 3 qubits, or a ``tol`` not ``>= 0`` (NaN).
     """
     if state.num_qubits != 3:
         raise ValueError(f"stabilizer check needs a 3-qubit state, got {state.num_qubits}")
@@ -418,7 +420,7 @@ def _mixture_gap(
     spec: ParadoxSpec,
     observed: Mapping[tuple[str, str], float],
     weight: Mapping[tuple[str, str], float] | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, int]:
     """Mixture rows of ``observed`` under the claim, through ``_min_max_residual``.
 
     Each observable with a mixed-row value gives one row (component
@@ -472,12 +474,10 @@ def lhv_mixture_test(
     Observables without a mixed-row observation impose no condition.
 
     Raises:
-        ValueError: negative tol, a constraint without an observation,
+        ValueError: negative or NaN tol, a constraint without an observation,
             a mixed-row observable whose component values are missing,
             or a non-finite observed value.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol={tol} must be nonnegative")
     gap, weights, _ = _mixture_gap(spec, observed)
     values = {key: float(observed[key]) for key in spec.observation_keys()}
     return ParadoxVerdict(

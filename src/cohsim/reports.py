@@ -37,6 +37,7 @@ from .states import EQ_ATOL, StateVector, dicke_one_excitation, epr_family
 
 STRATEGY_AXES = {"x": ("X", "X"), "z": ("Z", "Z")}
 DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
+CURVE_THETAS = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
 
 
 def _cell(value) -> str:
@@ -160,11 +161,10 @@ def game_simulated_rows(
     return rows
 
 
-def game_curve_rows(num_points: int = 25) -> list[dict]:
-    """Dense theta sweep of both named strategies (exact values)."""
+def game_curve_rows() -> list[dict]:
+    """``CURVE_THETAS`` sweep of both named strategies (exact values)."""
     rows = []
-    for i in range(1, num_points + 1):
-        theta = i * (math.pi / 2) / (num_points + 1)
+    for theta in CURVE_THETAS:
         x_ev = winning_probability(quantum_strategy(theta, "X", "X"))
         z_ev = winning_probability(quantum_strategy(theta, "Z", "Z"))
         rows.append(

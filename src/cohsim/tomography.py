@@ -18,7 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from .experiment import (
-    _TOMO_DOMAIN, CountTable, ExperimentConfig, _check_bootstrap_count, simulate_counts
+    _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
+    _poisson_bootstrap, _stream, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
@@ -39,11 +40,12 @@ def simulate_tomography_counts(
     cfg: ExperimentConfig,
     stream_tag: int = 0,
 ) -> CountTable:
-    """One merged count table covering all nine settings."""
-    table = simulate_counts(state, SETTINGS[0], cfg, stream_tag=stream_tag)
-    for setting in SETTINGS[1:]:
-        table = table.merge(simulate_counts(state, setting, cfg, stream_tag=stream_tag))
-    return table
+    """One count table covering all nine settings, in ``SETTINGS`` order."""
+    counts = {
+        setting: simulate_counts(state, setting, cfg, stream_tag).trial_counts(*setting)
+        for setting in SETTINGS
+    }
+    return CountTable(counts, cfg, stream_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +121,7 @@ def _invert(pooled: np.ndarray) -> np.ndarray:
     total = cells.sum(axis=(-2, -1))
     coeff = np.zeros(batch + (4, 4))
     coeff[..., 0, 0] = 1.0
-    coeff[..., 1:, 1:] = (
-        cells[..., 0, 0] - cells[..., 0, 1] - cells[..., 1, 0] + cells[..., 1, 1]
-    ) / total
+    coeff[..., 1:, 1:] = _cell_correlator(cells)
     # Marginals: party A's axis indexes dim -2, B's dim -1; each is
     # averaged over the partner's three axes.
     marg_a = (cells[..., 0, :].sum(axis=-1) - cells[..., 1, :].sum(axis=-1)) / total
@@ -157,15 +157,11 @@ def reconstruct(
 
     ``counts`` is either one table holding all nine settings or a map
     from setting to table. With a ``target`` and ``num_bootstrap > 0``,
-    the fidelity's standard error is estimated by redrawing every pooled
-    cell from a Poisson at its observed value and re-running the
-    reconstruction on all replicates at once. The draws come from one
-    stream in replicate-major order, the nine settings of a replicate in
-    ``SETTINGS`` order and each setting's cells row-major, so they equal
-    one redraw of the nine settings per replicate in turn. Replicates in
-    which some setting redraws to a zero total cannot be inverted and
-    are left out: the standard error runs over the replicates in which
-    every setting is nonempty (``bootstrap_used`` of them).
+    the fidelity's standard error runs over the ``_poisson_bootstrap``
+    replicates of the pooled counts (settings in ``SETTINGS`` order),
+    all reconstructed at once; it leaves out the replicates with an
+    empty setting, which cannot be inverted (``bootstrap_used`` counts
+    the rest).
 
     ``num_bootstrap = 0`` means no bootstrap; one replicate has no
     spread to measure, so 1 is refused.
@@ -186,15 +182,9 @@ def reconstruct(
     if target is not None:
         fid = fidelity(rho_hat, target)
         if num_bootstrap > 0:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, _TOMO_DOMAIN, 1)))
-            draws = rng.poisson(pooled, size=(num_bootstrap,) + pooled.shape)
-            kept = draws[(draws.sum(axis=(-2, -1)) > 0).all(axis=-1)].astype(float)
+            rng = _stream(cfg.seed, tag, _TOMO_DOMAIN, 1)
+            kept = _poisson_bootstrap(pooled, rng, num_bootstrap)
             used = len(kept)
-            if used < 2:
-                raise ValueError(
-                    f"only {used} of {num_bootstrap} bootstrap replicates"
-                    " have a nonzero total in every setting"
-                )
             mats = _project(_invert(kept))[0]
             if isinstance(target, StateVector):
                 # _project returns density matrices by construction, so no

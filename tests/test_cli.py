@@ -267,6 +267,16 @@ class TestConfigPlumbing:
         assert f"{line.split()[0]}=" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_beyond_exact_range_exits_two(self, tmp_path, capsys):
+        # Unchecked, the pooled int64 counts at this rate would wrap.
+        path = tmp_path / "huge.cfg"
+        path.write_text("pair_rate = 1.5e17\n")
+        out = tmp_path / "o"
+        args = ["paradox", "--mode", "simulated", "--config", str(path), "--out", str(out)]
+        assert main(args) == 2
+        assert "exceeds 2**50" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_versions_block(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["paradox", "--out", str(out)]) == 0
@@ -555,18 +565,26 @@ class TestReportCommand:
 
     def test_count_draws_use_distinct_stream_keys(self, tmp_path, monkeypatch, capsys):
         """Every count the report draws shares one seed, so its blocks stay
-        independent only if no two draws are seeded with the same key."""
+        independent only if no two draws share a seeded generator state.
+        The states are compared, not the key tuples, because distinct keys
+        can seed the same state (``test_zero_padded_keys_share_a_state``)."""
         seed_sequence = np.random.SeedSequence
-        keys = []
+        states = []
 
         def recording(entropy, **kwargs):
-            keys.append(tuple(entropy))
-            return seed_sequence(entropy, **kwargs)
+            seq = seed_sequence(entropy, **kwargs)
+            states.append((tuple(seq.pool), seq.spawn_key))
+            return seq
 
         monkeypatch.setattr(np.random, "SeedSequence", recording)
         assert main(["report", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
-        assert keys
-        assert len(set(keys)) == len(keys)
+        assert states
+        assert len(set(states)) == len(states)
+
+    def test_zero_padded_keys_share_a_state(self):
+        # SeedSequence pads entropy shorter than its 4-word pool with zeros.
+        short, padded = np.random.SeedSequence((0, 5, 101)), np.random.SeedSequence((0, 5, 101, 0))
+        np.testing.assert_array_equal(short.pool, padded.pool)
 
     def test_reproducible_across_interpreters(self, tmp_path):
         """Two fresh interpreters with different string hashing write the

@@ -10,6 +10,8 @@ from cohsim.experiment import (
     CountTable,
     EstimatedCorrelator,
     ExperimentConfig,
+    _cell_correlator,
+    _poisson_bootstrap,
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
@@ -76,6 +78,16 @@ class TestExperimentConfig:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
+
+    def test_pooled_count_ceiling(self):
+        # Four trials of 2**48 pool to 2**50 per setting, the largest accepted.
+        edge = dict(duration_per_setting=1.0, num_trials=4, efficiency=1.0)
+        assert ExperimentConfig(pair_rate=2.0**48, **edge).mean_per_trial == 2.0**48
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*50"):
+            ExperimentConfig(pair_rate=2.0**48 * (1 + 2**-40), **edge)
+        # Unchecked, the default pooled int64 counts at this rate would wrap.
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*50"):
+            ExperimentConfig(pair_rate=1.5e17)
 
     def test_replace(self):
         cfg = ExperimentConfig().replace(seed=9, visibility_v=0.5)
@@ -193,6 +205,15 @@ class TestCountTable:
         with pytest.raises(ValueError, match="at least one"):
             CountTable({}, ONE_TRIAL)
 
+    def test_total_at_two_to_the_53_accepted(self):
+        assert hand_table([[2**51, 2**51], [2**51, 2**51]]).total("Z", "Z") == 2**53
+
+    @pytest.mark.parametrize("cell", [2**51 + 1, 2**62], ids=["just-above", "int64-wraps"])
+    def test_total_beyond_exact_floats_rejected(self, cell):
+        # Four cells of 2**62 sum to 0 in int64; the check sums as floats.
+        with pytest.raises(ValueError, match=r"more than 2\*\*53 counts"):
+            hand_table([[cell, cell], [cell, cell]])
+
     def test_counts_read_only(self):
         table = hand_table([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
@@ -256,6 +277,27 @@ class TestCountTable:
         path.write_text("".join(lines + [lines[1]]))
         with pytest.raises(ValueError, match="repeats"):
             CountTable.from_csv(path, DESK)
+
+
+class TestCountHelpers:
+    def test_cell_correlator_same_for_int_and_float_cells(self):
+        cells = np.random.default_rng(5).integers(1, 2**40, size=(50, 9, 2, 2))
+        np.testing.assert_array_equal(
+            _cell_correlator(cells), _cell_correlator(cells.astype(float))
+        )
+
+    def test_poisson_bootstrap_keeps_replicates_with_every_table_nonempty(self):
+        # The first table redraws to zero in about exp(-1) of replicates.
+        pooled = np.array([[[0, 1], [0, 0]], [[5, 5], [5, 5]]], dtype=float)
+        kept = _poisson_bootstrap(pooled, np.random.default_rng(3), 200)
+        draws = np.random.default_rng(3).poisson(pooled, size=(200, 2, 2, 2))
+        nonempty = (draws.sum(axis=(-2, -1)) > 0).all(axis=1)
+        assert 0 < np.count_nonzero(nonempty) < 200
+        np.testing.assert_array_equal(kept, draws[nonempty])
+
+    def test_poisson_bootstrap_needs_two_replicates(self):
+        with pytest.raises(ValueError, match="only 0 of 5 .* nonzero total"):
+            _poisson_bootstrap(np.zeros((2, 2)), np.random.default_rng(0), 5)
 
 
 class TestPointCorrelator:

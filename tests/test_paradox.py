@@ -838,10 +838,21 @@ class TestLhvMixtureTestErrors:
         with pytest.raises(ValueError, match=f"observation {re.escape(str(key))} is not finite"):
             lhv_mixture_test(spec, observed, tol=1e-10)
 
-    def test_negative_tol(self):
-        spec = coherence_paradox(0.4, "X")
-        with pytest.raises(ValueError):
-            lhv_mixture_test(spec, theoretical_values(spec), tol=-1.0)
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            lambda tol: lhv_mixture_test(
+                coherence_paradox(0.4, "X"), theoretical_values(coherence_paradox(0.4, "X")), tol
+            ),
+            lambda tol: ghz_stabilizer_check(werner_mix(ghz_state(3), 0.3), tol=tol),
+        ],
+        ids=["lhv_mixture_test", "ghz_stabilizer_check"],
+    )
+    def test_negative_or_nan_tol(self, verdict, tol):
+        # NaN fails every comparison, so it would pass a `tol < 0` check.
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            verdict(tol)
 
     def test_constraint_order_does_not_change_gap(self):
         spec = coherence_paradox(0.9, "X")

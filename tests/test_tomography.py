@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig
+from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig, simulate_counts
 from cohsim.measurement import AXES, setting_distribution
 from cohsim.states import (
     DensityOperator,
@@ -98,6 +98,16 @@ class TestSettings:
     def test_simulated_table_covers_all_settings(self):
         table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
         assert set(table.settings()) == set(SETTINGS)
+
+    def test_simulated_table_holds_each_setting_draw_in_order(self):
+        state = epr_family(0.5, "00")
+        table = simulate_tomography_counts(state, DESK, stream_tag=3)
+        assert table.settings() == SETTINGS
+        for setting in SETTINGS:
+            np.testing.assert_array_equal(
+                table.trial_counts(*setting),
+                simulate_counts(state, setting, DESK, stream_tag=3).trial_counts(*setting),
+            )
 
 
 class TestLinearInversion:
