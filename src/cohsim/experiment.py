@@ -1,14 +1,15 @@
 """Synthetic two-party coincidence experiment.
 
-Counting model: for one measurement setting (an axis pair), each trial
-assigns every outcome cell (a, b) an independent Poisson draw whose mean
-is ``pair_rate * efficiency * duration * P(a, b)``, with the outcome
-probabilities taken from the Born rule after mixing the source state
-with white noise at the configured visibility. Correlators are estimated
-from pooled counts; error bars come from a parametric bootstrap
-(re-drawing each cell from a Poisson at its observed mean); evidence
-against the best convex-mixture model is summarized by a Hoeffding tail
-bound optimized over the mixture weights.
+Counting model: a ``CountTable`` holds one measurement setting (an
+axis pair), and several settings are a mapping of tables. For one
+setting, each trial assigns every outcome cell (a, b) an independent
+Poisson draw with mean ``pair_rate * efficiency * duration * P(a, b)``,
+with the outcome probabilities taken from the Born rule after mixing
+the source state with white noise at the configured visibility.
+Correlators are estimated from pooled counts; error bars come from a
+parametric bootstrap (re-drawing each cell from a Poisson at its
+observed mean); evidence against the best convex-mixture model is
+summarized by a Hoeffding tail bound optimized over the mixture weights.
 
 Every random quantity draws from its own RNG stream (``_stream``) keyed
 by the seed, the table's stream tag, the setting, and the trial or
@@ -169,112 +170,101 @@ def _check_bootstrap_count(num_bootstrap: int, allow_none: bool = False) -> None
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Per-trial coincidence counts for one or more settings.
+    """Per-trial coincidence counts for one setting.
 
-    ``counts`` maps an axis pair ``(u, v)`` to an integer array of shape
-    ``(num_trials, 2, 2)`` indexed by (trial, a, b). The config snapshot
-    and the stream tag pin down exactly which RNG streams produced the
-    data, so bootstrap draws can be derived without clashing with them.
+    ``setting`` is the axis pair ``(u, v)`` and ``counts`` a read-only
+    int64 array of shape ``(num_trials, 2, 2)`` indexed by (trial, a, b).
+    Several settings are a mapping of tables. The config snapshot and
+    the stream tag pin down exactly which RNG streams produced the data,
+    so bootstrap draws can be derived without clashing with them.
     """
 
-    counts: dict[tuple[str, str], np.ndarray]
+    setting: tuple[str, str]
+    counts: np.ndarray
     config: ExperimentConfig
     stream_tag: int = 0
 
     def __post_init__(self) -> None:
         if self.stream_tag < 0:
             raise ValueError("stream_tag must be nonnegative")
-        frozen: dict[tuple[str, str], np.ndarray] = {}
-        for (u, v), arr in self.counts.items():
-            _check_axis(u)
-            _check_axis(v)
-            data = np.array(arr, dtype=np.int64)
-            if data.ndim != 3 or data.shape[1:] != (2, 2):
-                raise ValueError(f"counts for ({u},{v}) must have shape (trials, 2, 2)")
-            if data.shape[0] != self.config.num_trials:
-                raise ValueError(
-                    f"counts for ({u},{v}) have {data.shape[0]} trials, "
-                    f"config says {self.config.num_trials}"
-                )
-            if int(data.min(initial=0)) < 0:
-                raise ValueError(f"negative count in setting ({u},{v})")
-            # A float sum, as an int64 one can itself wrap.
-            if data.sum(dtype=float) > 2.0**53:
-                raise ValueError(f"setting ({u},{v}) totals more than 2**53 counts")
-            data.setflags(write=False)
-            frozen[(u, v)] = data
-        if not frozen:
-            raise ValueError("count table needs at least one setting")
-        object.__setattr__(self, "counts", frozen)
-
-    def settings(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.counts.keys())
-
-    def trial_counts(self, u: str, v: str) -> np.ndarray:
-        key = (u, v)
-        if key not in self.counts:
-            raise KeyError(f"no counts for setting ({u},{v})")
-        return self.counts[key]
+        u, v = self.setting
+        _check_axis(u)
+        _check_axis(v)
+        try:
+            with np.errstate(invalid="ignore"):
+                data = np.array(self.counts, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            data = None
+        if data is None or not np.array_equal(data, self.counts):
+            raise ValueError(f"counts for ({u},{v}) must be whole numbers within int64")
+        if data.ndim != 3 or data.shape[1:] != (2, 2):
+            raise ValueError(f"counts for ({u},{v}) must have shape (trials, 2, 2)")
+        if data.shape[0] != self.config.num_trials:
+            raise ValueError(
+                f"counts for ({u},{v}) have {data.shape[0]} trials, "
+                f"config says {self.config.num_trials}"
+            )
+        if int(data.min(initial=0)) < 0:
+            raise ValueError(f"negative count in setting ({u},{v})")
+        # A float sum, as an int64 one can itself wrap.
+        if data.sum(dtype=float) > 2.0**53:
+            raise ValueError(f"setting ({u},{v}) totals more than 2**53 counts")
+        data.setflags(write=False)
+        object.__setattr__(self, "setting", (u, v))
+        object.__setattr__(self, "counts", data)
 
     def pooled(self, u: str, v: str) -> np.ndarray:
-        """Counts summed over trials, shape (2, 2)."""
-        return self.trial_counts(u, v).sum(axis=0)
+        """Counts of setting ``(u, v)`` summed over trials, shape (2, 2).
 
-    def total(self, u: str, v: str) -> int:
-        return int(self.pooled(u, v).sum())
-
-    def merge(self, other: "CountTable") -> "CountTable":
-        """Combine disjoint settings recorded under the same config and tag."""
-        if self.config != other.config or self.stream_tag != other.stream_tag:
-            raise ValueError("can only merge tables with identical config and stream tag")
-        overlap = set(self.counts) & set(other.counts)
-        if overlap:
-            raise ValueError(f"settings recorded twice: {sorted(overlap)}")
-        return CountTable({**self.counts, **other.counts}, self.config, self.stream_tag)
+        Raises:
+            KeyError: ``(u, v)`` is not this table's setting.
+        """
+        if (u, v) != self.setting:
+            raise KeyError(f"no counts for setting ({u},{v})")
+        return self.counts.sum(axis=0)
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``u,v,a,b,trial,count`` (one per cell per trial)."""
+        u, v = self.setting
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["u", "v", "a", "b", "trial", "count"])
-            for (u, v) in sorted(self.counts):
-                data = self.counts[(u, v)]
-                for t in range(data.shape[0]):
-                    for a in range(2):
-                        for b in range(2):
-                            writer.writerow([u, v, a, b, t, int(data[t, a, b])])
+            for t, cells in enumerate(self.counts):
+                for (a, b), count in np.ndenumerate(cells):
+                    writer.writerow([u, v, a, b, t, int(count)])
 
     @classmethod
     def from_csv(
         cls, path: str | Path, config: ExperimentConfig, stream_tag: int = 0
     ) -> "CountTable":
-        """Read rows written by ``to_csv``.
+        """Read the rows of one setting written by ``to_csv``.
 
         Raises:
-            ValueError: a ``(u, v, trial, a, b)`` cell given twice, or a
-                setting without exactly the 4 cells of each trial
+            ValueError: rows of more than one setting, a ``(trial, a, b)``
+                cell given twice, or not exactly the 4 cells of each trial
                 ``0..T-1``, where T is ``config.num_trials``.
         """
-        cells: dict[tuple[str, str], dict[tuple[int, int, int], int]] = {}
+        setting = None
+        cells: dict[tuple[int, int, int], int] = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                key = (row["u"], row["v"])
+                found = (row["u"], row["v"])
+                if setting not in (None, found):
+                    raise ValueError(f"count file holds settings {setting} and {found}")
+                setting = found
                 cell = (int(row["trial"]), int(row["a"]), int(row["b"]))
-                cellmap = cells.setdefault(key, {})
-                if cell in cellmap:
-                    raise ValueError(f"setting {key} repeats cell (trial, a, b) = {cell}")
-                cellmap[cell] = int(row["count"])
+                if cell in cells:
+                    raise ValueError(f"setting {setting} repeats cell (trial, a, b) = {cell}")
+                cells[cell] = int(row["count"])
         grid = [(t, a, b) for t in range(config.num_trials) for a in range(2) for b in range(2)]
-        counts = {}
-        for key, cellmap in cells.items():
-            if set(cellmap) != set(grid):
-                raise ValueError(
-                    f"setting {key} needs the 4 cells of each trial 0..{config.num_trials - 1};"
-                    f" missing {sorted(set(grid) - set(cellmap))},"
-                    f" unexpected {sorted(set(cellmap) - set(grid))}"
-                )
-            counts[key] = np.array([cellmap[cell] for cell in grid]).reshape(-1, 2, 2)
-        return cls(counts, config, stream_tag)
+        if set(cells) != set(grid):
+            raise ValueError(
+                f"setting {setting} needs the 4 cells of each trial 0..{config.num_trials - 1};"
+                f" missing {sorted(set(grid) - set(cells))},"
+                f" unexpected {sorted(set(cells) - set(grid))}"
+            )
+        counts = np.array([cells[cell] for cell in grid]).reshape(-1, 2, 2)
+        return cls(setting, counts, config, stream_tag)
 
 
 @dataclass(frozen=True)
@@ -316,7 +306,7 @@ def simulate_counts(
     trials = np.empty((cfg.num_trials, 2, 2), dtype=np.int64)
     for t in range(cfg.num_trials):
         trials[t] = _stream(cfg.seed, stream_tag, AXIS_CODE[u], AXIS_CODE[v], t).poisson(means)
-    return CountTable({(u, v): trials}, cfg, stream_tag)
+    return CountTable((u, v), trials, cfg, stream_tag)
 
 
 def point_correlator(table: CountTable, u: str, v: str) -> tuple[float, int]:

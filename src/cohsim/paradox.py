@@ -14,7 +14,6 @@ simplex in numpy (``_mixture_lp``).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -120,9 +119,6 @@ class ParadoxSpec:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ParadoxSpec":
         constraints = tuple(
@@ -134,10 +130,6 @@ class ParadoxSpec:
             claim_doc["mixed"], tuple(claim_doc["components"]), claim_doc.get("note", "")
         )
         return cls(constraints, claim)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParadoxSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,9 @@ def simulate_tomography_counts(
     state: StateVector | DensityOperator,
     cfg: ExperimentConfig,
     stream_tag: int = 0,
-) -> CountTable:
-    """One count table covering all nine settings, in ``SETTINGS`` order."""
-    counts = {
-        setting: simulate_counts(state, setting, cfg, stream_tag).trial_counts(*setting)
-        for setting in SETTINGS
-    }
-    return CountTable(counts, cfg, stream_tag)
+) -> dict[tuple[str, str], CountTable]:
+    """One ``simulate_counts`` table per setting, keyed in ``SETTINGS`` order."""
+    return {setting: simulate_counts(state, setting, cfg, stream_tag) for setting in SETTINGS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +92,9 @@ def _simplex_project(eigs: np.ndarray) -> np.ndarray:
 
 
 def _pooled_stack(
-    counts: CountTable | Mapping[tuple[str, str], CountTable],
+    tables: Mapping[tuple[str, str], CountTable],
 ) -> tuple[np.ndarray, ExperimentConfig, int]:
     """Pooled ``(9, 2, 2)`` counts in ``SETTINGS`` order plus the seed-bearing config/tag."""
-    if isinstance(counts, CountTable):
-        tables = {setting: counts for setting in counts.settings()}
-    else:
-        tables = dict(counts)
     missing = [s for s in SETTINGS if s not in tables]
     if missing:
         raise ValueError(f"missing tomography settings: {missing}")
@@ -149,19 +141,20 @@ def _project(rho_linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reconstruct(
-    counts: CountTable | Mapping[tuple[str, str], CountTable],
+    counts: Mapping[tuple[str, str], CountTable],
     target: StateVector | DensityOperator | None = None,
     num_bootstrap: int = 0,
 ) -> TomographyResult:
     """Reconstruct a two-qubit state from nine-setting counts.
 
-    ``counts`` is either one table holding all nine settings or a map
-    from setting to table. With a ``target`` and ``num_bootstrap > 0``,
-    the fidelity's standard error runs over the ``_poisson_bootstrap``
-    replicates of the pooled counts (settings in ``SETTINGS`` order),
-    all reconstructed at once; it leaves out the replicates with an
-    empty setting, which cannot be inverted (``bootstrap_used`` counts
-    the rest).
+    ``counts`` maps each of the nine settings to its table, as
+    ``simulate_tomography_counts`` returns them; the bootstrap streams
+    derive from the config and tag of the first setting's table. With a
+    ``target`` and ``num_bootstrap > 0``, the fidelity's standard error
+    runs over the ``_poisson_bootstrap`` replicates of the pooled counts
+    (settings in ``SETTINGS`` order), all reconstructed at once; it
+    leaves out the replicates with an empty setting, which cannot be
+    inverted (``bootstrap_used`` counts the rest).
 
     ``num_bootstrap = 0`` means no bootstrap; one replicate has no
     spread to measure, so 1 is refused.
@@ -251,8 +244,8 @@ def tomography_report(
     chosen = states if states is not None else report_states()
     records = []
     for idx, (label, psi) in enumerate(chosen):
-        table = simulate_tomography_counts(psi, cfg, stream_tag=tag_base + idx)
-        result = reconstruct(table, target=psi, num_bootstrap=num_bootstrap)
+        tables = simulate_tomography_counts(psi, cfg, stream_tag=tag_base + idx)
+        result = reconstruct(tables, target=psi, num_bootstrap=num_bootstrap)
         records.append(
             {
                 "label": label,

@@ -1,9 +1,14 @@
 """Synthetic counting experiment: counts, estimators, p-values, fringes."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cohsim.experiment import (
     CLASSICAL_VISIBILITY_BOUND,
@@ -20,10 +25,11 @@ from cohsim.experiment import (
     simulate_counts,
     visibility_scan,
 )
-from cohsim.measurement import ObservableChain
+from cohsim.measurement import AXES, ObservableChain
 from cohsim.paradox import MixtureClaim, ParadoxConstraint, ParadoxSpec, coherence_paradox
 from cohsim.states import DensityOperator, StateVector, epr_family, werner_mix
 
+from .test_measurement import PROPERTY_SETTINGS
 from .test_states import random_state
 
 DESK = ExperimentConfig(
@@ -42,7 +48,7 @@ ONE_TRIAL = ExperimentConfig(
 
 def hand_table(cells, cfg=ONE_TRIAL, setting=("Z", "Z"), stream_tag=0) -> CountTable:
     arr = np.array(cells, dtype=np.int64).reshape(1, 2, 2)
-    return CountTable({setting: arr}, cfg, stream_tag)
+    return CountTable(setting, arr, cfg, stream_tag)
 
 
 class TestExperimentConfig:
@@ -156,22 +162,16 @@ class TestSimulateCounts:
         state = epr_family(math.pi / 4, "00")
         a = simulate_counts(state, ("X", "X"), DESK, stream_tag=3)
         b = simulate_counts(state, ("X", "X"), DESK, stream_tag=3)
-        np.testing.assert_array_equal(
-            a.trial_counts("X", "X"), b.trial_counts("X", "X")
-        )
+        np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_streams_separate_by_tag_seed_trial(self):
         state = epr_family(math.pi / 4, "00")
         base = simulate_counts(state, ("X", "X"), DESK, stream_tag=0)
         other_tag = simulate_counts(state, ("X", "X"), DESK, stream_tag=1)
         other_seed = simulate_counts(state, ("X", "X"), DESK.replace(seed=1))
-        assert not np.array_equal(
-            base.trial_counts("X", "X"), other_tag.trial_counts("X", "X")
-        )
-        assert not np.array_equal(
-            base.trial_counts("X", "X"), other_seed.trial_counts("X", "X")
-        )
-        trials = base.trial_counts("X", "X")
+        assert not np.array_equal(base.counts, other_tag.counts)
+        assert not np.array_equal(base.counts, other_seed.counts)
+        trials = base.counts
         assert not np.array_equal(trials[0], trials[1])
 
     def test_counts_near_expected_mean(self):
@@ -197,16 +197,25 @@ class TestSimulateCounts:
 class TestCountTable:
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            CountTable({("Z", "Z"): np.zeros((2, 2), dtype=np.int64)}, ONE_TRIAL)
+            CountTable(("Z", "Z"), np.zeros((2, 2), dtype=np.int64), ONE_TRIAL)
         with pytest.raises(ValueError, match="trials"):
-            CountTable({("Z", "Z"): np.zeros((3, 2, 2), dtype=np.int64)}, ONE_TRIAL)
+            CountTable(("Z", "Z"), np.zeros((3, 2, 2), dtype=np.int64), ONE_TRIAL)
         with pytest.raises(ValueError, match="negative"):
             hand_table([[-1, 0], [0, 1]])
-        with pytest.raises(ValueError, match="at least one"):
-            CountTable({}, ONE_TRIAL)
+        with pytest.raises(ValueError, match="setting axis"):
+            hand_table([[1, 0], [0, 1]], setting=("Q", "Z"))
+
+    @pytest.mark.parametrize(
+        "cell", [1.5, float("nan"), 2**63], ids=["fraction", "nan", "beyond-int64"]
+    )
+    def test_inexact_count_rejected(self, cell):
+        # int64 conversion would truncate 1.5 to 1, fail on NaN with numpy's
+        # own message and on 2**63 with OverflowError.
+        with pytest.raises(ValueError, match="whole numbers within int64"):
+            CountTable(("Z", "Z"), [[[cell, 0], [0, 0]]], ONE_TRIAL)
 
     def test_total_at_two_to_the_53_accepted(self):
-        assert hand_table([[2**51, 2**51], [2**51, 2**51]]).total("Z", "Z") == 2**53
+        assert hand_table([[2**51, 2**51], [2**51, 2**51]]).pooled("Z", "Z").sum() == 2**53
 
     @pytest.mark.parametrize("cell", [2**51 + 1, 2**62], ids=["just-above", "int64-wraps"])
     def test_total_beyond_exact_floats_rejected(self, cell):
@@ -217,50 +226,62 @@ class TestCountTable:
     def test_counts_read_only(self):
         table = hand_table([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
-            table.counts[("Z", "Z")][0, 0, 0] = 9
+            table.counts[0, 0, 0] = 9
 
     def test_pooled_and_total(self):
         cfg = ONE_TRIAL.replace(num_trials=2)
         arr = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=np.int64)
-        table = CountTable({("X", "Z"): arr}, cfg)
+        table = CountTable(("X", "Z"), arr, cfg)
         np.testing.assert_array_equal(table.pooled("X", "Z"), [[6, 8], [10, 12]])
-        assert table.total("X", "Z") == 36
+        assert point_correlator(table, "X", "Z")[1] == 36
 
-    def test_merge_disjoint(self):
-        a = hand_table([[1, 2], [3, 4]], setting=("Z", "Z"))
-        b = hand_table([[5, 6], [7, 8]], setting=("X", "X"))
-        merged = a.merge(b)
-        assert set(merged.settings()) == {("Z", "Z"), ("X", "X")}
-
-    def test_merge_rejects_overlap_and_mismatch(self):
-        a = hand_table([[1, 2], [3, 4]])
-        with pytest.raises(ValueError, match="twice"):
-            a.merge(hand_table([[1, 1], [1, 1]]))
-        other_cfg = hand_table([[1, 1], [1, 1]], cfg=ONE_TRIAL.replace(seed=5))
-        with pytest.raises(ValueError, match="config"):
-            a.merge(other_cfg)
+    def test_other_setting_rejected(self):
+        # Without the guard a ZZ table would answer for XX.
+        table = hand_table([[1, 2], [3, 4]])
+        with pytest.raises(KeyError, match="no counts for setting"):
+            point_correlator(table, "X", "X")
+        with pytest.raises(KeyError, match="no counts for setting"):
+            correlator_from_counts(table, "X", "X")
 
     def test_csv_round_trip(self, tmp_path):
         table = simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK, stream_tag=2)
         path = tmp_path / "counts.csv"
         table.to_csv(path)
         clone = CountTable.from_csv(path, DESK, stream_tag=2)
-        np.testing.assert_array_equal(
-            clone.trial_counts("X", "Y"), table.trial_counts("X", "Y")
-        )
+        np.testing.assert_array_equal(clone.counts, table.counts)
         est_a = correlator_from_counts(table, "X", "Y")
         est_b = correlator_from_counts(clone, "X", "Y")
         assert est_a.value == est_b.value
         assert est_a.std_err == est_b.std_err
 
-    def test_csv_round_trip_is_byte_stable(self, tmp_path):
-        xy = simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK, stream_tag=2)
-        zz = simulate_counts(epr_family(0.5, "00"), ("Z", "Z"), DESK, stream_tag=2)
-        table = xy.merge(zz)
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        table.to_csv(first)
-        CountTable.from_csv(first, DESK, stream_tag=2).to_csv(second)
-        assert second.read_bytes() == first.read_bytes()
+    @PROPERTY_SETTINGS
+    @given(
+        setting=st.tuples(st.sampled_from(AXES), st.sampled_from(AXES)),
+        counts=arrays(
+            np.int64, st.integers(1, 4).map(lambda t: (t, 2, 2)), elements=st.integers(0, 2**40)
+        ),
+        stream_tag=st.integers(0, 2**64),
+    )
+    def test_csv_round_trip_is_byte_stable(self, setting, counts, stream_tag):
+        cfg = ONE_TRIAL.replace(num_trials=len(counts))
+        table = CountTable(setting, counts, cfg, stream_tag)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            table.to_csv(first)
+            clone = CountTable.from_csv(first, cfg, stream_tag)
+            clone.to_csv(second)
+            assert clone.setting == setting
+            np.testing.assert_array_equal(clone.counts, counts)
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_csv_with_two_settings_rejected(self, tmp_path):
+        xy, zz = tmp_path / "xy.csv", tmp_path / "zz.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(xy)
+        simulate_counts(epr_family(0.5, "00"), ("Z", "Z"), DESK).to_csv(zz)
+        rows = zz.read_text().splitlines(keepends=True)[1:]
+        xy.write_text(xy.read_text() + "".join(rows))
+        with pytest.raises(ValueError, match="holds settings"):
+            CountTable.from_csv(xy, DESK)
 
     def test_csv_dropped_row_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
@@ -429,16 +450,14 @@ class TestParadoxCounts:
             ("00", "XX"),
         }
         for (label, obs), table in counts.items():
-            assert table.settings() == ((obs[0], obs[1]),)
+            assert table.setting == (obs[0], obs[1])
 
     def test_tag_base_shifts_streams(self):
         spec = coherence_paradox(math.pi / 4, "X")
         a = paradox_counts(spec, self.sources(), DESK)
         b = paradox_counts(spec, self.sources(), DESK, tag_base=50)
         key = ("00", "XX")
-        assert not np.array_equal(
-            a[key].trial_counts("X", "X"), b[key].trial_counts("X", "X")
-        )
+        assert not np.array_equal(a[key].counts, b[key].counts)
 
     def test_missing_source_rejected(self):
         spec = coherence_paradox(math.pi / 4, "X")

@@ -57,7 +57,7 @@ def exact_tables(state, scale: int) -> dict:
     for setting in SETTINGS:
         probs = setting_distribution(state, *setting)
         cells = np.round(probs * scale).astype(np.int64).reshape(1, 2, 2)
-        tables[setting] = CountTable({setting: cells}, FLAT_CFG)
+        tables[setting] = CountTable(setting, cells, FLAT_CFG)
     return tables
 
 
@@ -96,17 +96,17 @@ class TestSettings:
         assert all(u in "XYZ" and v in "XYZ" for u, v in SETTINGS)
 
     def test_simulated_table_covers_all_settings(self):
-        table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
-        assert set(table.settings()) == set(SETTINGS)
+        tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        assert set(tables) == set(SETTINGS)
+        assert all(table.setting == setting for setting, table in tables.items())
 
     def test_simulated_table_holds_each_setting_draw_in_order(self):
         state = epr_family(0.5, "00")
-        table = simulate_tomography_counts(state, DESK, stream_tag=3)
-        assert table.settings() == SETTINGS
-        for setting in SETTINGS:
+        tables = simulate_tomography_counts(state, DESK, stream_tag=3)
+        assert tuple(tables) == SETTINGS
+        for setting, table in tables.items():
             np.testing.assert_array_equal(
-                table.trial_counts(*setting),
-                simulate_counts(state, setting, DESK, stream_tag=3).trial_counts(*setting),
+                table.counts, simulate_counts(state, setting, DESK, stream_tag=3).counts
             )
 
 
@@ -148,13 +148,6 @@ class TestLinearInversion:
             pooled = {s: rng.integers(1, 1000, size=(2, 2)).astype(float) for s in SETTINGS}
             stack = np.array([pooled[s] for s in SETTINGS])
             np.testing.assert_array_equal(_invert(stack), dense_invert(pooled))
-
-    def test_single_table_and_mapping_agree(self):
-        table = simulate_tomography_counts(epr_family(0.6, "00"), DESK, stream_tag=2)
-        split = {setting: table for setting in table.settings()}
-        a = reconstruct(table)
-        b = reconstruct(split)
-        np.testing.assert_array_equal(a.rho_linear, b.rho_linear)
 
 
 def brute_simplex_project(eigs: np.ndarray) -> np.ndarray:
@@ -205,8 +198,8 @@ class TestSimplexProjection:
 class TestReconstructionQuality:
     def test_noiseless_fidelity_near_one(self):
         state = epr_family(math.pi / 4, "00")
-        table = simulate_tomography_counts(state, DESK)
-        result = reconstruct(table, target=state)
+        tables = simulate_tomography_counts(state, DESK)
+        result = reconstruct(tables, target=state)
         assert result.fidelity_to_target > 0.999
         assert result.fidelity_std_err is None
 
@@ -214,8 +207,8 @@ class TestReconstructionQuality:
         sparse = ExperimentConfig(
             pair_rate=20.0, duration_per_setting=1.0, num_trials=1, efficiency=1.0, seed=5
         )
-        table = simulate_tomography_counts(epr_family(1.0, "00"), sparse)
-        result = reconstruct(table)
+        tables = simulate_tomography_counts(epr_family(1.0, "00"), sparse)
+        result = reconstruct(tables)
         eigs = np.linalg.eigvalsh(result.rho_hat.matrix)
         assert np.all(eigs >= -1e-12)
         assert np.trace(result.rho_hat.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -226,25 +219,25 @@ class TestReconstructionQuality:
         # entangled target.
         state = epr_family(math.pi / 4, "00")
         cfg = DESK.replace(visibility_v=0.98)
-        table = simulate_tomography_counts(state, cfg, stream_tag=8)
-        result = reconstruct(table, target=state, num_bootstrap=100)
+        tables = simulate_tomography_counts(state, cfg, stream_tag=8)
+        result = reconstruct(tables, target=state, num_bootstrap=100)
         expected = math.sqrt(0.98 + 0.02 / 4.0)
         assert result.fidelity_std_err > 0.0
         assert abs(result.fidelity_to_target - expected) <= 3.0 * result.fidelity_std_err
 
     def test_bootstrap_is_deterministic(self):
         state = epr_family(math.pi / 4, "00")
-        table = simulate_tomography_counts(state, DESK.replace(seed=4), stream_tag=1)
-        a = reconstruct(table, target=state, num_bootstrap=30)
-        b = reconstruct(table, target=state, num_bootstrap=30)
+        tables = simulate_tomography_counts(state, DESK.replace(seed=4), stream_tag=1)
+        a = reconstruct(tables, target=state, num_bootstrap=30)
+        b = reconstruct(tables, target=state, num_bootstrap=30)
         assert a.fidelity_std_err == b.fidelity_std_err
 
     def test_single_bootstrap_replicate_rejected(self):
         # One replicate has no spread; a 0.0 error would read as exact.
         state = epr_family(math.pi / 4, "00")
-        table = simulate_tomography_counts(state, DESK)
+        tables = simulate_tomography_counts(state, DESK)
         with pytest.raises(ValueError, match="num_bootstrap=1: .* at least 2 replicates"):
-            reconstruct(table, target=state, num_bootstrap=1)
+            reconstruct(tables, target=state, num_bootstrap=1)
 
 
 def loop_bootstrap(tables, target, num_bootstrap):
@@ -285,8 +278,7 @@ class TestBatchedBootstrap:
         # One report state per seed, so all six are covered.
         _label, psi = report_states()[seed]
         cfg = DESK.replace(seed=seed, visibility_v=visibility)
-        table = simulate_tomography_counts(psi, cfg, stream_tag=seed)
-        tables = {s: table for s in SETTINGS}
+        tables = simulate_tomography_counts(psi, cfg, stream_tag=seed)
         result = self.assert_matches_loop(tables, psi, num_bootstrap)
         assert result.bootstrap_used == num_bootstrap
 
@@ -297,29 +289,29 @@ class TestBatchedBootstrap:
 
     def test_matches_loop_for_density_target(self):
         psi = epr_family(math.pi / 4, "00")
-        table = simulate_tomography_counts(psi, DESK.replace(visibility_v=0.9), stream_tag=3)
-        self.assert_matches_loop({s: table for s in SETTINGS}, werner_mix(psi, 0.9), 30)
+        tables = simulate_tomography_counts(psi, DESK.replace(visibility_v=0.9), stream_tag=3)
+        self.assert_matches_loop(tables, werner_mix(psi, 0.9), 30)
 
     def test_no_bootstrap_reports_no_count(self):
-        table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
-        assert reconstruct(table).bootstrap_used is None
-        assert reconstruct(table, target=epr_family(0.5, "00")).bootstrap_used is None
+        tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        assert reconstruct(tables).bootstrap_used is None
+        assert reconstruct(tables, target=epr_family(0.5, "00")).bootstrap_used is None
 
     def test_negative_replicate_count_rejected(self):
-        table = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
         with pytest.raises(ValueError, match="num_bootstrap=-1"):
-            reconstruct(table, target=epr_family(0.5, "00"), num_bootstrap=-1)
+            reconstruct(tables, target=epr_family(0.5, "00"), num_bootstrap=-1)
 
     def test_memory_stays_small(self):
         # 1000 replicates hold a few (1000, 4, 4) stacks, about 2 MB at
         # peak; one dense per-replicate intermediate such as a
         # (1000, 16, 4, 4) Pauli stack would pass 4 MB on its own.
         _label, psi = report_states()[4]
-        table = simulate_tomography_counts(psi, DESK, stream_tag=4)
-        reconstruct(table, target=psi, num_bootstrap=2)
+        tables = simulate_tomography_counts(psi, DESK, stream_tag=4)
+        reconstruct(tables, target=psi, num_bootstrap=2)
         tracemalloc.start()
         try:
-            reconstruct(table, target=psi, num_bootstrap=1000)
+            reconstruct(tables, target=psi, num_bootstrap=1000)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -336,7 +328,7 @@ class TestReconstructValidation:
     def test_zero_total_rejected(self):
         tables = exact_tables(epr_family(0.5, "00"), 2**20)
         empty = np.zeros((1, 2, 2), dtype=np.int64)
-        tables[("X", "X")] = CountTable({("X", "X"): empty}, FLAT_CFG)
+        tables[("X", "X")] = CountTable(("X", "X"), empty, FLAT_CFG)
         with pytest.raises(ValueError, match="zero total"):
             reconstruct(tables)
 
@@ -345,7 +337,7 @@ class TestReconstructValidation:
         """Every setting records ``count`` coincidences, all in cell (0, 0)."""
         cells = np.zeros((1, 2, 2), dtype=np.int64)
         cells[0, 0, 0] = count
-        return {s: CountTable({s: cells}, FLAT_CFG) for s in SETTINGS}
+        return {s: CountTable(s, cells, FLAT_CFG) for s in SETTINGS}
 
     def test_bootstrap_leaves_out_empty_replicates(self):
         # Empty cells redraw to zero, so every replicate whose nine
