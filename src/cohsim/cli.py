@@ -1,17 +1,19 @@
 """Command-line frontend.
 
 Each subcommand writes one output directory holding ``manifest.json``
-plus its data files (CSV/JSON). Every data file goes through ``_Run``,
-which picks its path and records it in the manifest; the library modules
-return rows, documents and matrices, and their writers (``write_rows_csv``,
-``write_density_csv``, the ``to_csv`` methods) write only the paths
-``_Run`` hands them. The manifest is written first, then finalized with
-the full file list and wall-clock time, so a run can be audited and
-replayed: the same command, seed, and config reproduce every data file
-bit for bit. Timing fields in the manifest itself are the only
-non-deterministic bytes.
+plus its data files (CSV/JSON). ``main`` opens a ``_Run``, the command
+writes every data file through it and returns its summary lines, and
+``main`` finishes the run. ``_Run`` picks each path and records it in the
+manifest; the library writers (``write_rows_csv``, ``write_density_csv``,
+the ``to_csv`` methods) write only the paths it hands them. The
+directory and its manifest appear with the first data file, so input
+rejected before then leaves no directory. The manifest is finalized with
+the file list and wall-clock time, so a run can be audited and replayed:
+the same command, seed, and config reproduce every data file bit for
+bit. Timing fields in the manifest are the only non-deterministic bytes.
 
-Exit codes: 0 success, 2 bad arguments or values, 3 numerical failure.
+Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``
+too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -98,20 +100,17 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(parse_angle(p) for p in parts)
 
 
-def _json_safe(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config file (flag, else $COHSIM_CONFIG), with flag overrides on top."""
+    """Config file (flag, else $COHSIM_CONFIG), with flag overrides on top;
+    the defaults for a command without a ``--config`` flag."""
+    if not hasattr(args, "config"):
+        return ExperimentConfig()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "visibility", None) is not None:
+    if args.visibility is not None:
         overrides["visibility_v"] = args.visibility
-    path = getattr(args, "config", None) or os.environ.get("COHSIM_CONFIG")
+    path = args.config or os.environ.get("COHSIM_CONFIG")
     if path:
         return ExperimentConfig.from_file(path, **overrides)
     return ExperimentConfig(**overrides)
@@ -120,25 +119,22 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 class _Run:
     """One output directory and its manifest, the audit record of the run.
 
-    The directory is created and the manifest written on construction.
+    Construction loads the config and starts the clock, with no I/O.
     Every data file goes through ``path``, ``csv`` or ``json``, which
-    record it; ``finish`` rewrites the manifest with the sorted file list
+    record it (the first also creates the directory and writes the
+    manifest); ``finish`` rewrites the manifest with the sorted file list
     and the wall-clock time.
     """
 
-    def __init__(self, args: argparse.Namespace, cfg: ExperimentConfig) -> None:
-        self.dir = Path(args.out) if getattr(args, "out", None) else Path(f"cohsim_{args.command}")
-        self.dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.cfg = _load_config(args)
+        self.dir = Path(args.out) if args.out else Path(f"cohsim_{args.command}")
         self.files: set[str] = set()
         self.manifest = {
             "command": args.command,
-            "arguments": {
-                k: _json_safe(v)
-                for k, v in vars(args).items()
-                if k not in ("func", "command")
-            },
-            "config": cfg.to_dict(),
-            "seed": cfg.seed,
+            "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+            "config": self.cfg.to_dict(),
+            "seed": self.cfg.seed,
             "versions": {
                 "cohsim": __version__,
                 "numpy": np.__version__,
@@ -149,12 +145,19 @@ class _Run:
             "wall_clock_seconds": None,
             "counters": {},
         }
-        self.json("manifest.json", self.manifest)
         self._t_start = time.monotonic()
 
     def path(self, name: str) -> Path:
         """Record ``name`` (relative to the run directory), create its
-        parent directory, and return its path."""
+        parent directory, and return its path. The first call creates the
+        run directory (``ValueError`` if it cannot) and writes the manifest."""
+        if not self.files:
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ValueError(f"cannot create output directory {self.dir}: {err.strerror}")
+            self.files.add("manifest.json")
+            self.json("manifest.json", self.manifest)
         self.files.add(name)
         path = self.dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -185,18 +188,11 @@ def _verdict_line(verdict: dict) -> str:
     return line
 
 
-def _bootstrap_count(args: argparse.Namespace) -> int:
-    _check_bootstrap_count(args.bootstrap, allow_none=True)
-    return args.bootstrap
-
-
 def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
-def _tomography(
-    run: _Run, prefix: str, cfg: ExperimentConfig, num_bootstrap: int, **kwargs
-) -> list[dict]:
+def _tomography(run: _Run, prefix: str, num_bootstrap: int, **kwargs) -> list[dict]:
     """Tomography dumps under ``prefix``, with each state's requested and
     used bootstrap replicates counted in the manifest.
 
@@ -204,7 +200,7 @@ def _tomography(
     ``rho_<slug>.json``; then ``fidelities.csv``, one row per state, with
     an empty std-err cell when no bootstrap ran.
     """
-    records = tomography_report(cfg, num_bootstrap=num_bootstrap, **kwargs)
+    records = tomography_report(run.cfg, num_bootstrap=num_bootstrap, **kwargs)
     scores = ("fidelity", "fidelity_std_err", "clip_magnitude")
     for rec in records:
         stem = f"{prefix}rho_{_slug(rec['label'])}"
@@ -225,14 +221,23 @@ def _tomography(
     return records
 
 
-def cmd_paradox(args: argparse.Namespace) -> int:
+def _scan(run: _Run, name: str, fixed: float, points: int, simulate: bool, tag: int = 0) -> dict:
+    """Fringe scan of the pi/4 superposition on the grid ``i*pi/points``:
+    the rates go to ``name``, and the fit comes back as a document."""
+    grid = [i * math.pi / points for i in range(points)]
+    scan = visibility_scan(
+        epr_family(math.pi / 4, "00"), fixed, grid, run.cfg, simulate=simulate, stream_tag=tag
+    )
+    scan.to_csv(run.path(name))
+    return scan.to_dict()
+
+
+def cmd_paradox(args: argparse.Namespace, run: _Run) -> list[str]:
     theta = parse_angle(args.theta)
-    cfg = _load_config(args)
-    run = _Run(args, cfg)
     if args.mode == "exact":
         _spec, rows, verdict = paradox_exact_block(theta, args.axis)
     else:
-        _spec, rows, verdict, counts = paradox_simulated_block(theta, args.axis, cfg)
+        _spec, rows, verdict, counts = paradox_simulated_block(theta, args.axis, run.cfg)
         for (label, obs), table in sorted(counts.items()):
             table.to_csv(run.path(f"counts_{label}_{obs}.csv"))
     run.csv("paradox.csv", rows)
@@ -243,17 +248,15 @@ def cmd_paradox(args: argparse.Namespace) -> int:
         if args.mode == "simulated":
             line += f"  estimate {row['estimate']:+.6f} +/- {row['std_err']:.6f}"
         lines.append(line)
-    return run.finish(lines + [_verdict_line(verdict)])
+    return lines + [_verdict_line(verdict)]
 
 
-def cmd_game(args: argparse.Namespace) -> int:
+def cmd_game(args: argparse.Namespace, run: _Run) -> list[str]:
     thetas = parse_angle_list(args.theta_grid)
-    cfg = _load_config(args)
-    run = _Run(args, cfg)
     if args.mode == "exact":
         rows = game_exact_rows(thetas, args.strategy)
     else:
-        rows = game_simulated_rows(thetas, args.strategy, cfg)
+        rows = game_simulated_rows(thetas, args.strategy, run.cfg)
     run.csv("game.csv", rows)
     lines = []
     for row in rows:
@@ -261,18 +264,16 @@ def cmd_game(args: argparse.Namespace) -> int:
         if args.mode == "simulated":
             line += f"  estimate {row['p_win_estimate']:.6f} +/- {row['p_win_std_err']:.6f}"
         lines.append(line)
-    return run.finish(lines)
+    return lines
 
 
-def cmd_tomo(args: argparse.Namespace) -> int:
-    num_bootstrap = _bootstrap_count(args)
-    cfg = _load_config(args)
+def cmd_tomo(args: argparse.Namespace, run: _Run) -> list[str]:
+    _check_bootstrap_count(args.bootstrap, allow_none=True)
     if args.states.strip().lower() == "all":
         states = None
     else:
         states = report_states(thetas=parse_angle_list(args.states))
-    run = _Run(args, cfg)
-    records = _tomography(run, "", cfg, states=states, num_bootstrap=num_bootstrap)
+    records = _tomography(run, "", states=states, num_bootstrap=args.bootstrap)
     lines = []
     for rec in records:
         err = "" if rec["fidelity_std_err"] is None else f" +/- {rec['fidelity_std_err']:.2g}"
@@ -280,12 +281,11 @@ def cmd_tomo(args: argparse.Namespace) -> int:
             f"  {rec['label']:<22} fidelity {rec['fidelity']:.6f}{err}"
             f"  clip {rec['clip_magnitude']:.3g}"
         )
-    return run.finish(lines)
+    return lines
 
 
-def cmd_dicke(args: argparse.Namespace) -> int:
+def cmd_dicke(args: argparse.Namespace, run: _Run) -> list[str]:
     rows, docs = dicke_rows(args.n)
-    run = _Run(args, ExperimentConfig())
     run.csv("dicke.csv", rows)
     run.json("dicke_specs.json", docs)
     lines = []
@@ -296,38 +296,24 @@ def cmd_dicke(args: argparse.Namespace) -> int:
             f" {final['label']} advertises {final['expected']:+.6f}"
             f" (Born value {final['born_value']:+.6f})"
         )
-    return run.finish(lines)
+    return lines
 
 
-def cmd_visibility(args: argparse.Namespace) -> int:
+def cmd_visibility(args: argparse.Namespace, run: _Run) -> list[str]:
     fixed = parse_angle(args.fixed)
     if args.points < 3:
         raise ValueError(f"points={args.points}: the fringe fit needs at least 3")
-    cfg = _load_config(args)
-    run = _Run(args, cfg)
-    grid = [i * math.pi / args.points for i in range(args.points)]
-    scan = visibility_scan(
-        epr_family(math.pi / 4, "00"),
-        fixed,
-        grid,
-        cfg,
-        simulate=(args.mode == "simulated"),
-    )
-    scan.to_csv(run.path("visibility.csv"))
-    run.json("visibility.json", scan.to_dict())
-    relation = "exceeds" if scan.exceeds_classical_bound else "is within"
-    return run.finish(
-        [
-            f"fixed arm {args.fixed}: V = {scan.visibility:.6f}, which {relation}"
-            f" the classical bound {CLASSICAL_VISIBILITY_BOUND}"
-        ]
-    )
+    fit = _scan(run, "visibility.csv", fixed, args.points, simulate=(args.mode == "simulated"))
+    run.json("visibility.json", fit)
+    relation = "exceeds" if fit["exceeds_classical_bound"] else "is within"
+    return [
+        f"fixed arm {args.fixed}: V = {fit['visibility']:.6f}, which {relation}"
+        f" the classical bound {CLASSICAL_VISIBILITY_BOUND}"
+    ]
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    num_bootstrap = _bootstrap_count(args)
-    cfg = _load_config(args)
-    run = _Run(args, cfg)
+def cmd_report(args: argparse.Namespace, run: _Run) -> list[str]:
+    _check_bootstrap_count(args.bootstrap, allow_none=True)
     verdicts: dict = {"exact": {}, "simulated": {}}
 
     # Exact five-correlator tables for both transverse axes.
@@ -343,7 +329,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     # Headline simulated table at theta = pi/4 along X.
     _spec, sim_rows, sim_verdict, _counts = paradox_simulated_block(
-        math.pi / 4, "X", cfg, tag_base=_TAG_PARADOX_SIM
+        math.pi / 4, "X", run.cfg, tag_base=_TAG_PARADOX_SIM
     )
     run.csv("paradox_simulated.csv", sim_rows)
     verdicts["simulated"]["axis=X theta=pi/4"] = sim_verdict
@@ -354,7 +340,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     # Game tables (exact values plus count-based estimates) and curve.
     for strategy, tag in (("x", _TAG_GAME_X), ("z", _TAG_GAME_Z)):
-        rows = game_simulated_rows(DEFAULT_THETAS, strategy, cfg, tag_base=tag)
+        rows = game_simulated_rows(DEFAULT_THETAS, strategy, run.cfg, tag_base=tag)
         run.csv(f"game_{strategy}.csv", rows)
     run.csv("game_curve.csv", game_curve_rows())
 
@@ -362,28 +348,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     run.csv("dicke.csv", dicke_rows(3)[0])
 
     # Tomography dumps.
-    records = _tomography(run, "tomo/", cfg, num_bootstrap=num_bootstrap, tag_base=_TAG_TOMO)
+    records = _tomography(run, "tomo/", num_bootstrap=args.bootstrap, tag_base=_TAG_TOMO)
 
     # Visibility scans at the two canonical fixed-arm angles.
-    grid = [i * math.pi / 25 for i in range(25)]
     vis_doc = {}
     for stem, fixed, tag in (("0", 0.0, _TAG_VIS), ("3pi4", 3 * math.pi / 4, _TAG_VIS + 1)):
-        scan = visibility_scan(
-            epr_family(math.pi / 4, "00"), fixed, grid, cfg, simulate=True, stream_tag=tag
-        )
-        scan.to_csv(run.path(f"visibility_arm{stem}.csv"))
-        vis_doc[stem] = scan.to_dict()
+        vis_doc[stem] = _scan(run, f"visibility_arm{stem}.csv", fixed, 25, simulate=True, tag=tag)
     run.json("visibility.json", vis_doc)
 
     fidelities = [rec["fidelity"] for rec in records]
-    return run.finish(
-        [
-            _verdict_line(sim_verdict),
-            f"tomography fidelities: {min(fidelities):.6f} .. {max(fidelities):.6f}",
-            "visibility: "
-            + ", ".join(f"arm {k}: {v['visibility']:.4f}" for k, v in vis_doc.items()),
-        ]
-    )
+    return [
+        _verdict_line(sim_verdict),
+        f"tomography fidelities: {min(fidelities):.6f} .. {max(fidelities):.6f}",
+        "visibility: " + ", ".join(f"arm {k}: {v['visibility']:.4f}" for k, v in vis_doc.items()),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = _Run(args)
+        return run.finish(args.func(args, run))
     except ValueError as exc:
         print(f"cohsim: error: {exc}", file=sys.stderr)
         return 2

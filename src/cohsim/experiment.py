@@ -41,6 +41,7 @@ _SCAN_DOMAIN = 101
 _TOMO_DOMAIN = 907
 
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
+_COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ class CountTable:
         u, v = self.setting
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["u", "v", "a", "b", "trial", "count"])
+            writer.writerow(_COUNT_COLUMNS)
             for t, cells in enumerate(self.counts):
                 for (a, b), count in np.ndenumerate(cells):
                     writer.writerow([u, v, a, b, t, int(count)])
@@ -240,14 +241,21 @@ class CountTable:
         """Read the rows of one setting written by ``to_csv``.
 
         Raises:
-            ValueError: rows of more than one setting, a ``(trial, a, b)``
-                cell given twice, or not exactly the 4 cells of each trial
-                ``0..T-1``, where T is ``config.num_trials``.
+            ValueError: a missing column or a short row, rows of more than
+                one setting, a ``(trial, a, b)`` cell given twice, or not
+                exactly the 4 cells of each trial ``0..T-1``, where T is
+                ``config.num_trials``.
         """
         setting = None
         cells: dict[tuple[int, int, int], int] = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [col for col in _COUNT_COLUMNS if col not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"count file {path} lacks columns {', '.join(missing)}")
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"count file {path} line {reader.line_num} is incomplete")
                 found = (row["u"], row["v"])
                 if setting not in (None, found):
                     raise ValueError(f"count file holds settings {setting} and {found}")
@@ -482,12 +490,14 @@ def visibility_scan(
     over the full measurement time and the rates are estimates.
 
     Raises:
-        ValueError: empty grid or a non-2-qubit state.
+        ValueError: empty grid, a non-finite angle, or a non-2-qubit state.
         ArithmeticError: fit breakdown (zero mean rate).
     """
     grid = [float(a) for a in scan_grid]
     if not grid:
         raise ValueError("scan grid must be nonempty")
+    if not all(map(math.isfinite, [fixed_arm_angle, *grid])):
+        raise ValueError("fixed arm angle and scan grid angles must be finite")
     if state.num_qubits != 2:
         raise ValueError("visibility scan needs a 2-qubit state")
     cfg = cfg or ExperimentConfig()

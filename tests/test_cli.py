@@ -104,9 +104,29 @@ class TestExitCodes:
         assert code == 2
         assert "cohsim: error:" in capsys.readouterr().err
 
-    def test_boundary_angle_exits_two(self, tmp_path, capsys):
-        code = main(["paradox", "--theta", "pi/2", "--out", str(tmp_path / "o")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["paradox", "--theta", "pi/2"],
+            ["paradox", "--theta", "0", "--mode", "simulated"],
+            ["game", "--theta-grid", "pi/2"],
+        ],
+        ids=["paradox-half-pi", "paradox-simulated-zero", "game-half-pi"],
+    )
+    def test_boundary_angle_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "cohsim: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_exits_two(self, under, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "o" if under else blocker
+        assert main(["dicke", "--n", "3", "--out", str(out)]) == 2
+        assert "cohsim: error: cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_dicke_n_too_small_exits_two(self, tmp_path, capsys):
         assert main(["dicke", "--n", "1", "--out", str(tmp_path / "o")]) == 2
@@ -168,9 +188,10 @@ class TestExitCodes:
             raise ArithmeticError("fit degenerate")
 
         monkeypatch.setattr("cohsim.cli.visibility_scan", explode)
-        code = main(["visibility", "--out", str(tmp_path / "o")])
-        assert code == 3
+        out = tmp_path / "o"
+        assert main(["visibility", "--out", str(out)]) == 3
         assert "cohsim: numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNoScipy:

@@ -299,6 +299,23 @@ class TestCountTable:
         with pytest.raises(ValueError, match="repeats"):
             CountTable.from_csv(path, DESK)
 
+    def test_csv_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="lacks columns count$"):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_short_row_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 3 is incomplete"):
+            CountTable.from_csv(path, DESK)
+
 
 class TestCountHelpers:
     def test_cell_correlator_same_for_int_and_float_cells(self):
@@ -629,6 +646,16 @@ class TestVisibilityScan:
         assert a.counts == b.counts
         assert a.visibility == b.visibility
         assert a.visibility == pytest.approx(0.9, abs=0.005)
+
+    def test_nonfinite_fixed_arm_rejected(self):
+        # Unchecked, NaN gave visibility nan with the classical flag False.
+        with pytest.raises(ValueError, match="must be finite"):
+            visibility_scan(epr_family(math.pi / 4, "00"), math.nan, self.GRID)
+
+    def test_nonfinite_grid_angle_rejected(self):
+        # Unchecked, inf reached LAPACK and raised LinAlgError.
+        with pytest.raises(ValueError, match="must be finite"):
+            visibility_scan(epr_family(math.pi / 4, "00"), 0.0, [*self.GRID, math.inf])
 
     def test_exact_rates_follow_the_fringe(self):
         cfg = ExperimentConfig(visibility_v=0.8)
