@@ -12,8 +12,9 @@ the file list and wall-clock time, so a run can be audited and replayed:
 the same command, seed, and config reproduce every data file bit for
 bit. Timing fields in the manifest are the only non-deterministic bytes.
 
-Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``
-too), 3 numerical failure.
+Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
+an unreadable ``--config`` or an unwritable output file too), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -456,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"cohsim: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"cohsim: error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

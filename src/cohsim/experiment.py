@@ -15,6 +15,11 @@ Every random quantity draws from its own RNG stream (``_stream``) keyed
 by the seed, the table's stream tag, the setting, and the trial or
 replicate domain, so results are bit-reproducible and independent of
 evaluation order. Both bootstraps redraw through ``_poisson_bootstrap``.
+
+Every data file is a CSV written by ``_write_csv``: the count tables
+and fringe scans here, and the row tables and density matrices of the
+``reports`` and ``tomography`` modules. Floats are written as their
+``repr``, so each reads back exactly.
 """
 
 from __future__ import annotations
@@ -123,6 +128,23 @@ class ExperimentConfig:
         return cls(**values)
 
 
+def _cell(value) -> str:
+    # repr(float(x)): numpy 2 reprs np.float64(0.5) as "np.float64(0.5)".
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def _write_csv(path: str | Path, header, rows) -> None:
+    """The one CSV format of every data file: the header row, then each
+    row with floats as ``repr`` (so they read back exactly) and None as
+    an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
 def _check_axis(axis: str) -> str:
     if axis not in AXES:
         raise ValueError(f"setting axis must be one of {AXES}, got {axis!r}")
@@ -227,12 +249,8 @@ class CountTable:
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``u,v,a,b,trial,count`` (one per cell per trial)."""
         u, v = self.setting
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_COUNT_COLUMNS)
-            for t, cells in enumerate(self.counts):
-                for (a, b), count in np.ndenumerate(cells):
-                    writer.writerow([u, v, a, b, t, int(count)])
+        cells = np.ndenumerate(self.counts)
+        _write_csv(path, _COUNT_COLUMNS, ([u, v, a, b, t, n] for (t, a, b), n in cells))
 
     @classmethod
     def from_csv(
@@ -241,10 +259,10 @@ class CountTable:
         """Read the rows of one setting written by ``to_csv``.
 
         Raises:
-            ValueError: a missing column or a short row, rows of more than
-                one setting, a ``(trial, a, b)`` cell given twice, or not
-                exactly the 4 cells of each trial ``0..T-1``, where T is
-                ``config.num_trials``.
+            ValueError: a missing column, a short or long row, rows of
+                more than one setting, a ``(trial, a, b)`` cell given twice,
+                or not exactly the 4 cells of each trial ``0..T-1``, where T
+                is ``config.num_trials``.
         """
         setting = None
         cells: dict[tuple[int, int, int], int] = {}
@@ -256,6 +274,8 @@ class CountTable:
             for row in reader:
                 if None in row.values():
                     raise ValueError(f"count file {path} line {reader.line_num} is incomplete")
+                if None in row:  # DictReader files surplus fields under the key None
+                    raise ValueError(f"count file {path} line {reader.line_num} has extra fields")
                 found = (row["u"], row["v"])
                 if setting not in (None, found):
                     raise ValueError(f"count file holds settings {setting} and {found}")
@@ -462,16 +482,11 @@ class VisibilityScan:
         }
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.counts is None:
-                writer.writerow(["angle", "rate"])
-                for ang, rate in zip(self.angles, self.rates):
-                    writer.writerow([repr(float(ang)), repr(float(rate))])
-            else:
-                writer.writerow(["angle", "rate", "counts"])
-                for ang, rate, n in zip(self.angles, self.rates, self.counts):
-                    writer.writerow([repr(float(ang)), repr(float(rate)), int(n)])
+        """Write rows ``angle,rate``, plus ``counts`` for a simulated scan."""
+        if self.counts is None:
+            _write_csv(path, ["angle", "rate"], zip(self.angles, self.rates))
+        else:
+            _write_csv(path, ["angle", "rate", "counts"], zip(self.angles, self.rates, self.counts))
 
 
 def visibility_scan(

@@ -11,7 +11,6 @@ win with probability 1/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +43,6 @@ class GameEvaluation:
             raise ValueError(f"p_win={self.p_win} outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "i_terms", arr)
-
-    def to_dict(self) -> dict:
-        return {
-            "p_win": self.p_win,
-            "i_terms": {
-                f"{a}{b}": float(self.i_terms[a, b]) for a in range(2) for b in range(2)
-            },
-            "identity_holds": self.identity_holds,
-        }
 
 
 def coherence_term(dist: JointDistribution, a: int, b: int) -> float:
@@ -101,10 +91,9 @@ def quantum_strategy(theta: float, obs_a="X", obs_b="X") -> JointDistribution:
     outputs by protocol, not a measurement.
 
     Raises:
-        ValueError: invalid theta or axis description.
+        ValueError: theta outside ``(0, pi/2)`` (from ``epr_family``), or
+            an invalid axis description.
     """
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
     sources = {
         (0, 0): epr_family(theta, "00"),
         (0, 1): epr_family(theta, "01"),

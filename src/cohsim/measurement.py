@@ -220,7 +220,3 @@ class JointDistribution:
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[a, b, x, y])
-
-    def setting(self, x: int, y: int) -> np.ndarray:
-        """The ``p[a, b]`` table for input pair ``(x, y)``."""
-        return np.array(self.probs[:, :, x, y])

@@ -2,14 +2,14 @@
 
 Builders return plain row dicts ready for CSV/JSON serialization, each
 row's keys in column order, so a builder alone fixes its table's
-columns; all simulation goes through the experiment module so seeds
+columns; ``write_rows_csv`` hands them to the experiment module's one
+CSV writer. All simulation goes through the experiment module so seeds
 behave identically whether a table is produced alone or inside the
 bundled report.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import numpy as np
 from .experiment import (
     CountTable,
     ExperimentConfig,
+    _write_csv,
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
@@ -40,25 +41,11 @@ DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 CURVE_THETAS = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
 
 
-def _cell(value) -> str:
-    # repr(float(x)): numpy 2 reprs np.float64(0.5) as "np.float64(0.5)".
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return "" if value is None else str(value)
-
-
 def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
-    """CSV with repr-formatted floats (deterministic, round-trippable).
-
-    The header is the first row's keys, in order; ``rows`` must be
-    nonempty. None is written as an empty cell.
-    """
+    """``_write_csv`` of row dicts; the header is the first row's keys,
+    in order, so ``rows`` must be nonempty."""
     header = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[col]) for col in header])
+    _write_csv(path, header, ([row[col] for col in header] for row in rows))
 
 
 def paradox_sources(theta: float) -> dict:
@@ -163,19 +150,17 @@ def game_simulated_rows(
 
 def game_curve_rows() -> list[dict]:
     """``CURVE_THETAS`` sweep of both named strategies (exact values)."""
-    rows = []
-    for theta in CURVE_THETAS:
-        x_ev = winning_probability(quantum_strategy(theta, "X", "X"))
-        z_ev = winning_probability(quantum_strategy(theta, "Z", "Z"))
-        rows.append(
-            {
-                "theta": theta,
-                "p_win_x": x_ev.p_win,
-                "p_win_z": z_ev.p_win,
-                "sin_2theta": math.sin(2 * theta),
-            }
-        )
-    return rows
+    x_rows = game_exact_rows(CURVE_THETAS, "x")
+    z_rows = game_exact_rows(CURVE_THETAS, "z")
+    return [
+        {
+            "theta": x["theta"],
+            "p_win_x": x["p_win"],
+            "p_win_z": z["p_win"],
+            "sin_2theta": math.sin(2 * x["theta"]),
+        }
+        for x, z in zip(x_rows, z_rows)
+    ]
 
 
 def correlator_detail_rows(thetas, axis: str) -> list[dict]:

@@ -9,7 +9,6 @@ partner's three bases so every recorded count contributes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
-    _poisson_bootstrap, _stream, simulate_counts,
+    _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
@@ -218,12 +217,9 @@ def report_states(
 
 def write_density_csv(path: str | Path, rho: np.ndarray) -> None:
     """Row-major CSV dump: a real block, then an imaginary block."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "row", "c0", "c1", "c2", "c3"])
-        for name, block in (("re", np.real(rho)), ("im", np.imag(rho))):
-            for r in range(block.shape[0]):
-                writer.writerow([name, r] + [repr(float(x)) for x in block[r]])
+    blocks = (("re", np.real(rho)), ("im", np.imag(rho)))
+    rows = ([name, r, *values] for name, block in blocks for r, values in enumerate(block))
+    _write_csv(path, ["block", "row", "c0", "c1", "c2", "c3"], rows)
 
 
 def tomography_report(

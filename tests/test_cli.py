@@ -128,6 +128,22 @@ class TestExitCodes:
         assert "cohsim: error: cannot create output directory" in capsys.readouterr().err
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_two(self, kind, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        if kind == "directory":
+            config.mkdir()
+        out = tmp_path / "o"
+        assert main(["paradox", "--config", str(config), "--out", str(out)]) == 2
+        assert f"cohsim: error: {config}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_data_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "paradox.csv").mkdir(parents=True)
+        assert main(["paradox", "--out", str(out)]) == 2
+        assert f"cohsim: error: {out / 'paradox.csv'}: Is a directory" in capsys.readouterr().err
+
     def test_dicke_n_too_small_exits_two(self, tmp_path, capsys):
         assert main(["dicke", "--n", "1", "--out", str(tmp_path / "o")]) == 2
 

@@ -1,6 +1,8 @@
 """Synthetic counting experiment: counts, estimators, p-values, fringes."""
 
+import csv
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from cohsim.experiment import (
     ExperimentConfig,
     _cell_correlator,
     _poisson_bootstrap,
+    _write_csv,
     correlator_from_counts,
     delta_method_std_err,
     paradox_counts,
@@ -315,6 +318,55 @@ class TestCountTable:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="line 3 is incomplete"):
             CountTable.from_csv(path, DESK)
+
+    def test_csv_long_row_rejected(self, tmp_path):
+        # Without the check the row X,Y,0,0,0,5,99 reads as count 5.
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\r\n") + ",99\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 3 has extra fields"):
+            CountTable.from_csv(path, DESK)
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, sys.float_info.max, -sys.float_info.max]),
+)
+CSV_CELLS = st.one_of(
+    st.none(),
+    FINITE_FLOATS,
+    FINITE_FLOATS.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**100), 2**100),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=',"')),
+)
+
+
+class TestWriteCsv:
+    @PROPERTY_SETTINGS
+    @given(rows=st.lists(st.lists(CSV_CELLS, max_size=6), max_size=6))
+    def test_every_cell_reads_back_exactly(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            _write_csv(path, ["head", "er"], rows)
+            with open(path, newline="") as fh:
+                header, *read = csv.reader(fh)
+        assert header == ["head", "er"]
+        assert len(read) == len(rows)
+        for row, cells in zip(rows, read):
+            assert len(cells) == len(row)
+            for x, cell in zip(row, cells):
+                if x is None:
+                    assert cell == ""
+                elif isinstance(x, (float, np.floating)):
+                    assert float(cell).hex() == float(x).hex()
+                elif isinstance(x, str):
+                    assert cell == x
+                else:
+                    assert int(cell) == x
 
 
 class TestCountHelpers:

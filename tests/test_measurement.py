@@ -496,7 +496,7 @@ class TestJointDistribution:
         probs = np.full((2, 2, 2, 2), 0.25)
         dist = JointDistribution(probs)
         assert dist.prob(0, 1, 1, 0) == 0.25
-        np.testing.assert_array_equal(dist.setting(0, 0), np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(dist.probs[:, :, 0, 0], np.full((2, 2), 0.25))
 
     def test_probs_read_only(self):
         dist = JointDistribution(np.full((2, 2, 2, 2), 0.25))
