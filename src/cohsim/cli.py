@@ -3,14 +3,14 @@
 Each subcommand writes one output directory holding ``manifest.json``
 plus its data files (CSV/JSON). ``main`` opens a ``_Run``, the command
 writes every data file through it and returns its summary lines, and
-``main`` finishes the run. ``_Run`` picks each path and records it in the
+``main`` closes the run. ``_Run`` picks each path and records it in the
 manifest; the library writers (``write_rows_csv``, ``write_density_csv``,
 the ``to_csv`` methods) write only the paths it hands them. The
 directory and its manifest appear with the first data file, so input
 rejected before then leaves no directory. The manifest is finalized with
-the file list and wall-clock time, so a run can be audited and replayed:
-the same command, seed, and config reproduce every data file bit for
-bit. Timing fields in the manifest are the only non-deterministic bytes.
+the exit code, the files on disk and the wall-clock time, so a run can be
+audited and replayed: the same command, seed, and config reproduce every
+data file bit for bit. Its timing fields are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
 an unreadable ``--config`` or an unwritable output file too), 3 numerical
@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -123,8 +124,8 @@ class _Run:
     Construction loads the config and starts the clock, with no I/O.
     Every data file goes through ``path``, ``csv`` or ``json``, which
     record it (the first also creates the directory and writes the
-    manifest); ``finish`` rewrites the manifest with the sorted file list
-    and the wall-clock time.
+    manifest); ``close`` rewrites the manifest with the exit code, the
+    error line, the sorted recorded files on disk and the wall-clock time.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -144,6 +145,8 @@ class _Run:
             "started_utc": datetime.now(timezone.utc).isoformat(),
             "output_files": ["manifest.json"],
             "wall_clock_seconds": None,
+            "exit_code": None,
+            "error": None,
             "counters": {},
         }
         self._t_start = time.monotonic()
@@ -170,15 +173,11 @@ class _Run:
     def json(self, name: str, doc) -> None:
         self.path(name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    def finish(self, lines: list[str]) -> int:
-        """Finalize the manifest, then print ``lines`` and the file count."""
-        self.manifest["output_files"] = sorted(self.files)
+    def close(self, exit_code: int, error: str | None = None) -> None:
+        self.manifest["output_files"] = sorted(f for f in self.files if (self.dir / f).is_file())
         self.manifest["wall_clock_seconds"] = time.monotonic() - self._t_start
+        self.manifest.update(exit_code=exit_code, error=error)
         self.json("manifest.json", self.manifest)
-        for line in lines:
-            print(line)
-        print(f"wrote {len(self.files)} files to {self.dir}")
-        return 0
 
 
 def _verdict_line(verdict: dict) -> str:
@@ -199,27 +198,26 @@ def _tomography(run: _Run, prefix: str, num_bootstrap: int, **kwargs) -> list[di
 
     Per state, ``rho_<slug>.csv`` (Re and Im blocks) and
     ``rho_<slug>.json``; then ``fidelities.csv``, one row per state, with
-    an empty std-err cell when no bootstrap ran.
+    an empty std-err cell when no bootstrap ran. Returns those rows.
     """
-    records = tomography_report(run.cfg, num_bootstrap=num_bootstrap, **kwargs)
-    scores = ("fidelity", "fidelity_std_err", "clip_magnitude")
-    for rec in records:
-        stem = f"{prefix}rho_{_slug(rec['label'])}"
-        rho = rec["rho"]
+    rows = []
+    counter = run.manifest["counters"]["tomography_bootstrap"] = {}
+    for label, result in tomography_report(run.cfg, num_bootstrap=num_bootstrap, **kwargs):
+        scores = {
+            "fidelity": result.fidelity_to_target,
+            "fidelity_std_err": result.fidelity_std_err,
+            "clip_magnitude": result.clip_magnitude,
+        }
+        rho = result.rho_hat.matrix
+        stem = f"{prefix}rho_{_slug(label)}"
         write_density_csv(run.path(stem + ".csv"), rho)
-        doc = {"label": rec["label"], "re": np.real(rho).tolist(), "im": np.imag(rho).tolist()}
-        doc.update((key, rec[key]) for key in scores)
+        doc = {"label": label, "re": np.real(rho).tolist(), "im": np.imag(rho).tolist(), **scores}
         # Unsorted keys and no final newline, unlike _Run.json.
         run.path(stem + ".json").write_text(json.dumps(doc, indent=2))
-    run.csv(
-        prefix + "fidelities.csv",
-        [{"label": rec["label"], **{key: rec[key] for key in scores}} for rec in records],
-    )
-    run.manifest["counters"]["tomography_bootstrap"] = {
-        rec["label"]: {"requested": num_bootstrap, "used": rec["bootstrap_used"]}
-        for rec in records
-    }
-    return records
+        rows.append({"label": label, **scores})
+        counter[label] = {"requested": num_bootstrap, "used": result.bootstrap_used}
+    run.csv(prefix + "fidelities.csv", rows)
+    return rows
 
 
 def _scan(run: _Run, name: str, fixed: float, points: int, simulate: bool, tag: int = 0) -> dict:
@@ -448,19 +446,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = None
     try:
         run = _Run(args)
-        return run.finish(args.func(args, run))
+        lines = args.func(args, run)
+        run.close(0)
     except ValueError as exc:
-        print(f"cohsim: error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"cohsim: error: {exc}"
     except ArithmeticError as exc:
-        print(f"cohsim: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"cohsim: numerical failure: {exc}"
     except OSError as exc:
         where = "" if exc.filename is None else f"{exc.filename}: "
-        print(f"cohsim: error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"cohsim: error: {where}{exc.strerror or exc}"
+    else:
+        for line in lines:
+            print(line)
+        print(f"wrote {len(run.files)} files to {run.dir}")
+        return 0
+    print(error, file=sys.stderr)
+    # Once the directory exists its manifest records the failure; if that
+    # write fails too, the exit code and message stand.
+    if run is not None and run.files:
+        with contextlib.suppress(OSError):
+            run.close(code, error)
+    return code
 
 
 if __name__ == "__main__":

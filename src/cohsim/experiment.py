@@ -452,24 +452,31 @@ def paradox_p_value(
 
 @dataclass(frozen=True, eq=False)
 class VisibilityScan:
-    """Fringe scan records plus the fitted visibility.
+    """Fringe scan records plus the fitted sinusoid.
 
     ``rates`` are detected coincidence rates per second (exact, or
-    estimated from simulated counts when ``counts`` is present). The
-    visibility is read off a least-squares sinusoid with the fringe
-    period fixed at pi in the analyzer angle: V = amplitude / offset of
-    the fitted curve, which equals (max - min)/(max + min) of that
-    curve.
+    estimated from simulated counts when ``counts`` is present). The fit
+    is a least-squares sinusoid with the fringe period fixed at pi in
+    the analyzer angle, stored as its ``fit_offset`` (positive) and
+    ``fit_amplitude``. Derived from them: ``visibility`` V = amplitude /
+    offset, which equals (max - min)/(max + min) of the fitted curve, and
+    ``exceeds_classical_bound``, V > ``CLASSICAL_VISIBILITY_BOUND``.
     """
 
     fixed_arm_angle: float
     angles: tuple[float, ...]
     rates: tuple[float, ...]
-    visibility: float
     fit_offset: float
     fit_amplitude: float
-    exceeds_classical_bound: bool
     counts: tuple[int, ...] | None = None
+
+    @property
+    def visibility(self) -> float:
+        return self.fit_amplitude / self.fit_offset
+
+    @property
+    def exceeds_classical_bound(self) -> bool:
+        return self.visibility > CLASSICAL_VISIBILITY_BOUND
 
     def to_dict(self) -> dict:
         return {
@@ -546,14 +553,11 @@ def visibility_scan(
     amplitude = float(math.hypot(coeffs[1], coeffs[2]))
     if offset <= 0.0:
         raise ArithmeticError("fringe fit degenerate: nonpositive mean rate")
-    visibility = amplitude / offset
     return VisibilityScan(
         fixed_arm_angle=float(fixed_arm_angle),
         angles=tuple(float(a) for a in grid),
         rates=tuple(float(r) for r in rates),
-        visibility=visibility,
         fit_offset=offset,
         fit_amplitude=amplitude,
-        exceeds_classical_bound=visibility > CLASSICAL_VISIBILITY_BOUND,
         counts=counts,
     )

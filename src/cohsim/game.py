@@ -25,15 +25,14 @@ IDENTITY_ATOL = 1e-10
 class GameEvaluation:
     """Winning probability and coherence terms of one distribution.
 
-    ``identity_holds`` records whether
-    ``p_win = 1/2 + (I_00 + I_11)/4`` held within ``IDENTITY_ATOL``;
-    the relation is an algebraic consequence of row normalization, so a
+    ``identity_holds`` is derived from the two stored values: whether
+    ``p_win = 1/2 + (I_00 + I_11)/4`` holds within ``IDENTITY_ATOL``.
+    The relation is an algebraic consequence of row normalization, so a
     False value indicates numerical corruption rather than physics.
     """
 
     p_win: float
     i_terms: np.ndarray
-    identity_holds: bool
 
     def __post_init__(self) -> None:
         arr = np.array(self.i_terms, dtype=float)
@@ -43,6 +42,11 @@ class GameEvaluation:
             raise ValueError(f"p_win={self.p_win} outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "i_terms", arr)
+
+    @property
+    def identity_holds(self) -> bool:
+        i = self.i_terms
+        return bool(abs(self.p_win - 0.5 - (i[0, 0] + i[1, 1]) / 4.0) <= IDENTITY_ATOL)
 
 
 def coherence_term(dist: JointDistribution, a: int, b: int) -> float:
@@ -58,8 +62,8 @@ def winning_probability(dist: JointDistribution) -> GameEvaluation:
     """Score a distribution against the winning rule ``a xor b = x xor y``.
 
     Each input pair is weighted 1/4. The returned evaluation carries all
-    four coherence terms and checks the normalization identity
-    ``p_win = 1/2 + (I_00 + I_11)/4``.
+    four coherence terms, against which ``identity_holds`` checks the
+    normalization identity ``p_win = 1/2 + (I_00 + I_11)/4``.
     """
     p_win = 0.0
     for x in range(2):
@@ -71,14 +75,7 @@ def winning_probability(dist: JointDistribution) -> GameEvaluation:
     i_terms = np.array(
         [[coherence_term(dist, a, b) for b in range(2)] for a in range(2)]
     )
-    identity = bool(
-        abs(p_win - 0.5 - (i_terms[0, 0] + i_terms[1, 1]) / 4.0) <= IDENTITY_ATOL
-    )
-    return GameEvaluation(
-        p_win=float(p_win),
-        i_terms=i_terms,
-        identity_holds=identity,
-    )
+    return GameEvaluation(p_win=float(p_win), i_terms=i_terms)
 
 
 def quantum_strategy(theta: float, obs_a="X", obs_b="X") -> JointDistribution:

@@ -5,7 +5,9 @@ the measured observable and outcome ``1`` to ``-1``. Measuring the signed
 axis ``s M`` (``s = ±1``, ``M`` one of X, Y, Z) gives outcome ``a`` with
 the projector ``P_a = (I + (-1)^a s M)/2``, so ``P0 - P1 = s M`` and
 ``P0 + P1 = I``. Every Born-rule value is therefore a combination of
-Pauli-chain expectations, evaluated by ``expectation``.
+Pauli-chain expectations, evaluated by ``expectation``. A signed axis
+has one spelling, the string that ``parse_signed_axis`` reads (``"X"``,
+``"-Y"``).
 """
 
 from __future__ import annotations
@@ -63,7 +65,13 @@ def as_chain(obs: ObservableChain | str | Iterable[str]) -> ObservableChain:
 
 
 def parse_signed_axis(spec: str) -> tuple[str, int]:
-    """Parse ``"X"`` or ``"-X"`` into ``(axis, sign)``."""
+    """Parse ``"X"`` or ``"-X"`` into ``(axis, sign)``.
+
+    Raises:
+        ValueError: ``spec`` is not a string, or names no signed axis.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"cannot interpret observable {spec!r}")
     text = spec.strip().upper()
     sign = 1
     if text.startswith(("+", "-")):
@@ -153,36 +161,27 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
     return float(val.real)
 
 
-def _signed_single(obs) -> tuple[str, int]:
-    """Normalize a single-qubit observable description to (axis, sign)."""
-    if isinstance(obs, tuple) and len(obs) == 2 and isinstance(obs[1], int):
-        axis, sign = obs
-        if axis not in AXES or sign not in (-1, 1):
-            raise ValueError(f"bad signed axis {obs!r}")
-        return axis, sign
-    if isinstance(obs, str):
-        return parse_signed_axis(obs)
-    raise ValueError(f"cannot interpret observable {obs!r}")
-
-
 def setting_distribution(
     state: StateVector | DensityOperator,
-    obs_a,
-    obs_b,
+    obs_a: str,
+    obs_b: str,
 ) -> np.ndarray:
     """Born-rule outcome table ``p[a, b]`` for one two-party setting.
 
-    ``obs_a`` and ``obs_b`` are single-qubit signed axes (``"X"``,
-    ``"-Y"``, or ``(axis, sign)`` tuples) measured on qubits 0 and 1.
-    With ``P_a = (I + (-1)^a s_a A)/2`` on each side,
+    ``obs_a`` and ``obs_b`` are single-qubit signed axes, spelled as
+    ``parse_signed_axis`` reads them (``"X"``, ``"-Y"``), measured on
+    qubits 0 and 1. With ``P_a = (I + (-1)^a s_a A)/2`` on each side,
 
     ``p[a, b] = (1 + (-1)^a s_a <A I> + (-1)^b s_b <I B>
     + (-1)^(a+b) s_a s_b <A B>) / 4``, clipped at zero and renormalized.
+
+    Raises:
+        ValueError: a state not on 2 qubits, or an axis ``parse_signed_axis`` refuses.
     """
     if state.num_qubits != 2:
         raise ValueError(f"two-party setting needs a 2-qubit state, got {state.num_qubits}")
-    ax_a, sg_a = _signed_single(obs_a)
-    ax_b, sg_b = _signed_single(obs_b)
+    ax_a, sg_a = parse_signed_axis(obs_a)
+    ax_b, sg_b = parse_signed_axis(obs_b)
     e_a = sg_a * expectation(state, ax_a + "I")
     e_b = sg_b * expectation(state, "I" + ax_b)
     e_ab = sg_a * sg_b * expectation(state, ax_a + ax_b)

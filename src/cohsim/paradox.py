@@ -137,14 +137,14 @@ class ParadoxVerdict:
     """Result of a mixture-feasibility check.
 
     ``violation_gap`` is the smallest worst-case residual achievable by
-    any weights on the simplex; ``lhv_feasible`` is exactly
-    ``violation_gap <= tol`` (so a zero gap and feasibility coincide), with ``tol >= 0``.
+    any weights on the simplex, and ``tol >= 0``. The verdict is derived
+    from those two, never stored: ``lhv_feasible`` is exactly
+    ``violation_gap <= tol`` (so a zero gap and feasibility coincide).
     ``satisfying_assignments`` is filled only by the stabilizer check,
     where deterministic sign assignments are enumerated exhaustively.
     """
 
     per_constraint_values: dict[tuple[str, str], float]
-    lhv_feasible: bool
     violation_gap: float
     witness_weights: tuple[float, ...]
     tol: float
@@ -155,8 +155,10 @@ class ParadoxVerdict:
             raise ValueError(f"tol={self.tol} must be nonnegative")
         if self.violation_gap < 0.0:
             raise ValueError(f"violation gap {self.violation_gap} is negative")
-        if self.lhv_feasible != (self.violation_gap <= self.tol):
-            raise ValueError("feasibility flag inconsistent with gap and tolerance")
+
+    @property
+    def lhv_feasible(self) -> bool:
+        return self.violation_gap <= self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -328,7 +330,6 @@ def ghz_stabilizer_check(
     gap, weights = _ghz_hull_residual(products, observed)
     return ParadoxVerdict(
         per_constraint_values=values,
-        lhv_feasible=gap <= tol,
         violation_gap=gap,
         witness_weights=tuple(float(x) for x in weights),
         tol=tol,
@@ -474,7 +475,6 @@ def lhv_mixture_test(
     values = {key: float(observed[key]) for key in spec.observation_keys()}
     return ParadoxVerdict(
         per_constraint_values=values,
-        lhv_feasible=gap <= tol,
         violation_gap=gap,
         witness_weights=tuple(float(x) for x in weights),
         tol=tol,

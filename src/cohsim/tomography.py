@@ -227,29 +227,19 @@ def tomography_report(
     states: tuple[tuple[str, StateVector], ...] | None = None,
     num_bootstrap: int = 100,
     tag_base: int = 0,
-) -> list[dict]:
+) -> list[tuple[str, TomographyResult]]:
     """Reconstruct each source and score it against the ideal pure source.
 
-    Returns one record per state (``report_states()`` by default) with
-    its ``label``, the reconstructed matrix ``rho``, ``fidelity``,
-    ``fidelity_std_err`` and ``bootstrap_used`` (both None without a
-    bootstrap) and ``clip_magnitude``. Nothing is written to disk. Stream
+    Returns one ``(label, result)`` pair per state (``report_states()``
+    by default), where ``result`` is the ``reconstruct`` output with the
+    state as its target: ``fidelity_std_err`` and ``bootstrap_used``
+    are None without a bootstrap. Nothing is written to disk. Stream
     tags run from ``tag_base`` so a caller reusing one seed for several
     artifact groups can keep their count draws independent.
     """
     chosen = states if states is not None else report_states()
-    records = []
+    report = []
     for idx, (label, psi) in enumerate(chosen):
         tables = simulate_tomography_counts(psi, cfg, stream_tag=tag_base + idx)
-        result = reconstruct(tables, target=psi, num_bootstrap=num_bootstrap)
-        records.append(
-            {
-                "label": label,
-                "rho": result.rho_hat.matrix,
-                "fidelity": result.fidelity_to_target,
-                "fidelity_std_err": result.fidelity_std_err,
-                "clip_magnitude": result.clip_magnitude,
-                "bootstrap_used": result.bootstrap_used,
-            }
-        )
-    return records
+        report.append((label, reconstruct(tables, target=psi, num_bootstrap=num_bootstrap)))
+    return report

@@ -144,6 +144,35 @@ class TestExitCodes:
         assert main(["paradox", "--out", str(out)]) == 2
         assert f"cohsim: error: {out / 'paradox.csv'}: Is a directory" in capsys.readouterr().err
 
+    def test_failed_run_manifest_says_it_failed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "paradox.csv").mkdir(parents=True)
+        assert main(["paradox", "--out", str(out)]) == 2
+        manifest = assert_manifest_complete(out)
+        assert manifest["output_files"] == ["manifest.json"]
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == capsys.readouterr().err.rstrip("\n")
+        assert manifest["wall_clock_seconds"] >= 0.0
+
+    def test_successful_run_records_exit_code_zero(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["dicke", "--n", "2", "--out", str(out)]) == 0
+        manifest = assert_manifest_complete(out)
+        assert manifest["exit_code"] == 0
+        assert manifest["error"] is None
+
+    def test_failed_manifest_rewrite_keeps_code_and_message(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+
+        def fail_after_writing(verdict):
+            (out / "manifest.json").unlink()
+            (out / "manifest.json").mkdir()
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr("cohsim.cli._verdict_line", fail_after_writing)
+        assert main(["paradox", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "cohsim: numerical failure: boom\n"
+
     def test_dicke_n_too_small_exits_two(self, tmp_path, capsys):
         assert main(["dicke", "--n", "1", "--out", str(tmp_path / "o")]) == 2
 

@@ -129,6 +129,6 @@ class TestStrategyValidation:
 class TestGameEvaluation:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GameEvaluation(p_win=1.2, i_terms=np.zeros((2, 2)), identity_holds=True)
+            GameEvaluation(p_win=1.2, i_terms=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            GameEvaluation(p_win=0.5, i_terms=np.zeros(3), identity_holds=True)
+            GameEvaluation(p_win=0.5, i_terms=np.zeros(3))

@@ -61,11 +61,12 @@ EIGVECS = {
     "Y": ([_SQ2, 1j * _SQ2], [_SQ2, -1j * _SQ2]),
     "Z": ([1.0, 0.0], [0.0, 1.0]),
 }
-SIGNED_AXES = [(ax, sign) for ax in AXES for sign in (1, -1)]
+SIGNED_AXES = [sign + ax for ax in AXES for sign in ("", "-")]
 
 
-def dense_projectors(axis, sign):
-    """``(P0, P1)`` of the signed axis from its eigenvectors."""
+def dense_projectors(signed_axis):
+    """``(P0, P1)`` of the signed axis (``"X"``, ``"-Y"``) from its eigenvectors."""
+    axis, sign = parse_signed_axis(signed_axis)
     plus, minus = (np.outer(v, np.conj(v)) for v in map(np.asarray, EIGVECS[axis]))
     return (plus, minus) if sign > 0 else (minus, plus)
 
@@ -74,7 +75,7 @@ def dense_setting_distribution(state, obs_a, obs_b):
     """Reference ``p[a, b] = tr((P_a (x) P_b) rho)`` from ``np.kron`` projectors."""
     if isinstance(state, StateVector):
         state = density_from_state(state)
-    pa, pb = dense_projectors(*obs_a), dense_projectors(*obs_b)
+    pa, pb = dense_projectors(obs_a), dense_projectors(obs_b)
     return np.array(
         [[np.trace(np.kron(pa[a], pb[b]) @ state.matrix).real for b in range(2)] for a in range(2)]
     )
@@ -124,13 +125,15 @@ class TestProjectors:
     def test_difference_is_pauli(self, axis):
         # P0 - P1 = s M on each side, and on both together.
         for state in (random_state(2, 41), random_density(2, 43)):
-            for sign in (1, -1):
-                for other, other_sign in SIGNED_AXES:
-                    table = setting_distribution(state, (axis, sign), (other, other_sign))
+            for signed in (axis, "-" + axis):
+                sign = parse_signed_axis(signed)[1]
+                for other in SIGNED_AXES:
+                    other_axis, other_sign = parse_signed_axis(other)
+                    table = setting_distribution(state, signed, other)
                     marg_a = table[0, :].sum() - table[1, :].sum()
                     corr = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
                     want_a = sign * dense_expectation(state, axis + "I")
-                    want_ab = sign * other_sign * dense_expectation(state, axis + other)
+                    want_ab = sign * other_sign * dense_expectation(state, axis + other_axis)
                     assert marg_a == pytest.approx(want_a, abs=1e-15)
                     assert corr == pytest.approx(want_ab, abs=1e-15)
 
@@ -140,11 +143,11 @@ class TestProjectors:
         for other in AXES:
             plain = setting_distribution(psi, axis, other)
             np.testing.assert_allclose(
-                setting_distribution(psi, (axis, -1), other), plain[::-1, :], atol=1e-15
+                setting_distribution(psi, "-" + axis, other), plain[::-1, :], atol=1e-15
             )
             plain = setting_distribution(psi, other, axis)
             np.testing.assert_allclose(
-                setting_distribution(psi, other, (axis, -1)), plain[:, ::-1], atol=1e-15
+                setting_distribution(psi, other, "-" + axis), plain[:, ::-1], atol=1e-15
             )
 
     def test_unknown_axis(self):
@@ -366,13 +369,10 @@ class TestSettingDistribution:
         flipped = setting_distribution(psi, "-X", "X")
         np.testing.assert_allclose(flipped, plain[::-1, :], atol=1e-14)
 
-    def test_tuple_form_matches_string(self):
-        psi = epr_family(0.3, "00")
-        np.testing.assert_allclose(
-            setting_distribution(psi, ("X", -1), "Y"),
-            setting_distribution(psi, "-X", "Y"),
-            atol=1e-15,
-        )
+    def test_tuple_form_is_refused(self):
+        # A signed axis has one spelling, the string; "-X" is the tuple's meaning.
+        with pytest.raises(ValueError, match="cannot interpret observable"):
+            setting_distribution(epr_family(0.3, "00"), ("X", -1), "Y")
 
     def test_born_rule_consistency_randomized(self):
         # Marginals of the outcome table reproduce single-party

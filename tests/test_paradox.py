@@ -788,18 +788,7 @@ class TestVerdictInvariants:
         with pytest.raises(ValueError):
             ParadoxVerdict(
                 per_constraint_values={},
-                lhv_feasible=True,
                 violation_gap=-0.1,
-                witness_weights=(1.0,),
-                tol=1e-10,
-            )
-
-    def test_flag_must_match_gap(self):
-        with pytest.raises(ValueError):
-            ParadoxVerdict(
-                per_constraint_values={},
-                lhv_feasible=True,
-                violation_gap=0.5,
                 witness_weights=(1.0,),
                 tol=1e-10,
             )

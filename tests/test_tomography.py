@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig, simulate_counts
 from cohsim.measurement import AXES, setting_distribution
@@ -30,7 +32,7 @@ from cohsim.tomography import (
     write_density_csv,
 )
 
-from .test_measurement import PAULI
+from .test_measurement import PAULI, PROPERTY_SETTINGS
 from .test_states import random_state
 
 FLAT_CFG = ExperimentConfig(
@@ -170,7 +172,43 @@ def brute_simplex_project(eigs: np.ndarray) -> np.ndarray:
     return best[1]
 
 
+def assert_simplex_kkt(y: np.ndarray, x: np.ndarray) -> None:
+    """KKT conditions of ``x`` as the Euclidean projection of ``y`` onto the
+    simplex: ``x`` is on it, ``y - x`` is one threshold ``tau`` on the
+    support, and every entry off the support is at most ``tau``."""
+    tol = 1e-12 * max(1.0, float(np.abs(y).max()))
+    assert np.all(x >= 0.0)
+    assert abs(x.sum() - 1.0) <= tol
+    support = x > 0.0
+    gaps = (y - x)[support]
+    tau = float(gaps.mean())
+    assert np.all(np.abs(gaps - tau) <= tol)
+    assert np.all(y[~support] <= tau + tol)
+
+
+# Entries with repeats likely, so tied eigenvalues are drawn too.
+ENTRIES = st.one_of(
+    st.floats(-100.0, 100.0), st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0])
+)
+
+
 class TestSimplexProjection:
+    @PROPERTY_SETTINGS
+    @given(values=st.lists(ENTRIES, min_size=1, max_size=8))
+    def test_kkt_conditions_hold(self, values):
+        y = np.array(values)
+        assert_simplex_kkt(y, _simplex_project(y))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 5))
+    def test_batch_rows_are_single_calls(self, data, n, rows):
+        flat = data.draw(st.lists(ENTRIES, min_size=n * rows, max_size=n * rows))
+        stack = np.array(flat).reshape(rows, n)
+        batch = _simplex_project(stack)
+        for y, x in zip(stack, batch):
+            np.testing.assert_array_equal(x, _simplex_project(y))
+            assert_simplex_kkt(y, x)
+
     def test_valid_spectrum_is_fixed_point(self):
         eigs = np.array([0.5, 0.3, 0.2, 0.0])
         np.testing.assert_allclose(_simplex_project(eigs), eigs, atol=1e-15)
@@ -398,24 +436,22 @@ class TestReportOutputs:
     def test_report_records(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         states = (("ab", epr_family(math.pi / 4, "00")), ("cd e", epr_family(0.4, "01")))
-        records = tomography_report(DESK, states=states, num_bootstrap=5)
+        report = tomography_report(DESK, states=states, num_bootstrap=5)
         assert list(tmp_path.iterdir()) == []
-        assert [rec["label"] for rec in records] == ["ab", "cd e"]
-        for rec in records:
-            assert set(rec) == {
-                "label", "rho", "fidelity", "fidelity_std_err", "clip_magnitude", "bootstrap_used"
-            }
-            rho = rec["rho"]
+        assert [label for label, _result in report] == ["ab", "cd e"]
+        for _label, result in report:
+            assert isinstance(result, TomographyResult)
+            rho = result.rho_hat.matrix
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
             assert np.abs(np.imag(rho)).max() < 0.1
-            assert 0.9 < rec["fidelity"] <= 1.0
-            assert rec["fidelity_std_err"] >= 0.0
-            assert rec["clip_magnitude"] >= 0.0
-            assert rec["bootstrap_used"] == 5
+            assert 0.9 < result.fidelity_to_target <= 1.0
+            assert result.fidelity_std_err >= 0.0
+            assert result.clip_magnitude >= 0.0
+            assert result.bootstrap_used == 5
 
     def test_tag_base_decorrelates_runs(self):
         states = (("s", epr_family(math.pi / 4, "00")),)
         a = tomography_report(DESK, states=states, num_bootstrap=0)
         b = tomography_report(DESK, states=states, num_bootstrap=0, tag_base=9)
-        assert a[0]["fidelity"] != b[0]["fidelity"]
+        assert a[0][1].fidelity_to_target != b[0][1].fidelity_to_target
