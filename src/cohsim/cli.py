@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -125,7 +126,8 @@ class _Run:
     Every data file goes through ``path``, ``csv`` or ``json``, which
     record it (the first also creates the directory and writes the
     manifest); ``close`` rewrites the manifest with the exit code, the
-    error line, the sorted recorded files on disk and the wall-clock time.
+    error line, the sorted recorded files on disk, the sha256 of each of
+    them but the manifest itself, and the wall-clock time.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -144,6 +146,7 @@ class _Run:
             },
             "started_utc": datetime.now(timezone.utc).isoformat(),
             "output_files": ["manifest.json"],
+            "sha256": {},
             "wall_clock_seconds": None,
             "exit_code": None,
             "error": None,
@@ -175,6 +178,11 @@ class _Run:
 
     def close(self, exit_code: int, error: str | None = None) -> None:
         self.manifest["output_files"] = sorted(f for f in self.files if (self.dir / f).is_file())
+        self.manifest["sha256"] = {
+            f: hashlib.sha256((self.dir / f).read_bytes()).hexdigest()
+            for f in self.manifest["output_files"]
+            if f != "manifest.json"
+        }
         self.manifest["wall_clock_seconds"] = time.monotonic() - self._t_start
         self.manifest.update(exit_code=exit_code, error=error)
         self.json("manifest.json", self.manifest)

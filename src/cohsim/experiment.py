@@ -446,8 +446,18 @@ def paradox_p_value(
         {key: value for key, (value, _n) in estimates.items()},
         {key: math.sqrt(n_total) for key, (_v, n_total) in estimates.items()},
     )
-    p = max(min(1.0, 2 * rows * math.exp(-(gap * gap) / 2.0)), _MIN_POSITIVE)
-    return p, min(0.0, math.log10(2 * rows) - (gap * gap) / (2.0 * math.log(10.0)))
+    return _hoeffding_p(gap, 2 * rows)
+
+
+def _hoeffding_p(scaled_gap: float, terms: int) -> tuple[float, float]:
+    """Union of ``terms`` Hoeffding tails at ``scaled_gap``, and its log10.
+
+    ``p = min(1, terms * exp(-scaled_gap^2 / 2))``, clamped below at the
+    smallest positive float; ``log10_p`` is computed from the exponent,
+    so it stays exact where ``p`` underflows.
+    """
+    p = max(min(1.0, terms * math.exp(-(scaled_gap * scaled_gap) / 2.0)), _MIN_POSITIVE)
+    return p, min(0.0, math.log10(terms) - (scaled_gap * scaled_gap) / (2.0 * math.log(10.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ has one spelling, the string that ``parse_signed_axis`` reads (``"X"``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -46,8 +47,9 @@ class ObservableChain:
     def from_string(cls, text: str) -> "ObservableChain":
         return cls(tuple(text.strip().upper()))
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """The chain as one string, e.g. ``"XYY"``: joined on first use and kept."""
         return "".join(self.axes)
 
     @property
@@ -102,6 +104,13 @@ _INDEX.setflags(write=False)
 _PARITY = _parity_table(MAX_QUBITS)
 
 
+# Chain actions kept by ``_pauli_action``. A MAX_QUBITS phase is 16 KB,
+# so a full cache holds at most 4 MB; the n-source family and the GHZ
+# check use fewer than 70 chains.
+_ACTION_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ACTION_CACHE_SIZE)
 def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     """A Pauli chain as a permutation plus a phase: ``O[i, i ^ flip] = phase[i]``.
 
@@ -115,6 +124,10 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     over the n axes for the two masks, then O(1) numpy gathers over the
     2^n entries (the parity of ``i & z`` is looked up in a table), and
     every phase is exactly one of ``±1, ±i``.
+
+    The action is built once per chain and kept, for the last
+    ``_ACTION_CACHE_SIZE`` chains used, so every caller shares the same
+    arrays: ``phase`` is read-only like ``idx``.
     """
     flip = z = 0
     for ax in axes:
@@ -122,7 +135,9 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
         z = z << 1 | (ax in "YZ")
     idx = _INDEX[: 1 << len(axes)]
     base = _Y_PHASE[axes.count("Y") % 4]
-    return idx, flip, np.where(_PARITY[idx & z], -base, base)
+    phase = np.where(_PARITY[idx & z], -base, base)
+    phase.setflags(write=False)
+    return idx, flip, phase
 
 
 def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str) -> float:
@@ -134,10 +149,12 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
     * a vector gives ``<v|O|v> = conj(v) @ (phase * v[i ^ f])``;
     * a density gives ``tr(O rho) = sum_i phase[i] * rho[i ^ f, i]``.
 
-    The cost is one Python pass over the n axes plus O(1) numpy
-    gathers over the 2^n entries, and no ``2^n x 2^n`` operator is built.
-    The products are exact, so the values equal those of the dense
-    tensor-product operator bit for bit.
+    The action is built on a chain's first use and kept (see
+    ``_pauli_action``), so a repeated chain costs only the gathers over
+    the 2^n entries, and no ``2^n x 2^n`` operator is built. The
+    products are exact, so the values equal those of the dense
+    tensor-product operator bit for bit, whether the action was built
+    for this call or kept from an earlier one.
 
     Raises:
         ValueError: on qubit-count mismatch or if the value has an

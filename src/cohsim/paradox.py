@@ -142,6 +142,9 @@ class ParadoxVerdict:
     ``violation_gap <= tol`` (so a zero gap and feasibility coincide).
     ``satisfying_assignments`` is filled only by the stabilizer check,
     where deterministic sign assignments are enumerated exhaustively.
+    ``p_value`` and its ``log10_p_value`` are filled, together, only for
+    a verdict on counted data (``paradox_p_value``). ``to_dict`` leaves
+    out the two p-value keys when they are None.
     """
 
     per_constraint_values: dict[tuple[str, str], float]
@@ -149,19 +152,23 @@ class ParadoxVerdict:
     witness_weights: tuple[float, ...]
     tol: float
     satisfying_assignments: int | None = None
+    p_value: float | None = None
+    log10_p_value: float | None = None
 
     def __post_init__(self) -> None:
         if not self.tol >= 0.0:
             raise ValueError(f"tol={self.tol} must be nonnegative")
         if self.violation_gap < 0.0:
             raise ValueError(f"violation gap {self.violation_gap} is negative")
+        if (self.p_value is None) != (self.log10_p_value is None):
+            raise ValueError("p_value and log10_p_value must be given together")
 
     @property
     def lhv_feasible(self) -> bool:
         return self.violation_gap <= self.tol
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "values": {f"{lb}:{ob}": val for (lb, ob), val in self.per_constraint_values.items()},
             "lhv_feasible": self.lhv_feasible,
             "violation_gap": self.violation_gap,
@@ -169,6 +176,9 @@ class ParadoxVerdict:
             "tol": self.tol,
             "satisfying_assignments": self.satisfying_assignments,
         }
+        if self.p_value is not None:
+            doc.update(p_value=self.p_value, log10_p_value=self.log10_p_value)
+        return doc
 
 
 def _min_max_residual(
@@ -258,17 +268,27 @@ def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[floa
     return float(np.max(w * np.abs(vals @ p - targ))), p
 
 
+# The GHZ sign-assignment products, built once at import and shared
+# read-only by every stabilizer check.
+_GHZ_PRODUCTS = np.array(
+    [
+        (x1 * y2 * y3, y1 * x2 * y3, y1 * y2 * x3, x1 * x2 * x3)
+        for x1, y1, x2, y2, x3, y3 in itertools.product((-1, 1), repeat=6)
+    ],
+    dtype=float,
+)
+_GHZ_PRODUCTS.setflags(write=False)
+
+
 def ghz_sign_assignment_products() -> np.ndarray:
     """Products of the four chains under all 2^6 deterministic assignments.
 
     Each of three parties carries independent signs for its X and Y
     readouts; row ``i`` holds the resulting values of (XYY, YXY, YYX,
-    XXX) for assignment ``i``. Shape (64, 4).
+    XXX) for assignment ``i``. Shape (64, 4). The table is built once;
+    each call returns a writable copy of it.
     """
-    rows = []
-    for x1, y1, x2, y2, x3, y3 in itertools.product((-1, 1), repeat=6):
-        rows.append((x1 * y2 * y3, y1 * x2 * y3, y1 * y2 * x3, x1 * x2 * x3))
-    return np.array(rows, dtype=float)
+    return _GHZ_PRODUCTS.copy()
 
 
 def _ghz_hull_residual(products: np.ndarray, observed: np.ndarray) -> tuple[float, np.ndarray]:
@@ -325,9 +345,8 @@ def ghz_stabilizer_check(
         raise ValueError(f"stabilizer check needs a 3-qubit state, got {state.num_qubits}")
     values = {("ghz", chain): expectation(state, chain) for chain in GHZ_CHAINS}
     observed = np.array([values[("ghz", ch)] for ch in GHZ_CHAINS])
-    products = ghz_sign_assignment_products()
-    satisfying = int(np.sum(np.all(products == np.array(GHZ_TARGET), axis=1)))
-    gap, weights = _ghz_hull_residual(products, observed)
+    satisfying = int(np.sum(np.all(_GHZ_PRODUCTS == np.array(GHZ_TARGET), axis=1)))
+    gap, weights = _ghz_hull_residual(_GHZ_PRODUCTS, observed)
     return ParadoxVerdict(
         per_constraint_values=values,
         violation_gap=gap,

@@ -11,6 +11,7 @@ bundled report.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +101,10 @@ def paradox_simulated_block(
             n_total=est.n_total,
         )
     observed = {(row["label"], row["observable"]): row["estimate"] for row in rows}
-    verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL).to_dict()
-    verdict["p_value"], verdict["log10_p_value"] = paradox_p_value(spec, counts)
-    return spec, rows, verdict, counts
+    p, log10_p = paradox_p_value(spec, counts)
+    verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL)
+    verdict = replace(verdict, p_value=p, log10_p_value=log10_p)
+    return spec, rows, verdict.to_dict(), counts
 
 
 def game_exact_rows(thetas, strategy: str) -> list[dict]:

@@ -36,12 +36,15 @@ def _num_qubits_from_dim(dim: int, what: str) -> int:
     return n
 
 
+_NONFINITE = "state entries must be finite (no NaN or infinity)"
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only complex copy; NaN or infinite entries are refused."""
     out = np.array(arr, dtype=complex)
     # count_nonzero costs about half of .all() on these small arrays.
     if np.count_nonzero(np.isfinite(out)) != out.size:
-        raise ValueError("state entries must be finite (no NaN or infinity)")
+        raise ValueError(_NONFINITE)
     out.setflags(write=False)
     return out
 
@@ -53,20 +56,30 @@ class StateVector:
     Amplitudes are indexed big-endian: ``amplitudes[0b01]`` is the
     coefficient of ``|01>`` where qubit 0 reads ``0``.
 
+    Finiteness is checked through the norm: a finite sum of ``|a_i|^2``
+    means every ``a_i`` is finite, so the entries are scanned for NaN
+    and infinity only when the norm is not finite.
+
     Raises:
         ValueError: if an entry is NaN or infinite, the length is not a
             power of two, the qubit count exceeds ``MAX_QUBITS``, or the
-            norm is off by more than ``NORM_ATOL``.
+            norm is off by more than ``NORM_ATOL`` or is not finite (as
+            when a finite entry's square overflows).
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
-        _num_qubits_from_dim(amps.size, "state vector")
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not math.isfinite(norm) and np.count_nonzero(np.isfinite(amps)) != amps.size:
+            raise ValueError(_NONFINITE)
+        _num_qubits_from_dim(amps.size, "state vector")
+        # Not `> NORM_ATOL`: finite entries whose products overflow can
+        # sum to a NaN norm, which must be refused too.
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state vector norm {norm} is not 1 within {NORM_ATOL}")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

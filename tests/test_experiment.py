@@ -18,6 +18,7 @@ from cohsim.experiment import (
     EstimatedCorrelator,
     ExperimentConfig,
     _cell_correlator,
+    _hoeffding_p,
     _poisson_bootstrap,
     _write_csv,
     correlator_from_counts,
@@ -30,6 +31,7 @@ from cohsim.experiment import (
 )
 from cohsim.measurement import AXES, ObservableChain
 from cohsim.paradox import MixtureClaim, ParadoxConstraint, ParadoxSpec, coherence_paradox
+from cohsim.reports import paradox_exact_block, paradox_simulated_block
 from cohsim.states import DensityOperator, StateVector, epr_family, werner_mix
 
 from .test_measurement import PROPERTY_SETTINGS
@@ -655,6 +657,26 @@ class TestPValues:
         for alpha in (0.05, 0.1):
             rate = float(np.mean(p_values <= alpha))
             assert rate <= alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / seeds), (alpha, rate)
+
+    def test_simulated_verdict_carries_paradox_p_value(self):
+        spec, _rows, verdict, counts = paradox_simulated_block(math.pi / 4, "X", DESK)
+        p, log10_p = paradox_p_value(spec, counts)
+        assert (verdict["p_value"], verdict["log10_p_value"]) == (p, log10_p)
+
+    def test_exact_verdict_has_no_p_value(self):
+        _spec, _rows, verdict = paradox_exact_block(math.pi / 4, "X")
+        assert "p_value" not in verdict and "log10_p_value" not in verdict
+
+    @pytest.mark.parametrize(
+        "scaled_gap, terms, want",
+        [
+            (0.0, 2, (1.0, 0.0)),
+            (4.0, 2, (2.0 * math.exp(-8.0), math.log10(2.0) - 8.0 / math.log(10.0))),
+            (100.0, 6, (5e-324, math.log10(6.0) - 5000.0 / math.log(10.0))),
+        ],
+    )
+    def test_hoeffding_tail(self, scaled_gap, terms, want):
+        assert _hoeffding_p(scaled_gap, terms) == want
 
 
 class TestVisibilityScan:

@@ -88,6 +88,16 @@ def test_data_files_match_golden_bytes(command, golden, tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_sha256_matches_file_bytes(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    on_disk = data_file_hashes(command, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sha256"] == on_disk
+    listed = [name for name in manifest["output_files"] if name != "manifest.json"]
+    assert sorted(manifest["sha256"]) == listed
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         doc = {

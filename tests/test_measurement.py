@@ -1,7 +1,9 @@
 """Observables, outcome projectors, Born-rule tables, and correlators."""
 
+import functools
 import itertools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -353,8 +355,9 @@ class TestPauliAction:
         idx, _flip, phase = _pauli_action(("X", "Y", "Z"))
         with pytest.raises(ValueError):
             idx[0] = 1
-        # The phase is the caller's own array.
-        phase[0] = 0.0
+        # The action is kept and shared, so no caller may edit its phase.
+        with pytest.raises(ValueError):
+            phase[0] = 0.0
         assert _pauli_action(("X", "Y", "Z"))[2][0] != 0.0
 
 
@@ -472,6 +475,35 @@ class TestBornTableProperties:
         assert expectation(state, chain) == pytest.approx(
             dense_expectation(state, chain), abs=1e-12
         )
+
+
+@functools.cache
+def mixed_state(n, seed):
+    """A Werner mixture of ``random_state(n, seed)``, built once per pair."""
+    return werner_mix(random_state(n, seed), 0.75)
+
+
+class TestActionCache:
+    """A kept chain action gives the values a freshly built one gives."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        data=st.data(),
+        n=st.integers(1, MAX_QUBITS),
+        seed=st.integers(0, 2),
+        mixed=st.booleans(),
+    )
+    def test_cold_cache_matches_warm_bit_for_bit(self, data, n, seed, mixed):
+        state = mixed_state(n, seed) if mixed else random_state(n, seed)
+        chain = "".join(data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+        expectation(state, chain)
+        hits = _pauli_action.cache_info().hits
+        warm = expectation(state, chain)
+        assert _pauli_action.cache_info().hits == hits + 1
+        _pauli_action.cache_clear()
+        cold = expectation(state, chain)
+        # Same bytes, so signed zeros must agree too.
+        assert struct.pack("<d", cold) == struct.pack("<d", warm), (chain, cold, warm)
 
 
 class TestJointDistribution:

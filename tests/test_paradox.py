@@ -426,6 +426,13 @@ class TestGhzStabilizerCheck:
         assert w.min() >= -1e-12
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_editing_the_returned_table_changes_no_check(self):
+        before = ghz_stabilizer_check(ghz_state(3)).to_dict()
+        products = ghz_sign_assignment_products()
+        products[:] = np.array(GHZ_TARGET)
+        assert ghz_stabilizer_check(ghz_state(3)).to_dict() == before
+        assert not np.any(np.all(ghz_sign_assignment_products() == GHZ_TARGET, axis=1))
+
 
 class TestMinMaxResidual:
     def test_single_component_is_direct(self):
@@ -799,6 +806,17 @@ class TestVerdictInvariants:
         json.dumps(doc)
         assert doc["satisfying_assignments"] == 0
         assert doc["lhv_feasible"] is False
+
+    @pytest.mark.parametrize("half", [{"p_value": 0.5}, {"log10_p_value": -0.3}])
+    def test_p_value_needs_its_log(self, half):
+        with pytest.raises(ValueError, match="together"):
+            ParadoxVerdict(
+                per_constraint_values={},
+                violation_gap=0.1,
+                witness_weights=(1.0,),
+                tol=1e-10,
+                **half,
+            )
 
 
 class TestLhvMixtureTestErrors:

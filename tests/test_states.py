@@ -67,6 +67,29 @@ class TestStateVector:
         with pytest.raises(ValueError, match="finite"):
             StateVector(np.array([bad, 0.0]))
 
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_rejects_nonfinite_entry_in_every_position(self, n):
+        # Finiteness is read off the norm; no position or kind of
+        # non-finite part may leave the norm finite.
+        bads = NONFINITE + [complex(0.0, math.inf), complex(-math.inf, math.nan)]
+        base = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+        for pos in range(2**n):
+            for bad in bads:
+                amps = base.copy()
+                amps[pos] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    StateVector(amps)
+
+    @pytest.mark.parametrize(
+        "big", [1e200, -1e200, 1e200j, complex(1e200, 1e200), 1e155], ids=repr
+    )
+    def test_overflowing_square_raises_norm_error(self, big):
+        # |a|^2 overflows to inf, or to NaN when both parts are huge; the
+        # entry is finite, so the refusal is the norm's.
+        amps = np.array([0.0, big, 0.0, 0.0])
+        with pytest.raises(ValueError, match="state vector norm (inf|nan) is not 1"):
+            StateVector(amps)
+
 
 class TestDensityOperator:
     def test_accepts_maximally_mixed(self):
