@@ -275,7 +275,6 @@ def cmd_game(args: argparse.Namespace, run: _Run) -> list[str]:
 
 
 def cmd_tomo(args: argparse.Namespace, run: _Run) -> list[str]:
-    _check_bootstrap_count(args.bootstrap, allow_none=True)
     if args.states.strip().lower() == "all":
         states = None
     else:
@@ -320,6 +319,7 @@ def cmd_visibility(args: argparse.Namespace, run: _Run) -> list[str]:
 
 
 def cmd_report(args: argparse.Namespace, run: _Run) -> list[str]:
+    # Not left to ``reconstruct``: the files before the tomography block come first.
     _check_bootstrap_count(args.bootstrap, allow_none=True)
     verdicts: dict = {"exact": {}, "simulated": {}}
 

@@ -108,7 +108,7 @@ class ExperimentConfig:
         Keyword overrides (CLI flags) win over file values.
 
         Raises:
-            ValueError: unknown key or unparsable value.
+            ValueError: unknown key, or unparsable value (named with the file).
         """
         parsers = {f.name: type(f.default) for f in fields(cls)}
         values: dict = {}
@@ -123,7 +123,11 @@ class ExperimentConfig:
             text = text.strip()
             if key not in parsers:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = parsers[key](text)
+            try:
+                values[key] = parsers[key](text)
+            except ValueError:
+                kind = parsers[key].__name__
+                raise ValueError(f"config {path}: {key} = {text!r} is not a {kind}") from None
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -145,10 +149,16 @@ def _write_csv(path: str | Path, header, rows) -> None:
         writer.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _check_axis(axis: str) -> str:
-    if axis not in AXES:
-        raise ValueError(f"setting axis must be one of {AXES}, got {axis!r}")
-    return axis
+def _check_setting(setting) -> tuple[str, str]:
+    """The one setting check: exactly a 2-tuple ``(u, v)`` of axes from
+    ``AXES``, so a string such as ``"XZ"``, a list or a longer tuple is refused."""
+    pair = isinstance(setting, tuple) and len(setting) == 2
+    if not (pair and all(ax in AXES for ax in setting)):
+        raise ValueError(
+            f"setting {setting!r} is not an axis pair: it must be a tuple (u, v)"
+            f" with each setting axis one of {AXES}"
+        )
+    return setting
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -210,9 +220,7 @@ class CountTable:
     def __post_init__(self) -> None:
         if self.stream_tag < 0:
             raise ValueError("stream_tag must be nonnegative")
-        u, v = self.setting
-        _check_axis(u)
-        _check_axis(v)
+        u, v = _check_setting(self.setting)
         try:
             with np.errstate(invalid="ignore"):
                 data = np.array(self.counts, dtype=np.int64)
@@ -233,7 +241,6 @@ class CountTable:
         if data.sum(dtype=float) > 2.0**53:
             raise ValueError(f"setting ({u},{v}) totals more than 2**53 counts")
         data.setflags(write=False)
-        object.__setattr__(self, "setting", (u, v))
         object.__setattr__(self, "counts", data)
 
     def pooled(self, u: str, v: str) -> np.ndarray:
@@ -325,7 +332,7 @@ def simulate_counts(
     comes from the stream seeded by (seed, stream_tag, axes, trial), so
     re-running with the same config reproduces the table bit for bit.
     """
-    u, v = _check_axis(setting[0]), _check_axis(setting[1])
+    u, v = _check_setting(setting)
     if state.num_qubits != 2:
         raise ValueError(f"coincidence experiment needs a 2-qubit state, got {state.num_qubits}")
     rho = werner_mix(state, cfg.visibility_v)
@@ -379,15 +386,6 @@ def delta_method_std_err(value: float, n_total: int) -> float:
     return math.sqrt(max(0.0, 1.0 - value * value) / n_total)
 
 
-def _chain_setting(obs_label: str) -> tuple[str, str]:
-    if len(obs_label) != 2 or any(ax not in AXES for ax in obs_label):
-        raise ValueError(
-            f"observable {obs_label!r} is not a two-party axis pair; "
-            "the coincidence experiment measures two qubits"
-        )
-    return obs_label[0], obs_label[1]
-
-
 def paradox_counts(
     spec: ParadoxSpec,
     sources: Mapping[str, StateVector | DensityOperator],
@@ -410,9 +408,8 @@ def paradox_counts(
     for idx, con in enumerate(spec.constraints):
         if con.source_label not in sources:
             raise ValueError(f"no source state for label {con.source_label!r}")
-        setting = _chain_setting(con.observable.label)
         out[(con.source_label, con.observable.label)] = simulate_counts(
-            sources[con.source_label], setting, cfg, stream_tag=tag_base + idx
+            sources[con.source_label], con.observable.axes, cfg, stream_tag=tag_base + idx
         )
     return out
 
@@ -439,7 +436,8 @@ def paradox_p_value(
         ValueError: counts missing for a constraint, or zero totals.
     """
     estimates = {
-        key: point_correlator(table, *_chain_setting(key[1])) for key, table in counts.items()
+        key: point_correlator(table, *_check_setting(tuple(key[1])))
+        for key, table in counts.items()
     }
     gap, _, rows = _mixture_gap(
         spec,

@@ -6,7 +6,12 @@ selected by the input pair, and win when their outputs satisfy
 players output uniform random bits for it. The coherence terms I_ab
 quantify how strongly the outcome probabilities depend on the inputs;
 input-independent (classical-carrier) distributions have I_ab = 0 and
-win with probability 1/2.
+win with probability 1/2. That is not the bound of an incoherent (0,0)
+source: claimed as a mixture of the (0,1) and (1,0) sources, with E_xy
+the correlator of source xy, its best p_win is
+``1/2 + (max(E_01, E_10) - E_01 - E_10)/8``. The z strategy's 0.625
+meets it (gap 0), so it is classical; only the x strategy, with
+advantage ``sin(2 theta)/8``, witnesses coherence.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import JointDistribution, setting_distribution
-from .states import epr_family
+from .states import EPR_LABELS, epr_family
 
 IDENTITY_ATOL = 1e-10
 
@@ -81,24 +86,20 @@ def winning_probability(dist: JointDistribution) -> GameEvaluation:
 def quantum_strategy(theta: float, obs_a="X", obs_b="X") -> JointDistribution:
     """Joint distribution of the three-source strategy at angle ``theta``.
 
-    Sources per input pair: (0,1) -> |01>, (1,0) -> |10>, and (0,0) ->
-    the superposition at ``theta``; both parties measure their fixed
-    signed axis (``"X"``, ``"-X"``, ``"Z"``, ...; a leading minus swaps
-    that party's outcome labels). The (1,1) row is uniform random
-    outputs by protocol, not a measurement.
+    Input pair (x, y) addresses ``epr_family`` source ``"xy"``: (0,1) ->
+    |01>, (1,0) -> |10>, (0,0) -> the superposition at ``theta``. Both
+    parties measure their fixed signed axis (``"X"``, ``"-X"``, ``"Z"``,
+    ...; a leading minus swaps that party's outcome labels). The (1,1)
+    row is uniform random outputs by protocol, not a measurement.
 
     Raises:
         ValueError: theta outside ``(0, pi/2)`` (from ``epr_family``), or
             an invalid axis description.
     """
-    sources = {
-        (0, 0): epr_family(theta, "00"),
-        (0, 1): epr_family(theta, "01"),
-        (1, 0): epr_family(theta, "10"),
-    }
     probs = np.empty((2, 2, 2, 2))
-    for (x, y), state in sources.items():
-        probs[:, :, x, y] = setting_distribution(state, obs_a, obs_b)
+    for label in EPR_LABELS:
+        x, y = int(label[0]), int(label[1])
+        probs[:, :, x, y] = setting_distribution(epr_family(theta, label), obs_a, obs_b)
     probs[:, :, 1, 1] = 0.25
     return JointDistribution(probs)
 

@@ -35,7 +35,7 @@ from .paradox import (
     lhv_mixture_test,
     theoretical_values,
 )
-from .states import EQ_ATOL, StateVector, dicke_one_excitation, epr_family
+from .states import EPR_LABELS, EQ_ATOL, StateVector, dicke_one_excitation, epr_family
 
 STRATEGY_AXES = {"x": ("X", "X"), "z": ("Z", "Z")}
 DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
@@ -50,11 +50,8 @@ def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
 
 
 def paradox_sources(theta: float) -> dict:
-    return {
-        "01": epr_family(theta, "01"),
-        "10": epr_family(theta, "10"),
-        "00": epr_family(theta, "00"),
-    }
+    """Each ``EPR_LABELS`` source at ``theta``, keyed by its label."""
+    return {label: epr_family(theta, label) for label in EPR_LABELS}
 
 
 def _theory_rows(theta: float, spec: ParadoxSpec) -> list[dict]:

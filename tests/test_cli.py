@@ -196,6 +196,17 @@ class TestExitCodes:
         assert code == 2
         assert repr(text) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["seed = 1e3", "pair_rate = fast", "num_trials = 2.5"])
+    def test_unparsable_config_value_names_key_and_file(self, line, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["paradox", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cohsim: error: ")
+        assert line.split(" = ")[0] in err and str(config) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["tomo", "report"])
     def test_negative_bootstrap_exits_two(self, command, tmp_path, capsys):
         out = tmp_path / "o"

@@ -199,6 +199,21 @@ class TestSimulateCounts:
             simulate_counts(epr_family(0.4, "00"), ("Q", "Z"), DESK)
 
 
+MALFORMED_SETTINGS = [("X", "Z", "Y"), "XZY", "XZ", ["X", "Z"], ("X",), ("Q", "Z")]
+
+
+class TestSettingCheck:
+    @pytest.mark.parametrize("setting", MALFORMED_SETTINGS, ids=repr)
+    def test_simulate_counts_refuses(self, setting):
+        with pytest.raises(ValueError, match="setting axis"):
+            simulate_counts(epr_family(0.4, "00"), setting, DESK)
+
+    @pytest.mark.parametrize("setting", MALFORMED_SETTINGS, ids=repr)
+    def test_count_table_refuses(self, setting):
+        with pytest.raises(ValueError, match="axis pair"):
+            CountTable(setting, np.zeros((1, 2, 2), dtype=np.int64), ONE_TRIAL)
+
+
 class TestCountTable:
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohsim import paradox
 from cohsim.measurement import ObservableChain, expectation
@@ -27,12 +29,16 @@ from cohsim.paradox import (
     theoretical_values,
 )
 from cohsim.states import (
+    EPR_LABELS,
     MAX_QUBITS,
     StateVector,
     dicke_one_excitation,
+    epr_family,
     ghz_state,
     werner_mix,
 )
+
+from .test_measurement import PROPERTY_SETTINGS
 
 THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 
@@ -660,6 +666,23 @@ class TestCoherenceParadox:
         assert verdict.lhv_feasible
         assert verdict.violation_gap <= 1e-9
         np.testing.assert_allclose(verdict.witness_weights, [0.25, 0.75], atol=1e-6)
+
+
+class TestNoiseCurves:
+    """Exact verdicts on white-noise sources against their closed forms."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+        v=st.floats(0.0, 1.0),
+        axis=st.sampled_from(["X", "Y"]),
+    )
+    def test_coherence_paradox_gap_is_v_sin_two_theta(self, theta, v, axis):
+        spec = coherence_paradox(theta, axis)
+        sources = {label: werner_mix(epr_family(theta, label), v) for label in EPR_LABELS}
+        observed = {key: expectation(sources[key[0]], key[1]) for key in spec.observation_keys()}
+        gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
+        assert abs(gap - v * math.sin(2.0 * theta)) <= 1e-15
 
 
 class TestMixtureFeasibilityCompleteness:
