@@ -266,10 +266,11 @@ class CountTable:
         """Read the rows of one setting written by ``to_csv``.
 
         Raises:
-            ValueError: a missing column, a short or long row, rows of
-                more than one setting, a ``(trial, a, b)`` cell given twice,
-                or not exactly the 4 cells of each trial ``0..T-1``, where T
-                is ``config.num_trials``.
+            ValueError: a missing column, a short or long row, a
+                ``trial``, ``a``, ``b`` or ``count`` cell not an integer,
+                rows of more than one setting, a ``(trial, a, b)`` cell given
+                twice, or not exactly the 4 cells of each trial ``0..T-1``,
+                where T is ``config.num_trials``.
         """
         setting = None
         cells: dict[tuple[int, int, int], int] = {}
@@ -287,10 +288,17 @@ class CountTable:
                 if setting not in (None, found):
                     raise ValueError(f"count file holds settings {setting} and {found}")
                 setting = found
-                cell = (int(row["trial"]), int(row["a"]), int(row["b"]))
+                ints = {}
+                for col in ("trial", "a", "b", "count"):
+                    try:
+                        ints[col] = int(row[col])
+                    except ValueError:
+                        where = f"count file {path} line {reader.line_num} column {col}"
+                        raise ValueError(f"{where} is not an integer: {row[col]!r}") from None
+                cell = (ints["trial"], ints["a"], ints["b"])
                 if cell in cells:
                     raise ValueError(f"setting {setting} repeats cell (trial, a, b) = {cell}")
-                cells[cell] = int(row["count"])
+                cells[cell] = ints["count"]
         grid = [(t, a, b) for t in range(config.num_trials) for a in range(2) for b in range(2)]
         if set(cells) != set(grid):
             raise ValueError(
@@ -433,12 +441,12 @@ def paradox_p_value(
     prediction gives p = 1.
 
     Raises:
-        ValueError: counts missing for a constraint, or zero totals.
+        ValueError: missing counts, a table under another setting's key, or zero totals.
     """
-    estimates = {
-        key: point_correlator(table, *_check_setting(tuple(key[1])))
-        for key, table in counts.items()
-    }
+    for key, table in counts.items():
+        if table.setting != _check_setting(tuple(key[1])):
+            raise ValueError(f"counts under key {key} are for setting {table.setting}")
+    estimates = {key: point_correlator(table, *table.setting) for key, table in counts.items()}
     gap, _, rows = _mixture_gap(
         spec,
         {key: value for key, (value, _n) in estimates.items()},

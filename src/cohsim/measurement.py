@@ -104,50 +104,52 @@ _INDEX.setflags(write=False)
 _PARITY = _parity_table(MAX_QUBITS)
 
 
-# Chain actions kept by ``_pauli_action``. A MAX_QUBITS phase is 16 KB,
-# so a full cache holds at most 4 MB; the n-source family and the GHZ
-# check use fewer than 70 chains.
+# Chain actions kept by ``_pauli_action``. A MAX_QUBITS action is 16 KB
+# of phase plus 8 KB of perm, so a full cache holds at most 6 MB; the
+# n-source family and the GHZ check use fewer than 70 chains.
 _ACTION_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_ACTION_CACHE_SIZE)
-def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, int, np.ndarray]:
-    """A Pauli chain as a permutation plus a phase: ``O[i, i ^ flip] = phase[i]``.
+def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A Pauli chain as a permutation plus a phase: ``O[i, perm[i]] = phase[i]``.
 
     This is the binary symplectic form of a Pauli string (Aaronson &
-    Gottesman, PRA 70, 052328, 2004): X and Y set bits of the flip mask,
-    Z and Y set bits of a sign mask ``z``, and each Y contributes a
-    factor ``-i``. Qubit 0 is the most significant bit (the leftmost
-    tensor factor), so ``phase[i] = (-i)^#Y * (-1)^popcount(i & z)``.
-    Returns ``(idx, flip, phase)`` with ``idx = arange(2^n)``, a
-    read-only view of a shared table. Building it takes one Python pass
-    over the n axes for the two masks, then O(1) numpy gathers over the
-    2^n entries (the parity of ``i & z`` is looked up in a table), and
-    every phase is exactly one of ``±1, ±i``.
+    Gottesman, PRA 70, 052328, 2004): X and Y set bits of a flip mask
+    ``f``, Z and Y set bits of a sign mask ``z``, and each Y contributes
+    a factor ``-i``. Qubit 0 is the most significant bit (the leftmost
+    tensor factor), so ``perm[i] = i ^ f`` and ``phase[i] = (-i)^#Y *
+    (-1)^popcount(i & z)``. Returns ``(idx, perm, phase)`` with ``idx =
+    arange(2^n)``, a read-only view of a shared table. Building it takes
+    one Python pass over the n axes for the two masks, then O(1) numpy
+    gathers over the 2^n entries (the parity of ``i & z`` is looked up
+    in a table), and every phase is exactly one of ``±1, ±i``.
 
     The action is built once per chain and kept, for the last
     ``_ACTION_CACHE_SIZE`` chains used, so every caller shares the same
-    arrays: ``phase`` is read-only like ``idx``.
+    arrays: ``perm`` and ``phase`` are read-only like ``idx``.
     """
     flip = z = 0
     for ax in axes:
         flip = flip << 1 | (ax in "XY")
         z = z << 1 | (ax in "YZ")
     idx = _INDEX[: 1 << len(axes)]
+    perm = idx ^ flip
     base = _Y_PHASE[axes.count("Y") % 4]
     phase = np.where(_PARITY[idx & z], -base, base)
+    perm.setflags(write=False)
     phase.setflags(write=False)
-    return idx, flip, phase
+    return idx, perm, phase
 
 
 def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str) -> float:
     """Exact expectation value ``tr(O rho)``.
 
-    With the chain's action ``O[i, i ^ f] = phase[i]`` from
+    With the chain's action ``O[i, perm[i]] = phase[i]`` from
     ``_pauli_action``,
 
-    * a vector gives ``<v|O|v> = conj(v) @ (phase * v[i ^ f])``;
-    * a density gives ``tr(O rho) = sum_i phase[i] * rho[i ^ f, i]``.
+    * a vector gives ``<v|O|v> = vdot(v, phase * v[perm])``;
+    * a density gives ``tr(O rho) = sum_i phase[i] * rho[perm[i], i]``.
 
     The action is built on a chain's first use and kept (see
     ``_pauli_action``), so a repeated chain costs only the gathers over
@@ -167,12 +169,12 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
         raise ValueError(
             f"observable on {n} qubits does not match state on {state.num_qubits}"
         )
-    idx, flip, phase = _pauli_action(chain.axes)
+    idx, perm, phase = _pauli_action(chain.axes)
     if isinstance(state, StateVector):
         v = state.amplitudes
-        val = complex(np.conj(v) @ (phase * v[idx ^ flip]))
+        val = complex(np.vdot(v, phase * v[perm]))
     else:
-        val = complex(np.sum(phase * state.matrix[idx ^ flip, idx]))
+        val = complex(np.sum(phase * state.matrix[perm, idx]))
     if abs(val.imag) > EQ_ATOL:
         raise ValueError(f"expectation value has imaginary part {val.imag}")
     return float(val.real)

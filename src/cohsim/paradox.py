@@ -215,8 +215,9 @@ def _min_max_residual(
     candidates = [0.0, 1.0] if a == 0.0 else [0.0, 1.0, -b / a]
     best = min(sorted(c for c in candidates if 0.0 <= c <= 1.0), key=residual)
     p = np.zeros(k)
-    # add.at, not p[cols] = ...: a constant row picks one column twice.
-    np.add.at(p, cols, [best, 1.0 - best])
+    # Two adds, not p[cols] = ...: a constant row picks one column twice.
+    p[cols[0]] += best
+    p[cols[1]] += 1.0 - best
     return float(residual(best)), p
 
 
@@ -269,7 +270,8 @@ def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[floa
 
 
 # The GHZ sign-assignment products, built once at import and shared
-# read-only by every stabilizer check.
+# read-only by every stabilizer check with the parsed chains, the count of
+# satisfying assignments and _GHZ_VERTEX_ROWS[i] = first rows of (h_i, -h_i).
 _GHZ_PRODUCTS = np.array(
     [
         (x1 * y2 * y3, y1 * x2 * y3, y1 * y2 * x3, x1 * x2 * x3)
@@ -278,6 +280,12 @@ _GHZ_PRODUCTS = np.array(
     dtype=float,
 )
 _GHZ_PRODUCTS.setflags(write=False)
+_GHZ_OBSERVABLES = tuple(as_chain(chain) for chain in GHZ_CHAINS)
+_GHZ_SATISFYING = int(np.sum(np.all(_GHZ_PRODUCTS == np.array(GHZ_TARGET), axis=1)))
+_GHZ_VERTEX_ROWS = tuple(
+    tuple(int(np.argmax(np.all(_GHZ_PRODUCTS == sign * h, axis=1))) for sign in (1.0, -1.0))
+    for h in _HADAMARD
+)
 
 
 def ghz_sign_assignment_products() -> np.ndarray:
@@ -285,14 +293,14 @@ def ghz_sign_assignment_products() -> np.ndarray:
 
     Each of three parties carries independent signs for its X and Y
     readouts; row ``i`` holds the resulting values of (XYY, YXY, YYX,
-    XXX) for assignment ``i``. Shape (64, 4). The table is built once;
-    each call returns a writable copy of it.
+    XXX) for assignment ``i``. Shape (64, 4). The table is built once,
+    at import; each call returns a writable copy of it.
     """
     return _GHZ_PRODUCTS.copy()
 
 
-def _ghz_hull_residual(products: np.ndarray, observed: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact ``_min_max_residual(products.T, observed)`` for the GHZ sign products.
+def _ghz_hull_residual(observed: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact ``_min_max_residual(_GHZ_PRODUCTS.T, observed)``.
 
     The 64 assignments give only the 8 even vectors of {-1, 1}^4 (product
     +1), which are the rows of the Hadamard matrix H and their negatives.
@@ -306,20 +314,19 @@ def _ghz_hull_residual(products: np.ndarray, observed: np.ndarray) -> tuple[floa
     violated. The witness writes ``x`` through ``alpha = H x / 4``:
     weight ``|alpha_i|`` on ``sign(alpha_i) h_i``, the rest
     ``1 - ||alpha||_1`` split evenly over ``+-h_1``, each weight on the
-    first assignment whose product vector is that vertex.
-    Returns ``(gap, weights_vector)``.
+    first assignment whose product vector is that vertex, looked up in
+    ``_GHZ_VERTEX_ROWS``. Returns ``(gap, weights_vector)``.
     """
     scores = _MERMIN_NORMALS @ observed
     best = int(np.argmax(scores))
     gap = max(0.0, (float(scores[best]) - 2.0) / 4.0)
     alpha = _HADAMARD @ (observed - gap * _MERMIN_NORMALS[best]) / 4.0
     rest = max(0.0, 1.0 - float(np.abs(alpha).sum())) / 2.0
-    vertices = [math.copysign(1.0, a) * h for a, h in zip(alpha, _HADAMARD)]
-    vertices += [_HADAMARD[0], -_HADAMARD[0]]
-    amounts = [abs(float(a)) for a in alpha] + [rest, rest]
-    weights = np.zeros(len(products))
-    for vertex, amount in zip(vertices, amounts):
-        weights[int(np.argmax(np.all(products == vertex, axis=1)))] += amount
+    weights = np.zeros(len(_GHZ_PRODUCTS))
+    for a, (plus, minus) in zip(alpha.tolist(), _GHZ_VERTEX_ROWS):
+        weights[minus if math.copysign(1.0, a) < 0.0 else plus] += abs(a)
+    for row in _GHZ_VERTEX_ROWS[0]:
+        weights[row] += rest
     return gap, weights
 
 
@@ -343,16 +350,14 @@ def ghz_stabilizer_check(
     """
     if state.num_qubits != 3:
         raise ValueError(f"stabilizer check needs a 3-qubit state, got {state.num_qubits}")
-    values = {("ghz", chain): expectation(state, chain) for chain in GHZ_CHAINS}
-    observed = np.array([values[("ghz", ch)] for ch in GHZ_CHAINS])
-    satisfying = int(np.sum(np.all(_GHZ_PRODUCTS == np.array(GHZ_TARGET), axis=1)))
-    gap, weights = _ghz_hull_residual(_GHZ_PRODUCTS, observed)
+    observed = [expectation(state, chain) for chain in _GHZ_OBSERVABLES]
+    gap, weights = _ghz_hull_residual(np.array(observed))
     return ParadoxVerdict(
-        per_constraint_values=values,
+        per_constraint_values={("ghz", ch): val for ch, val in zip(GHZ_CHAINS, observed)},
         violation_gap=gap,
-        witness_weights=tuple(float(x) for x in weights),
+        witness_weights=tuple(weights.tolist()),
         tol=tol,
-        satisfying_assignments=satisfying,
+        satisfying_assignments=_GHZ_SATISFYING,
     )
 
 
@@ -495,7 +500,7 @@ def lhv_mixture_test(
     return ParadoxVerdict(
         per_constraint_values=values,
         violation_gap=gap,
-        witness_weights=tuple(float(x) for x in weights),
+        witness_weights=tuple(weights.tolist()),
         tol=tol,
     )
 

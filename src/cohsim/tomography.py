@@ -25,8 +25,8 @@ from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, 
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
 
-# The 16 two-qubit Pauli pairs as (i, j, idx, flip, phase), where i and j
-# index ("I", X, Y, Z) and the pair acts as O[idx, idx ^ flip] = phase.
+# The 16 two-qubit Pauli pairs as (i, j, idx, perm, phase), where i and j
+# index ("I", X, Y, Z) and the pair acts as O[idx, perm] = phase.
 _PAIR_ACTIONS = tuple(
     (i, j, *_pauli_action((si, sj)))
     for i, si in enumerate(("I",) + AXES)
@@ -120,8 +120,8 @@ def _invert(pooled: np.ndarray) -> np.ndarray:
     coeff[..., 1:, 0] = marg_a.mean(axis=-1)
     coeff[..., 0, 1:] = marg_b.mean(axis=-2)
     rho = np.zeros(batch + (4, 4), dtype=complex)
-    for i, j, idx, flip, phase in _PAIR_ACTIONS:
-        rho[..., idx, idx ^ flip] += coeff[..., i, j, None] * phase / 4.0
+    for i, j, idx, perm, phase in _PAIR_ACTIONS:
+        rho[..., idx, perm] += coeff[..., i, j, None] * phase / 4.0
     return rho
 
 

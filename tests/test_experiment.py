@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -32,7 +33,7 @@ from cohsim.experiment import (
 from cohsim.measurement import AXES, ObservableChain
 from cohsim.paradox import MixtureClaim, ParadoxConstraint, ParadoxSpec, coherence_paradox
 from cohsim.reports import paradox_exact_block, paradox_simulated_block
-from cohsim.states import DensityOperator, StateVector, epr_family, werner_mix
+from cohsim.states import EPR_LABELS, DensityOperator, StateVector, epr_family, werner_mix
 
 from .test_measurement import PROPERTY_SETTINGS
 from .test_states import random_state
@@ -346,6 +347,20 @@ class TestCountTable:
         with pytest.raises(ValueError, match="line 3 has extra fields"):
             CountTable.from_csv(path, DESK)
 
+    @pytest.mark.parametrize("column", ["trial", "a", "b", "count"])
+    def test_csv_non_integer_cell_rejected(self, tmp_path, column):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells[header.index(column)] = "abc"
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        pattern = f"count file {re.escape(str(path))} line 3 column {column} is not an integer: 'abc'"
+        with pytest.raises(ValueError, match=pattern):
+            CountTable.from_csv(path, DESK)
+
 
 FINITE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -636,6 +651,17 @@ class TestPValues:
         spec = two_party_mixture_spec()
         counts = {("01", "ZZ"): hand_table([[25, 25], [25, 25]])}
         with pytest.raises(ValueError, match="missing observations"):
+            paradox_p_value(spec, counts)
+
+    def test_table_under_another_settings_key_rejected(self):
+        # A ZZ table filed under an XX key: a ValueError naming the key,
+        # where the table lookup once raised KeyError.
+        theta = math.pi / 4
+        spec = coherence_paradox(theta, "X")
+        sources = {label: epr_family(theta, label) for label in EPR_LABELS}
+        counts = dict(paradox_counts(spec, sources, DESK))
+        counts[("00", "XX")] = counts[("01", "ZZ")]
+        with pytest.raises(ValueError, match=re.escape("key ('00', 'XX')")):
             paradox_p_value(spec, counts)
 
     def test_simulated_full_pipeline_is_significant(self):

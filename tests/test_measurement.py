@@ -326,12 +326,16 @@ class TestPauliAction:
     """The table-driven kernel against the bit loop, bit for bit."""
 
     def assert_same_action(self, axes):
-        idx, flip, phase = _pauli_action(axes)
+        idx, perm, phase = _pauli_action(axes)
         want_idx, want_flip, want_phase = loop_pauli_action(axes)
-        assert flip == want_flip, axes
+        want_perm = want_idx ^ want_flip
         assert idx.dtype == want_idx.dtype and phase.dtype == want_phase.dtype, axes
+        assert perm.dtype == want_perm.dtype, axes
         np.testing.assert_array_equal(idx, want_idx, err_msg=str(axes))
+        np.testing.assert_array_equal(perm, want_perm, err_msg=str(axes))
         np.testing.assert_array_equal(phase, want_phase, err_msg=str(axes))
+        # A Pauli chain squares to the identity, so its permutation is an involution.
+        np.testing.assert_array_equal(perm[perm], idx, err_msg=str(axes))
         # Signed zeros too: -base and base differ only in the sign of a zero part.
         for part in (np.real, np.imag):
             np.testing.assert_array_equal(
@@ -352,12 +356,15 @@ class TestPauliAction:
             self.assert_same_action(tuple(chain))
 
     def test_shared_index_is_read_only(self):
-        idx, _flip, phase = _pauli_action(("X", "Y", "Z"))
+        idx, perm, phase = _pauli_action(("X", "Y", "Z"))
         with pytest.raises(ValueError):
             idx[0] = 1
-        # The action is kept and shared, so no caller may edit its phase.
+        # The action is kept and shared, so no caller may edit its perm or phase.
+        with pytest.raises(ValueError):
+            perm[0] = 0
         with pytest.raises(ValueError):
             phase[0] = 0.0
+        assert _pauli_action(("X", "Y", "Z"))[1][0] != 0
         assert _pauli_action(("X", "Y", "Z"))[2][0] != 0.0
 
 
@@ -504,6 +511,22 @@ class TestActionCache:
         cold = expectation(state, chain)
         # Same bytes, so signed zeros must agree too.
         assert struct.pack("<d", cold) == struct.pack("<d", warm), (chain, cold, warm)
+
+    @PROPERTY_SETTINGS
+    @given(
+        data=st.data(),
+        n=st.integers(1, MAX_QUBITS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_value_is_the_conjugate_product_bit_for_bit(self, data, n, seed):
+        # vdot against the conj-and-matmul form over the loop oracle's action.
+        psi = random_state(n, seed)
+        v = psi.amplitudes
+        chain = "".join(data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+        idx, flip, phase = loop_pauli_action(tuple(chain))
+        want = complex(np.conj(v) @ (phase * v[idx ^ flip])).real
+        got = expectation(psi, chain)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (chain, got, want)
 
 
 class TestJointDistribution:

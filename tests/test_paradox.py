@@ -356,7 +356,7 @@ class TestGhzHullClosedForm:
     VERTICES = np.unique(PRODUCTS, axis=0)
 
     def check_against_linear_program(self, e):
-        gap, weights = _ghz_hull_residual(self.PRODUCTS, e)
+        gap, weights = _ghz_hull_residual(e)
         reference = linprog_min_max(self.VERTICES.T, e, np.ones(4))
         assert gap == pytest.approx(reference, abs=1e-12)
         assert weights.shape == (64,)
@@ -380,10 +380,18 @@ class TestGhzHullClosedForm:
             gap = self.check_against_linear_program(v * np.array(GHZ_TARGET))
             assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
 
+    def test_vertex_rows_are_the_first_row_of_each_vertex(self):
+        products = ghz_sign_assignment_products()
+        assert len(paradox._GHZ_VERTEX_ROWS) == len(paradox._HADAMARD) == 4
+        for h, rows in zip(paradox._HADAMARD, paradox._GHZ_VERTEX_ROWS):
+            for sign, row in zip((1.0, -1.0), rows):
+                equal = np.flatnonzero(np.all(products == sign * h, axis=1))
+                assert row == equal[0], (sign * h, row, equal)
+
     def test_witness_uses_first_assignment_of_each_vertex(self):
         first = {tuple(row): i for i, row in reversed(list(enumerate(self.PRODUCTS)))}
         for e in cube_points(30, seed=72):
-            _gap, weights = _ghz_hull_residual(self.PRODUCTS, e)
+            _gap, weights = _ghz_hull_residual(e)
             assert set(np.flatnonzero(weights)) <= set(first.values())
 
     def test_werner_mixed_state(self):
@@ -576,7 +584,7 @@ class TestMinMaxResidual:
         for v in np.linspace(0.0, 1.0, 21):
             e = v * np.array(GHZ_TARGET)
             gap, p = _min_max_residual(products.T, e)
-            assert gap == pytest.approx(_ghz_hull_residual(products, e)[0], abs=1e-12)
+            assert gap == pytest.approx(_ghz_hull_residual(e)[0], abs=1e-12)
             assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
             assert p.min() >= 0.0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -683,6 +691,13 @@ class TestNoiseCurves:
         observed = {key: expectation(sources[key[0]], key[1]) for key in spec.observation_keys()}
         gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
         assert abs(gap - v * math.sin(2.0 * theta)) <= 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(v=st.floats(0.0, 1.0))
+    def test_ghz_gap_is_v_minus_one_half(self, v):
+        verdict = ghz_stabilizer_check(werner_mix(ghz_state(3), v))
+        assert abs(verdict.violation_gap - max(0.0, v - 0.5)) <= 1e-15
+        assert verdict.satisfying_assignments == 0
 
 
 class TestMixtureFeasibilityCompleteness:
