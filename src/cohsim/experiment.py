@@ -528,14 +528,17 @@ def visibility_scan(
     over the full measurement time and the rates are estimates.
 
     Raises:
-        ValueError: empty grid, a non-finite angle, or a non-2-qubit state.
+        ValueError: empty grid, an angle ``t`` with ``2 t`` not finite
+            (NaN, infinite, or beyond about 9e307), or a non-2-qubit state.
         ArithmeticError: fit breakdown (zero mean rate).
     """
     grid = [float(a) for a in scan_grid]
     if not grid:
         raise ValueError("scan grid must be nonempty")
-    if not all(map(math.isfinite, [fixed_arm_angle, *grid])):
-        raise ValueError("fixed arm angle and scan grid angles must be finite")
+    for angle in (fixed_arm_angle, *grid):
+        # The fringe reads cos 2t and sin 2t, so 2t must be finite, not only t.
+        if not math.isfinite(2.0 * angle):
+            raise ValueError(f"angle {angle!r}: an analyzer angle and twice it must be finite")
     if state.num_qubits != 2:
         raise ValueError("visibility scan needs a 2-qubit state")
     cfg = cfg or ExperimentConfig()

@@ -120,7 +120,9 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
     a factor ``-i``. Qubit 0 is the most significant bit (the leftmost
     tensor factor), so ``perm[i] = i ^ f`` and ``phase[i] = (-i)^#Y *
     (-1)^popcount(i & z)``. Returns ``(idx, perm, phase)`` with ``idx =
-    arange(2^n)``, a read-only view of a shared table. Building it takes
+    arange(2^n)``, a read-only view of a shared table; a diagonal chain
+    (Z and I only, ``f = 0``) returns ``perm is idx``, so callers can
+    skip the identity gather. Building it takes
     one Python pass over the n axes for the two masks, then O(1) numpy
     gathers over the 2^n entries (the parity of ``i & z`` is looked up
     in a table), and every phase is exactly one of ``±1, ±i``.
@@ -134,10 +136,12 @@ def _pauli_action(axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
         flip = flip << 1 | (ax in "XY")
         z = z << 1 | (ax in "YZ")
     idx = _INDEX[: 1 << len(axes)]
-    perm = idx ^ flip
+    perm = idx
+    if flip:
+        perm = idx ^ flip
+        perm.setflags(write=False)
     base = _Y_PHASE[axes.count("Y") % 4]
     phase = np.where(_PARITY[idx & z], -base, base)
-    perm.setflags(write=False)
     phase.setflags(write=False)
     return idx, perm, phase
 
@@ -153,8 +157,10 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
 
     The action is built on a chain's first use and kept (see
     ``_pauli_action``), so a repeated chain costs only the gathers over
-    the 2^n entries, and no ``2^n x 2^n`` operator is built. The
-    products are exact, so the values equal those of the dense
+    the 2^n entries, and no ``2^n x 2^n`` operator is built. A diagonal
+    chain (``perm is idx``) skips the gather: it reads ``v`` or the
+    diagonal of ``rho`` directly, the same elements in the same order.
+    The products are exact, so the values equal those of the dense
     tensor-product operator bit for bit, whether the action was built
     for this call or kept from an earlier one.
 
@@ -163,18 +169,20 @@ def expectation(state: StateVector | DensityOperator, obs: ObservableChain | str
             imaginary part above ``EQ_ATOL`` (cannot happen for valid
             inputs, kept as a numerical guard).
     """
-    chain = as_chain(obs)
-    n = chain.num_qubits
+    axes = obs.axes if type(obs) is ObservableChain else as_chain(obs).axes
+    n = len(axes)
     if n != state.num_qubits:
         raise ValueError(
             f"observable on {n} qubits does not match state on {state.num_qubits}"
         )
-    idx, perm, phase = _pauli_action(chain.axes)
+    idx, perm, phase = _pauli_action(axes)
     if isinstance(state, StateVector):
         v = state.amplitudes
-        val = complex(np.vdot(v, phase * v[perm]))
+        val = complex(np.vdot(v, phase * (v if perm is idx else v[perm])))
     else:
-        val = complex(np.sum(phase * state.matrix[perm, idx]))
+        rho = state.matrix
+        # ndarray.sum is np.sum's pairwise reduction without its dispatch.
+        val = complex((phase * (rho.diagonal() if perm is idx else rho[perm, idx])).sum())
     if abs(val.imag) > EQ_ATOL:
         raise ValueError(f"expectation value has imaginary part {val.imag}")
     return float(val.real)

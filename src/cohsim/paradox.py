@@ -46,7 +46,8 @@ class ParadoxConstraint:
     expected_value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observable", as_chain(self.observable))
+        if not isinstance(self.observable, ObservableChain):
+            object.__setattr__(self, "observable", as_chain(self.observable))
         if not -1.0 <= self.expected_value <= 1.0:
             raise ValueError(f"expected value {self.expected_value} outside [-1, 1]")
 
@@ -71,6 +72,10 @@ class MixtureClaim:
 class ParadoxSpec:
     """Constraint list plus mixture claim.
 
+    The ``(source_label, observable_label)`` key of every constraint is
+    formed once, at construction, and kept (not a field, so equality,
+    hashing and ``dataclasses.replace`` see only the two fields).
+
     Raises:
         ValueError: if the mixed label or any component label never
             appears among the constraints.
@@ -83,7 +88,9 @@ class ParadoxSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise ValueError("paradox needs at least one constraint")
-        labels = {c.source_label for c in self.constraints}
+        keys = tuple((c.source_label, c.observable.label) for c in self.constraints)
+        object.__setattr__(self, "_keys", keys)
+        labels = {lb for lb, _ in keys}
         claim = self.mixture_claim
         if claim.mixed_label not in labels:
             raise ValueError(f"mixed label {claim.mixed_label!r} has no constraints")
@@ -93,7 +100,7 @@ class ParadoxSpec:
 
     def observation_keys(self) -> tuple[tuple[str, str], ...]:
         """``(source_label, observable_label)`` of every constraint, in order."""
-        return tuple((c.source_label, c.observable.label) for c in self.constraints)
+        return self._keys
 
     def observables(self) -> tuple[ObservableChain, ...]:
         """Unique observable chains, in first-appearance order."""
@@ -204,13 +211,16 @@ def _min_max_residual(
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
     if m > 1:
         return _mixture_lp(vals, targ, w)
-    row = vals[0]
-    cols = [0, 1] if k == 2 else [int(np.argmin(row)), int(np.argmax(row))]
+    # Python floats: the same IEEE doubles as numpy scalars, without their
+    # call overhead. list.index finds the first extremum, as argmin does.
+    row = vals[0].tolist()
+    cols = [0, 1] if k == 2 else [row.index(min(row)), row.index(max(row))]
     a = row[cols[0]] - row[cols[1]]
-    b = row[cols[1]] - targ[0]
+    b = row[cols[1]] - float(targ[0])
+    scale = float(w[0])
 
     def residual(p: float) -> float:
-        return w[0] * abs(a * p + b)
+        return scale * abs(a * p + b)
 
     candidates = [0.0, 1.0] if a == 0.0 else [0.0, 1.0, -b / a]
     best = min(sorted(c for c in candidates if 0.0 <= c <= 1.0), key=residual)
@@ -449,7 +459,8 @@ def _mixture_gap(
         ValueError: an unobserved constraint or component value, or a
             non-finite observed value.
     """
-    missing = [key for key in spec.observation_keys() if key not in observed]
+    keys = spec.observation_keys()
+    missing = [key for key in keys if key not in observed]
     if missing:
         raise ValueError(f"missing observations for constraints: {missing}")
     for key, value in observed.items():
@@ -459,18 +470,19 @@ def _mixture_gap(
     rows: list[list[float]] = []
     targets: list[float] = []
     scales: list[float] = []
-    for chain in spec.observables():
-        key_mixed = (claim.mixed_label, chain.label)
+    # Unique chain labels in first-appearance order, as ``spec.observables()``.
+    for chain in dict.fromkeys(ob for _, ob in keys):
+        key_mixed = (claim.mixed_label, chain)
         if key_mixed not in observed:
             continue
         row = []
-        for lb in claim.component_labels + (claim.mixed_label,):
-            key = (lb, chain.label)
+        for lb in claim.component_labels:
+            key = (lb, chain)
             if key not in observed:
-                raise ValueError(f"mixed-row observable {chain.label} lacks component value {key}")
+                raise ValueError(f"mixed-row observable {chain} lacks component value {key}")
             row.append(float(observed[key]))
-        targets.append(row.pop())
         rows.append(row)
+        targets.append(float(observed[key_mixed]))
         scales.append(1.0 if weight is None else weight[key_mixed])
     gap, weights = _min_max_residual(np.array(rows), np.array(targets), np.array(scales))
     return gap, weights, len(rows)

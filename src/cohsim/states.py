@@ -70,7 +70,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            amps = amps.reshape(-1)
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm) and np.count_nonzero(np.isfinite(amps)) != amps.size:
             raise ValueError(_NONFINITE)

@@ -189,6 +189,16 @@ class TestExitCodes:
         assert code == 2
         assert "'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1e308", "-1e308"])
+    def test_fixed_arm_whose_double_overflows_exits_two(self, text, tmp_path, capsys):
+        # Once exit 2 with only "math domain error", from cos(2 * 1e308).
+        out = tmp_path / "o"
+        code = main(["visibility", f"--fixed={text}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"angle {float(text)!r}: an analyzer angle and twice it must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("zeros", [308, 400])
     def test_huge_multiple_of_pi_exits_two(self, zeros, tmp_path, capsys):
         text = "1" + "0" * zeros + "pi"

@@ -772,6 +772,29 @@ class TestVisibilityScan:
         with pytest.raises(ValueError, match="must be finite"):
             visibility_scan(epr_family(math.pi / 4, "00"), 0.0, [*self.GRID, math.inf])
 
+    # Finite, but 2 * angle overflows: once math.cos(inf) ("math domain
+    # error") for the fixed arm, and an overflow warning then LinAlgError
+    # for a grid angle.
+    HUGE = [1e308, -1e308, 8.99e307, sys.float_info.max]
+
+    @pytest.mark.parametrize("angle", HUGE)
+    def test_fixed_arm_whose_double_overflows_rejected(self, angle):
+        with pytest.raises(ValueError, match=re.escape(f"angle {angle!r}:")):
+            visibility_scan(epr_family(math.pi / 4, "00"), angle, self.GRID)
+
+    @pytest.mark.parametrize("angle", HUGE)
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_grid_angle_whose_double_overflows_rejected(self, angle, simulate):
+        with pytest.raises(ValueError, match=re.escape(f"angle {angle!r}:")):
+            visibility_scan(
+                epr_family(math.pi / 4, "00"), 0.0, [*self.GRID, angle], simulate=simulate
+            )
+
+    def test_largest_angle_with_a_finite_double_is_scanned(self):
+        angle = sys.float_info.max / 2.0
+        scan = visibility_scan(epr_family(math.pi / 4, "00"), angle, self.GRID)
+        assert math.isfinite(scan.visibility)
+
     def test_exact_rates_follow_the_fringe(self):
         cfg = ExperimentConfig(visibility_v=0.8)
         scan = visibility_scan(epr_family(math.pi / 4, "00"), 0.0, self.GRID, cfg)

@@ -529,6 +529,58 @@ class TestActionCache:
         assert struct.pack("<d", got) == struct.pack("<d", want), (chain, got, want)
 
 
+def dense_value(state, chain):
+    """``dense_expectation`` with the density's trace read off the diagonal of
+    ``op @ rho`` (row sums of ``op * rho.T``), so it reaches ``MAX_QUBITS``."""
+    if isinstance(state, StateVector):
+        return dense_expectation(state, chain)
+    op = np.array([[1.0 + 0j]])
+    for ax in chain:
+        op = np.kron(op, PAULI[ax])
+    return float(complex((op * state.matrix.T).sum(axis=1).sum()).real)
+
+
+class TestDiagonalShortcut:
+    """A Z/I chain skips the identity gather and keeps every value's bytes."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_diagonal_chain_perm_is_the_shared_index(self, n):
+        alternating = tuple("IZ"[q % 2] for q in range(n))
+        for axes in (("Z",) + ("I",) * (n - 1), ("I",) * n, ("Z",) * n, alternating):
+            idx, perm, _ = _pauli_action(axes)
+            assert perm is idx, axes
+            assert not perm.flags.writeable
+            with pytest.raises(ValueError):
+                perm[0] = 1
+
+    @pytest.mark.parametrize("chain", [("X",), ("Z", "Y"), ("I", "I", "X")])
+    def test_flipping_chain_has_its_own_perm(self, chain):
+        idx, perm, _ = _pauli_action(chain)
+        assert perm is not idx
+        assert not perm.flags.writeable
+
+    @PROPERTY_SETTINGS
+    @given(
+        data=st.data(),
+        n=st.integers(1, MAX_QUBITS),
+        seed=st.integers(0, 2),
+        mixed=st.booleans(),
+        diagonal=st.booleans(),
+    )
+    def test_expectation_is_the_dense_value_bit_for_bit(self, data, n, seed, mixed, diagonal):
+        state = mixed_state(n, seed) if mixed else random_state(n, seed)
+        alphabet = st.sampled_from("IZ" if diagonal else "IXYZ")
+        axes = data.draw(st.lists(alphabet, min_size=n, max_size=n))
+        if not diagonal:
+            # At least one X or Y, so the chain flips and takes the gather.
+            axes[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from("XY"))
+        chain = "".join(axes)
+        assert (_pauli_action(tuple(chain))[1] is _pauli_action(tuple(chain))[0]) == diagonal
+        got = expectation(state, chain)
+        want = dense_value(state, chain)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (chain, mixed, got, want)
+
+
 class TestJointDistribution:
     def test_validates_shape(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Paradox construction, sign-model enumeration, and mixture refutation."""
 
+import dataclasses
 import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from cohsim.paradox import (
     theoretical_values,
 )
 from cohsim.states import (
+    EQ_ATOL,
     EPR_LABELS,
     MAX_QUBITS,
     StateVector,
@@ -698,6 +701,190 @@ class TestNoiseCurves:
         verdict = ghz_stabilizer_check(werner_mix(ghz_state(3), v))
         assert abs(verdict.violation_gap - max(0.0, v - 0.5)) <= 1e-15
         assert verdict.satisfying_assignments == 0
+
+
+# Random specs: 1 to 4 components, the mixed source "M" and a source "E"
+# outside the claim, over chains of two lengths.
+SPEC_CHAINS = ("XX", "ZZ", "XY", "YZ", "ZI", "XXZ")
+SPEC_VALUES = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def random_specs(draw):
+    components = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    labels = [*components, "M", "E"]
+    chains = st.sampled_from(SPEC_CHAINS)
+    # Every claim label needs a constraint; then any further rows, repeats included.
+    pairs = [(lb, draw(chains)) for lb in (*components, "M")]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(labels), chains), max_size=10))
+    pairs = draw(st.permutations(pairs))
+    constraints = tuple(ParadoxConstraint(lb, ch, draw(SPEC_VALUES)) for lb, ch in pairs)
+    return ParadoxSpec(constraints, MixtureClaim("M", tuple(components)))
+
+
+@st.composite
+def specs_with_observations(draw):
+    """A spec, a value for each of its keys, and extra keys in and out of the claim."""
+    spec = draw(random_specs())
+    observed = {key: draw(SPEC_VALUES) for key in spec.observation_keys()}
+    sources = [*spec.mixture_claim.component_labels, "M"]
+    if draw(st.booleans()):
+        # Complete the claim's table, so that most such cases give rows.
+        for chain in dict.fromkeys(c.observable.label for c in spec.constraints):
+            for lb in sources:
+                observed.setdefault((lb, chain), draw(SPEC_VALUES))
+    labels = st.sampled_from([*sources, "E"])
+    chains = st.sampled_from(SPEC_CHAINS + ("YY",))  # YY is in no spec
+    for key in draw(st.lists(st.tuples(labels, chains), max_size=12)):
+        observed.setdefault(key, draw(SPEC_VALUES))
+    return spec, observed
+
+
+def reference_mixture_rows(spec, observed):
+    """``_mixture_gap``'s rows by brute force: the full (chain x source) table.
+
+    Every claim source against every spec chain, in the spec's first-use
+    order, with None where nothing was observed. A chain whose mixed
+    value is observed is a row; it needs every component value. Returns
+    ``(rows, targets, used)`` with ``used`` mapping each key in a row to
+    its ``(row, column)`` (the target is column ``k``), or raises
+    ``KeyError`` naming the first missing component key.
+    """
+    claim = spec.mixture_claim
+    sources = [*claim.component_labels, claim.mixed_label]
+    chains = list(dict.fromkeys(c.observable.label for c in spec.constraints))
+    table = [[observed.get((lb, ch)) for lb in sources] for ch in chains]
+    rows, targets, used = [], [], {}
+    for chain, cells in zip(chains, table):
+        if cells[-1] is None:
+            continue
+        for lb, cell in zip(sources, cells):
+            if cell is None:
+                raise KeyError((lb, chain))
+        for col, lb in enumerate(sources):
+            used[(lb, chain)] = (len(rows), col)
+        rows.append(cells[:-1])
+        targets.append(cells[-1])
+    return rows, targets, used
+
+
+def captured_rows(spec, observed):
+    """The ``(rows, targets)`` that ``_mixture_gap`` hands to ``_min_max_residual``."""
+    with mock.patch.object(
+        paradox, "_min_max_residual", wraps=paradox._min_max_residual
+    ) as solver:
+        paradox._mixture_gap(spec, observed)
+    (rows, targets, _scales), _ = solver.call_args
+    return rows.tolist(), targets.tolist()
+
+
+class TestMixtureRowCompleteness:
+    """Every observed key is used in a mixture row, imposes no condition, or is refused."""
+
+    @PROPERTY_SETTINGS
+    @given(case=specs_with_observations())
+    def test_rows_match_the_brute_force_table(self, case):
+        spec, observed = case
+        try:
+            want_rows, want_targets, _ = reference_mixture_rows(spec, observed)
+        except KeyError as missing:
+            (key,) = missing.args
+            with pytest.raises(ValueError, match=re.escape(str(key))):
+                paradox._mixture_gap(spec, observed)
+            return
+        rows, targets = captured_rows(spec, observed)
+        assert rows == want_rows
+        assert targets == want_targets
+
+    @PROPERTY_SETTINGS
+    @given(case=specs_with_observations(), bump=st.floats(0.01, 0.5))
+    def test_each_key_is_used_where_expected_or_changes_nothing(self, case, bump):
+        spec, observed = case
+        try:
+            _, _, used = reference_mixture_rows(spec, observed)
+        except KeyError:
+            return  # refused; the test above checks the refusal
+        rows, targets = captured_rows(spec, observed)
+        for key, value in observed.items():
+            moved = value - bump if value > 0.0 else value + bump
+            new_rows, new_targets = captured_rows(spec, {**observed, key: moved})
+            if key not in used:
+                assert (new_rows, new_targets) == (rows, targets), key
+                continue
+            row, col = used[key]
+            want_rows = [list(r) for r in rows]
+            want_targets = list(targets)
+            if col == len(spec.mixture_claim.component_labels):
+                want_targets[row] = moved
+            else:
+                want_rows[row][col] = moved
+            assert (new_rows, new_targets) == (want_rows, want_targets), key
+
+    @PROPERTY_SETTINGS
+    @given(case=specs_with_observations())
+    def test_removing_a_component_value_is_refused_by_name(self, case):
+        spec, observed = case
+        try:
+            _, _, used = reference_mixture_rows(spec, observed)
+        except KeyError:
+            return
+        mixed = spec.mixture_claim.mixed_label
+        for key in used:
+            if key[0] == mixed:
+                continue
+            rest = {k: v for k, v in observed.items() if k != key}
+            with pytest.raises(ValueError, match=re.escape(str(key))):
+                lhv_mixture_test(spec, rest, tol=EQ_ATOL)
+
+
+class TestObservationKeys:
+    """A spec forms its constraint keys once; they follow its fields."""
+
+    @staticmethod
+    def recomputed(spec):
+        return tuple((c.source_label, c.observable.label) for c in spec.constraints)
+
+    @PROPERTY_SETTINGS
+    @given(spec=random_specs())
+    def test_keys_are_the_constraints_in_order(self, spec):
+        assert spec.observation_keys() == self.recomputed(spec)
+
+    @PROPERTY_SETTINGS
+    @given(spec=random_specs())
+    def test_equal_fields_compare_and_hash_equal(self, spec):
+        # Fresh constraints from strings, so no object is shared but the fields agree.
+        twin = ParadoxSpec(
+            tuple(
+                ParadoxConstraint(c.source_label, c.observable.label, c.expected_value)
+                for c in spec.constraints
+            ),
+            MixtureClaim(spec.mixture_claim.mixed_label, spec.mixture_claim.component_labels),
+        )
+        assert twin == spec
+        assert hash(twin) == hash(spec)
+        assert twin.observation_keys() == spec.observation_keys()
+        assert [f.name for f in dataclasses.fields(ParadoxSpec)] == [
+            "constraints",
+            "mixture_claim",
+        ]
+
+    @PROPERTY_SETTINGS
+    @given(spec=random_specs(), other=random_specs())
+    def test_round_trip_and_replace_key_their_own_constraints(self, spec, other):
+        clone = ParadoxSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone == spec
+        assert clone.observation_keys() == self.recomputed(spec)
+        moved = dataclasses.replace(
+            spec, constraints=other.constraints, mixture_claim=other.mixture_claim
+        )
+        assert moved.observation_keys() == self.recomputed(other)
+        if self.recomputed(other) != self.recomputed(spec):
+            assert moved.observation_keys() != spec.observation_keys()
+
+    def test_replace_keeps_the_checks(self):
+        spec = coherence_paradox(0.4, "X")
+        with pytest.raises(ValueError, match="has no constraints"):
+            dataclasses.replace(spec, constraints=spec.constraints[:2])
 
 
 class TestMixtureFeasibilityCompleteness:
