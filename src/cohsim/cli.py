@@ -307,8 +307,6 @@ def cmd_dicke(args: argparse.Namespace, run: _Run) -> list[str]:
 
 def cmd_visibility(args: argparse.Namespace, run: _Run) -> list[str]:
     fixed = parse_angle(args.fixed)
-    if args.points < 3:
-        raise ValueError(f"points={args.points}: the fringe fit needs at least 3")
     fit = _scan(run, "visibility.csv", fixed, args.points, simulate=(args.mode == "simulated"))
     run.json("visibility.json", fit)
     relation = "exceeds" if fit["exceeds_classical_bound"] else "is within"

@@ -409,14 +409,17 @@ def paradox_counts(
     blocks under one seed should space their tag bases apart.
 
     Raises:
-        ValueError: a label without a source, or an observable that is
-            not a two-party axis pair.
+        ValueError: a label without a source, an observable that is not
+            a two-party axis pair, or a ``(source, chain)`` key given twice
+            (its second table would replace the first).
     """
     out: dict[tuple[str, str], CountTable] = {}
-    for idx, con in enumerate(spec.constraints):
+    for idx, (key, con) in enumerate(zip(spec.observation_keys(), spec.constraints)):
         if con.source_label not in sources:
             raise ValueError(f"no source state for label {con.source_label!r}")
-        out[(con.source_label, con.observable.label)] = simulate_counts(
+        if key in out:
+            raise ValueError(f"spec repeats constraint key {key}: one table per key")
+        out[key] = simulate_counts(
             sources[con.source_label], con.observable.axes, cfg, stream_tag=tag_base + idx
         )
     return out
@@ -512,6 +515,18 @@ class VisibilityScan:
             _write_csv(path, ["angle", "rate", "counts"], zip(self.angles, self.rates, self.counts))
 
 
+def _scan_angle(angle) -> float:
+    """``float(angle)``, refused unless twice it is finite: the fringe reads
+    cos 2t and sin 2t."""
+    try:
+        value = float(angle)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(2.0 * value):
+        raise ValueError(f"angle {angle!r}: an analyzer angle and twice it must be finite")
+    return value
+
+
 def visibility_scan(
     state: StateVector | DensityOperator,
     fixed_arm_angle: float,
@@ -529,16 +544,14 @@ def visibility_scan(
 
     Raises:
         ValueError: empty grid, an angle ``t`` with ``2 t`` not finite
-            (NaN, infinite, or beyond about 9e307), or a non-2-qubit state.
+            (NaN, infinite, beyond about 9e307, or an int too large for a
+            float), fewer than three grid angles distinct modulo pi (the
+            fit's three coefficients need them), or a non-2-qubit state.
         ArithmeticError: fit breakdown (zero mean rate).
     """
-    grid = [float(a) for a in scan_grid]
+    fixed_angle, *grid = (_scan_angle(a) for a in (fixed_arm_angle, *scan_grid))
     if not grid:
         raise ValueError("scan grid must be nonempty")
-    for angle in (fixed_arm_angle, *grid):
-        # The fringe reads cos 2t and sin 2t, so 2t must be finite, not only t.
-        if not math.isfinite(2.0 * angle):
-            raise ValueError(f"angle {angle!r}: an analyzer angle and twice it must be finite")
     if state.num_qubits != 2:
         raise ValueError("visibility scan needs a 2-qubit state")
     cfg = cfg or ExperimentConfig()
@@ -552,7 +565,7 @@ def visibility_scan(
     design = np.column_stack(
         [np.ones_like(angles_arr), np.cos(2.0 * angles_arr), np.sin(2.0 * angles_arr)]
     )
-    fixed = np.array([1.0, math.cos(2.0 * fixed_arm_angle), math.sin(2.0 * fixed_arm_angle)])
+    fixed = np.array([1.0, math.cos(2.0 * fixed_angle), math.sin(2.0 * fixed_angle)])
     probs = np.maximum(0.0, design @ (fixed @ corr) / 4.0)
     rate_scale = cfg.pair_rate * cfg.efficiency
     measure_time = cfg.duration_per_setting * cfg.num_trials
@@ -567,14 +580,16 @@ def visibility_scan(
         rates = drawn / measure_time
     else:
         rates = rate_scale * probs
-    coeffs, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
+    if rank < 3:
+        raise ValueError(f"the fit needs 3 grid angles distinct modulo pi, found {rank}")
     offset = float(coeffs[0])
     amplitude = float(math.hypot(coeffs[1], coeffs[2]))
     if offset <= 0.0:
         raise ArithmeticError("fringe fit degenerate: nonpositive mean rate")
     return VisibilityScan(
-        fixed_arm_angle=float(fixed_arm_angle),
-        angles=tuple(float(a) for a in grid),
+        fixed_arm_angle=fixed_angle,
+        angles=tuple(grid),
         rates=tuple(float(r) for r in rates),
         fit_offset=offset,
         fit_amplitude=amplitude,

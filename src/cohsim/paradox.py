@@ -102,13 +102,6 @@ class ParadoxSpec:
         """``(source_label, observable_label)`` of every constraint, in order."""
         return self._keys
 
-    def observables(self) -> tuple[ObservableChain, ...]:
-        """Unique observable chains, in first-appearance order."""
-        seen: dict[str, ObservableChain] = {}
-        for c in self.constraints:
-            seen.setdefault(c.observable.label, c.observable)
-        return tuple(seen.values())
-
     def to_dict(self) -> dict:
         return {
             "constraints": [
@@ -470,7 +463,6 @@ def _mixture_gap(
     rows: list[list[float]] = []
     targets: list[float] = []
     scales: list[float] = []
-    # Unique chain labels in first-appearance order, as ``spec.observables()``.
     for chain in dict.fromkeys(ob for _, ob in keys):
         key_mixed = (claim.mixed_label, chain)
         if key_mixed not in observed:

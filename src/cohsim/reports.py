@@ -24,11 +24,12 @@ from .experiment import (
     delta_method_std_err,
     paradox_counts,
     paradox_p_value,
-    simulate_counts,
 )
 from .game import quantum_strategy, winning_probability
 from .measurement import expectation
 from .paradox import (
+    MixtureClaim,
+    ParadoxConstraint,
     ParadoxSpec,
     coherence_paradox,
     dicke_paradox,
@@ -121,28 +122,34 @@ def game_exact_rows(thetas, strategy: str) -> list[dict]:
     return rows
 
 
+def _game_spec(theta: float, strategy: str) -> ParadoxSpec:
+    """Sources 00, 01 and 10 on the strategy's chain, claimed to make 00 a
+    mixture of the other two. The values are closed forms, as a Born value
+    can leave [-1, 1] by an ulp (z on 00 at theta = 0.000628...)."""
+    e_00, e_product = (math.sin(2.0 * theta), 0.0) if strategy == "x" else (-1.0, -1.0)
+    values = (("00", e_00), ("01", e_product), ("10", e_product))
+    constraints = [ParadoxConstraint(lb, STRATEGY_AXES[strategy], e) for lb, e in values]
+    return ParadoxSpec(constraints, MixtureClaim("00", ("01", "10")))
+
+
 def game_simulated_rows(
     thetas, strategy: str, cfg: ExperimentConfig, tag_base: int = 0
 ) -> list[dict]:
     """Exact rows augmented with count-based estimates.
 
-    The winning probability is estimated from the three measured
-    correlators: ``1/2 + (E_00 - E_01 - E_10)/8`` with the uniform
-    (1,1) row contributing no signal; errors add in quadrature.
+    Row ``i`` draws ``paradox_counts`` of ``_game_spec`` at tag base
+    ``tag_base + 3 i``. The winning probability is estimated from the
+    three measured correlators: ``1/2 + (E_00 - E_01 - E_10)/8`` with the
+    uniform (1,1) row contributing no signal; errors add in quadrature.
     """
-    obs_a, obs_b = STRATEGY_AXES[strategy]
-    setting = (obs_a, obs_b)
     rows = game_exact_rows(thetas, strategy)
-    for idx, (theta, row) in enumerate(zip(thetas, rows)):
-        estimates = {}
-        for k, (label, state) in enumerate(sorted(paradox_sources(theta).items())):
-            table = simulate_counts(state, setting, cfg, stream_tag=tag_base + 3 * idx + k)
-            estimates[label] = correlator_from_counts(table, *setting)
-        value = 0.5 + (
-            estimates["00"].value - estimates["01"].value - estimates["10"].value
-        ) / 8.0
-        spread = math.sqrt(sum(estimates[lb].std_err ** 2 for lb in ("00", "01", "10"))) / 8.0
-        row.update({f"e_{lb}": estimates[lb].value for lb in ("00", "01", "10")})
+    for i, row in enumerate(rows):
+        spec = _game_spec(row["theta"], strategy)
+        counts = paradox_counts(spec, paradox_sources(row["theta"]), cfg, tag_base + 3 * i)
+        est = {lb: correlator_from_counts(t, *t.setting) for (lb, _), t in counts.items()}
+        value = 0.5 + (est["00"].value - est["01"].value - est["10"].value) / 8.0
+        spread = math.sqrt(sum(e.std_err ** 2 for e in est.values())) / 8.0
+        row.update({f"e_{lb}": e.value for lb, e in est.items()})
         row.update(p_win_estimate=value, p_win_std_err=spread)
     return rows
 

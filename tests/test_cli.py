@@ -181,8 +181,12 @@ class TestExitCodes:
         assert code == 2
 
     def test_too_few_scan_points_exits_two(self, tmp_path, capsys):
-        code = main(["visibility", "--points", "2", "--out", str(tmp_path / "o")])
-        assert code == 2
+        out = tmp_path / "o"
+        for points, distinct in (("1", 1), ("2", 2)):
+            assert main(["visibility", "--points", points, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"needs 3 grid angles distinct modulo pi, found {distinct}" in err
+            assert not out.exists()
 
     def test_nonfinite_fixed_arm_exits_two(self, tmp_path, capsys):
         code = main(["visibility", "--fixed", "nan", "--out", str(tmp_path / "o")])

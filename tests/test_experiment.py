@@ -575,6 +575,16 @@ class TestParadoxCounts:
         with pytest.raises(ValueError, match="axis pair"):
             paradox_counts(spec, sources, DESK)
 
+    def test_repeated_key_rejected(self):
+        # Once 4 tables were drawn and 3 returned: tag 3's replaced tag 2's.
+        xx = ObservableChain(("X", "X"))
+        labels = ("01", "10", "00", "00")
+        spec = ParadoxSpec(
+            [ParadoxConstraint(lb, xx, 0.0) for lb in labels], MixtureClaim("00", ("01", "10"))
+        )
+        with pytest.raises(ValueError, match=re.escape("repeats constraint key ('00', 'XX')")):
+            paradox_counts(spec, self.sources(), DESK)
+
 
 def two_party_mixture_spec() -> ParadoxSpec:
     chain = ObservableChain(("Z", "Z"))
@@ -789,6 +799,35 @@ class TestVisibilityScan:
             visibility_scan(
                 epr_family(math.pi / 4, "00"), 0.0, [*self.GRID, angle], simulate=simulate
             )
+
+    # An int beyond the float range once raised OverflowError, an
+    # ArithmeticError, which the CLI reports as a numerical failure.
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_angle_beyond_float_range_rejected(self, sign):
+        state = epr_family(math.pi / 4, "00")
+        angle = sign * 10**400
+        message = re.escape(f"angle {angle!r}: an analyzer angle and twice it must be finite")
+        with pytest.raises(ValueError, match=message):
+            visibility_scan(state, angle, self.GRID)
+        with pytest.raises(ValueError, match=message):
+            visibility_scan(state, 0.0, [*self.GRID, angle])
+
+    # Fewer than three angles distinct modulo pi leave the fit's design
+    # matrix below rank 3: once V = 6.54 and V = 1.0 as data for the first
+    # two grids, and ArithmeticError for the third.
+    @pytest.mark.parametrize(
+        "grid, distinct", [([0.0, 0.3], 2), ([0.1] * 4, 1), ([0.0, math.pi, 2 * math.pi], 1)]
+    )
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_grid_with_fewer_than_three_angles_modulo_pi_rejected(self, grid, distinct, simulate):
+        message = f"needs 3 grid angles distinct modulo pi, found {distinct}"
+        with pytest.raises(ValueError, match=message):
+            visibility_scan(epr_family(math.pi / 4, "00"), 0.0, grid, simulate=simulate)
+
+    def test_three_angles_distinct_modulo_pi_are_enough(self):
+        grid = [0.0, math.pi / 3, 2 * math.pi / 3, math.pi]
+        scan = visibility_scan(epr_family(math.pi / 4, "00"), 0.0, grid)
+        assert scan.visibility == pytest.approx(1.0, abs=1e-10)
 
     def test_largest_angle_with_a_finite_double_is_scanned(self):
         angle = sys.float_info.max / 2.0

@@ -4,14 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cohsim.experiment import ExperimentConfig, paradox_counts, paradox_p_value
 from cohsim.game import (
     GameEvaluation,
     coherence_term,
     quantum_strategy,
     winning_probability,
 )
-from cohsim.measurement import JointDistribution
+from cohsim.measurement import JointDistribution, expectation
+from cohsim.paradox import lhv_mixture_test, theoretical_values
+from cohsim.reports import (
+    CURVE_THETAS,
+    _game_spec,
+    game_exact_rows,
+    game_simulated_rows,
+    paradox_sources,
+)
+from cohsim.states import EQ_ATOL, werner_mix
+
+from .test_measurement import PROPERTY_SETTINGS
 
 THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 TABLE_P_WIN_X = (0.5625, 0.5883883476483184, 0.6082531754730548, 0.625)
@@ -132,3 +146,67 @@ class TestGameEvaluation:
             GameEvaluation(p_win=1.2, i_terms=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             GameEvaluation(p_win=0.5, i_terms=np.zeros(3))
+
+
+class TestGameSpec:
+    """The game as a paradox spec: source 00 claimed to mix 01 and 10 on
+    the strategy's chain, judged by the paradox verdict and p-value."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_gap_of_werner_born_values(self, theta, v):
+        sources = paradox_sources(theta)
+        for strategy, want in (("x", v * math.sin(2.0 * theta)), ("z", 0.0)):
+            spec = _game_spec(theta, strategy)
+            born = {
+                (label, chain): expectation(werner_mix(sources[label], v), chain)
+                for label, chain in spec.observation_keys()
+            }
+            gap = lhv_mixture_test(spec, born, tol=EQ_ATOL).violation_gap
+            assert abs(gap - want) <= 1e-15
+
+    @pytest.mark.parametrize("strategy", ["x", "z"])
+    def test_win_advantage_over_mixture_bound_is_gap_over_eight(self, strategy):
+        # The game module's bound for an incoherent (0,0) source.
+        for row in game_exact_rows(CURVE_THETAS, strategy):
+            spec = _game_spec(row["theta"], strategy)
+            values = theoretical_values(spec)
+            e_01, e_10 = (values[key] for key in spec.observation_keys()[1:])
+            bound = 0.5 + (max(e_01, e_10) - e_01 - e_10) / 8.0
+            gap = lhv_mixture_test(spec, values, tol=EQ_ATOL).violation_gap
+            assert abs(row["p_win"] - bound - gap / 8.0) <= 1e-15
+
+    def test_spec_order_and_claim(self):
+        spec = _game_spec(0.3, "z")
+        assert spec.observation_keys() == (("00", "ZZ"), ("01", "ZZ"), ("10", "ZZ"))
+        assert spec.mixture_claim.mixed_label == "00"
+        assert spec.mixture_claim.component_labels == ("01", "10")
+
+    def test_z_spec_at_an_angle_whose_born_value_leaves_the_range(self):
+        # Born's -1.0000000000000002 here would be refused as an expected value.
+        theta = 0.0006283195299179586
+        assert theoretical_values(_game_spec(theta, "z"))[("00", "ZZ")] == -1.0
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_x_counts_refute_the_mixture(self, theta):
+        spec = _game_spec(theta, "x")
+        counts = paradox_counts(spec, paradox_sources(theta), ExperimentConfig(visibility_v=0.99))
+        _p, log10_p = paradox_p_value(spec, counts)
+        assert log10_p < -15.0
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_z_counts_leave_the_mixture_standing(self, theta):
+        spec = _game_spec(theta, "z")
+        counts = paradox_counts(spec, paradox_sources(theta), ExperimentConfig())
+        assert paradox_p_value(spec, counts) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("strategy", ["x", "z"])
+    def test_simulated_rows_read_a_generator_of_angles_once(self, strategy):
+        # A generator once lost every estimate column: the exact rows used it up.
+        cfg = ExperimentConfig(pair_rate=1.0e4, duration_per_setting=0.1, seed=5)
+        want = game_simulated_rows(THETAS, strategy, cfg, tag_base=7)
+        assert "e_00" in want[0]
+        assert game_simulated_rows((t for t in THETAS), strategy, cfg, tag_base=7) == want

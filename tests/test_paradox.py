@@ -1010,10 +1010,6 @@ class TestSpecValidationAndSerialization:
         assert set(doc["mixture_claim"]) == {"mixed", "components", "note"}
         json.dumps(doc)
 
-    def test_observables_unique_in_order(self):
-        spec = coherence_paradox(0.4, "X")
-        assert [c.label for c in spec.observables()] == ["ZZ", "XX"]
-
 
 class TestVerdictInvariants:
     def test_negative_gap_rejected(self):
