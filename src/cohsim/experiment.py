@@ -409,16 +409,13 @@ def paradox_counts(
     blocks under one seed should space their tag bases apart.
 
     Raises:
-        ValueError: a label without a source, an observable that is not
-            a two-party axis pair, or a ``(source, chain)`` key given twice
-            (its second table would replace the first).
+        ValueError: a label without a source, or an observable that is
+            not a two-party axis pair.
     """
     out: dict[tuple[str, str], CountTable] = {}
     for idx, (key, con) in enumerate(zip(spec.observation_keys(), spec.constraints)):
         if con.source_label not in sources:
             raise ValueError(f"no source state for label {con.source_label!r}")
-        if key in out:
-            raise ValueError(f"spec repeats constraint key {key}: one table per key")
         out[key] = simulate_counts(
             sources[con.source_label], con.observable.axes, cfg, stream_tag=tag_base + idx
         )

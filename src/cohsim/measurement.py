@@ -13,7 +13,7 @@ has one spelling, the string that ``parse_signed_axis`` reads (``"X"``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +29,8 @@ class ObservableChain:
     """Tensor product of single-qubit Paulis, e.g. ``("X", "Y", "Y")``.
 
     ``"I"`` factors are allowed so marginal observables can be written
-    as chains too.
+    as chains too. ``label`` is the chain as one string, e.g. ``"XYY"``,
+    joined once at construction (not a field).
     """
 
     axes: tuple[str, ...]
@@ -42,15 +43,11 @@ class ObservableChain:
             if ax not in CHAIN_AXES:
                 raise ValueError(f"unknown axis {ax!r}, expected one of {CHAIN_AXES}")
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "label", "".join(axes))
 
     @classmethod
     def from_string(cls, text: str) -> "ObservableChain":
         return cls(tuple(text.strip().upper()))
-
-    @cached_property
-    def label(self) -> str:
-        """The chain as one string, e.g. ``"XYY"``: joined on first use and kept."""
-        return "".join(self.axes)
 
     @property
     def num_qubits(self) -> int:

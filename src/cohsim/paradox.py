@@ -74,11 +74,12 @@ class ParadoxSpec:
 
     The ``(source_label, observable_label)`` key of every constraint is
     formed once, at construction, and kept (not a field, so equality,
-    hashing and ``dataclasses.replace`` see only the two fields).
+    hashing and ``dataclasses.replace`` see only the two fields). Each key
+    appears once, so a spec maps every key to one expected value.
 
     Raises:
-        ValueError: if the mixed label or any component label never
-            appears among the constraints.
+        ValueError: a repeated key, or a mixed or component label that
+            never appears among the constraints.
     """
 
     constraints: tuple[ParadoxConstraint, ...]
@@ -89,6 +90,11 @@ class ParadoxSpec:
         if not self.constraints:
             raise ValueError("paradox needs at least one constraint")
         keys = tuple((c.source_label, c.observable.label) for c in self.constraints)
+        seen: set[tuple[str, str]] = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"spec repeats constraint key {key}")
+            seen.add(key)
         object.__setattr__(self, "_keys", keys)
         labels = {lb for lb, _ in keys}
         claim = self.mixture_claim
@@ -511,4 +517,4 @@ def lhv_mixture_test(
 
 def theoretical_values(spec: ParadoxSpec) -> dict[tuple[str, str], float]:
     """The spec's own expected values, keyed like ``lhv_mixture_test`` input."""
-    return {(c.source_label, c.observable.label): c.expected_value for c in spec.constraints}
+    return {key: c.expected_value for key, c in zip(spec.observation_keys(), spec.constraints)}

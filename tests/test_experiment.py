@@ -31,7 +31,13 @@ from cohsim.experiment import (
     visibility_scan,
 )
 from cohsim.measurement import AXES, ObservableChain
-from cohsim.paradox import MixtureClaim, ParadoxConstraint, ParadoxSpec, coherence_paradox
+from cohsim.paradox import (
+    MixtureClaim,
+    ParadoxConstraint,
+    ParadoxSpec,
+    _mixture_gap,
+    coherence_paradox,
+)
 from cohsim.reports import paradox_exact_block, paradox_simulated_block
 from cohsim.states import EPR_LABELS, DensityOperator, StateVector, epr_family, werner_mix
 
@@ -509,6 +515,9 @@ class TestDeltaMethod:
         with pytest.raises(ValueError):
             delta_method_std_err(0.0, 0)
 
+    def test_one_pair_is_a_full_unit_error(self):
+        assert delta_method_std_err(0.0, 1) == 1.0
+
 
 class TestEstimatorConsistency:
     def test_hundred_seeds_stay_within_three_sigma(self):
@@ -577,12 +586,13 @@ class TestParadoxCounts:
 
     def test_repeated_key_rejected(self):
         # Once 4 tables were drawn and 3 returned: tag 3's replaced tag 2's.
+        # The spec itself now refuses the repeat, so no count is drawn.
         xx = ObservableChain(("X", "X"))
         labels = ("01", "10", "00", "00")
-        spec = ParadoxSpec(
-            [ParadoxConstraint(lb, xx, 0.0) for lb in labels], MixtureClaim("00", ("01", "10"))
-        )
         with pytest.raises(ValueError, match=re.escape("repeats constraint key ('00', 'XX')")):
+            spec = ParadoxSpec(
+                [ParadoxConstraint(lb, xx, 0.0) for lb in labels], MixtureClaim("00", ("01", "10"))
+            )
             paradox_counts(spec, self.sources(), DESK)
 
 
@@ -673,6 +683,43 @@ class TestPValues:
         counts[("00", "XX")] = counts[("01", "ZZ")]
         with pytest.raises(ValueError, match=re.escape("key ('00', 'XX')")):
             paradox_p_value(spec, counts)
+
+    def test_union_counts_every_mixed_row(self):
+        # Two mixed rows (XX and YY) on the coherence sources: the union runs
+        # over 2 * 2 tails, so log10 p = log10 4 - g^2 / (2 ln 10), with g
+        # the sqrt(N)-weighted gap of the same point estimates.
+        theta = math.pi / 8
+        spec = coherence_paradox(theta, "X")
+        yy = ObservableChain(("Y", "Y"))
+        spec = ParadoxSpec(
+            spec.constraints
+            + (
+                ParadoxConstraint("01", yy, 0.0),
+                ParadoxConstraint("10", yy, 0.0),
+                ParadoxConstraint("00", yy, math.sin(2.0 * theta)),
+            ),
+            spec.mixture_claim,
+        )
+        cfg = ExperimentConfig(
+            pair_rate=600.0,
+            duration_per_setting=1.0,
+            num_trials=2,
+            visibility_v=0.9,
+            efficiency=1.0,
+            seed=5,
+        )
+        assert cfg.mean_per_trial == 600.0
+        sources = {label: epr_family(theta, label) for label in EPR_LABELS}
+        counts = paradox_counts(spec, sources, cfg)
+        estimates = {key: point_correlator(t, *t.setting) for key, t in counts.items()}
+        gap, _, rows = _mixture_gap(
+            spec,
+            {key: value for key, (value, _n) in estimates.items()},
+            {key: math.sqrt(n) for key, (_v, n) in estimates.items()},
+        )
+        assert rows == 2 and gap > 0.0
+        _, log10_p = paradox_p_value(spec, counts)
+        assert log10_p == math.log10(4.0) - gap * gap / (2.0 * math.log(10.0))
 
     def test_simulated_full_pipeline_is_significant(self):
         theta = math.pi / 4

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohsim import paradox
-from cohsim.measurement import ObservableChain, expectation
+from cohsim.measurement import ObservableChain, expectation, setting_distribution
 from cohsim.paradox import (
     GHZ_CHAINS,
     GHZ_TARGET,
@@ -703,6 +703,90 @@ class TestNoiseCurves:
         assert verdict.satisfying_assignments == 0
 
 
+def binned_correlator(table, eta):
+    """Correlator of a two-party table after each party's no-click is binned to 0.
+
+    Each party clicks with chance ``eta``; a no-click reads outcome 0, so
+    ``R[out, in] = eta [out == in] + (1 - eta) [out == 0]`` on each side.
+    """
+    channel = eta * np.eye(2) + (1.0 - eta) * np.array([[1.0, 1.0], [0.0, 0.0]])
+    sign = np.array([1.0, -1.0])
+    return float(sign @ (channel @ table @ channel.T) @ sign)
+
+
+def binned_chain_value(state, chain, eta):
+    """A chain's value with every no-click binned to -1, from its sub-chain values.
+
+    With each party clicking independently with chance ``eta``, the parties
+    in ``S`` click with chance ``eta^|S| (1 - eta)^(k - |S|)``; the others
+    read -1, so that term is ``(-1)^(k - |S|) <P_S>``, with ``P_S`` the
+    sub-chain with I outside ``S``.
+    """
+    k = len(chain)
+    total = 0.0
+    for clicked in itertools.product((False, True), repeat=k):
+        sub = "".join(ax if c else "I" for ax, c in zip(chain, clicked))
+        hits = sum(clicked)
+        total += eta**hits * (eta - 1.0) ** (k - hits) * expectation(state, sub)
+    return total
+
+
+# Eberhard's critical efficiency for GHZ with no-clicks binned to -1: the
+# Mermin facet breaks when 2 eta^3 + (1 - eta)^3 > 1.
+GHZ_BINNED_EFFICIENCY = (math.sqrt(21.0) - 3.0) / 2.0
+
+
+class TestBinnedNoClickCurves:
+    """Exact verdicts on tables whose no-clicks are binned, against closed forms.
+
+    Binning is a local post-processing, the same for every source, so a
+    mixture stays a mixture: no fair-sampling assumption is needed.
+    """
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_coherence_paradox_gap_is_eta_squared_v_sin_two_theta(self, eta, theta, axis):
+        v = 0.9
+        spec = coherence_paradox(theta, axis)
+        sources = {label: werner_mix(epr_family(theta, label), v) for label in EPR_LABELS}
+        observed = {
+            (label, chain): binned_correlator(
+                setting_distribution(sources[label], chain[0], chain[1]), eta
+            )
+            for label, chain in spec.observation_keys()
+        }
+        gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
+        assert abs(gap - eta * eta * v * math.sin(2.0 * theta)) <= 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(eta=st.floats(0.0, 1.0))
+    def test_ghz_values_and_gap(self, eta):
+        state = ghz_state(3)
+        observed = np.array([binned_chain_value(state, ch, eta) for ch in GHZ_CHAINS])
+        want = [eta**3 * t - (1.0 - eta) ** 3 for t in GHZ_TARGET]
+        np.testing.assert_allclose(observed, want, rtol=0.0, atol=1e-15)
+        gap, _ = _ghz_hull_residual(observed)
+        # The facet of the target's own signs: s . x = 4 eta^3 + 2 (1 - eta)^3.
+        assert abs(gap - max(0.0, eta**3 + (1.0 - eta) ** 3 / 2.0 - 0.5)) <= 1e-15
+        if abs(eta - GHZ_BINNED_EFFICIENCY) > 1e-12:
+            assert (gap > 0.0) == (eta > GHZ_BINNED_EFFICIENCY)
+
+    def test_ghz_threshold_by_bisection(self):
+        state = ghz_state(3)
+
+        def gap(eta):
+            observed = np.array([binned_chain_value(state, ch, eta) for ch in GHZ_CHAINS])
+            return _ghz_hull_residual(observed)[0]
+
+        low, high = 0.5, 1.0
+        for _ in range(60):
+            mid = (low + high) / 2.0
+            low, high = (low, mid) if gap(mid) > 0.0 else (mid, high)
+        assert abs(high - GHZ_BINNED_EFFICIENCY) <= 1e-12
+        assert round(high, 7) == 0.7912878
+
+
 # Random specs: 1 to 4 components, the mixed source "M" and a source "E"
 # outside the claim, over chains of two lengths.
 SPEC_CHAINS = ("XX", "ZZ", "XY", "YZ", "ZI", "XXZ")
@@ -714,10 +798,11 @@ def random_specs(draw):
     components = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
     labels = [*components, "M", "E"]
     chains = st.sampled_from(SPEC_CHAINS)
-    # Every claim label needs a constraint; then any further rows, repeats included.
+    # Every claim label needs a constraint; then any further rows. A spec
+    # refuses a repeated key (TestRepeatedKeys), so only the first of each is kept.
     pairs = [(lb, draw(chains)) for lb in (*components, "M")]
     pairs += draw(st.lists(st.tuples(st.sampled_from(labels), chains), max_size=10))
-    pairs = draw(st.permutations(pairs))
+    pairs = draw(st.permutations(list(dict.fromkeys(pairs))))
     constraints = tuple(ParadoxConstraint(lb, ch, draw(SPEC_VALUES)) for lb, ch in pairs)
     return ParadoxSpec(constraints, MixtureClaim("M", tuple(components)))
 
@@ -885,6 +970,42 @@ class TestObservationKeys:
         spec = coherence_paradox(0.4, "X")
         with pytest.raises(ValueError, match="has no constraints"):
             dataclasses.replace(spec, constraints=spec.constraints[:2])
+
+
+class TestRepeatedKeys:
+    """A spec is a table: each (source, chain) key carries one expected value."""
+
+    @PROPERTY_SETTINGS
+    @given(spec=random_specs(), data=st.data())
+    def test_any_repeat_is_refused_by_name(self, spec, data):
+        constraints = list(spec.constraints)
+        twin = data.draw(st.sampled_from(constraints))
+        at = data.draw(st.integers(0, len(constraints)))
+        value = data.draw(SPEC_VALUES)
+        constraints.insert(at, ParadoxConstraint(twin.source_label, twin.observable, value))
+        key = (twin.source_label, twin.observable.label)
+        with pytest.raises(ValueError, match=re.escape(f"spec repeats constraint key {key}")):
+            ParadoxSpec(tuple(constraints), spec.mixture_claim)
+
+    def test_from_dict_refuses_a_repeat(self):
+        doc = coherence_paradox(math.pi / 8, "X").to_dict()
+        doc["constraints"].append({"source": "00", "observable": "xx", "expected": 0.5})
+        with pytest.raises(ValueError, match=re.escape("repeats constraint key ('00', 'XX')")):
+            ParadoxSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("first, second", [(1.0, 0.0), (0.0, 1.0)])
+    def test_two_values_for_one_key_are_refused_in_either_order(self, first, second):
+        # Once the exact verdict judged the last value: feasible with gap 0
+        # in one order, infeasible with gap 1 in the other.
+        xx = ObservableChain(("X", "X"))
+        constraints = [
+            ParadoxConstraint("00", xx, first),
+            ParadoxConstraint("00", xx, second),
+            ParadoxConstraint("01", xx, 0.0),
+            ParadoxConstraint("10", xx, 0.0),
+        ]
+        with pytest.raises(ValueError, match=re.escape("repeats constraint key ('00', 'XX')")):
+            ParadoxSpec(constraints, MixtureClaim("00", ("01", "10")))
 
 
 class TestMixtureFeasibilityCompleteness:
