@@ -24,7 +24,6 @@ from .measurement import (
     JointDistribution,
     ObservableChain,
     expectation,
-    parse_signed_axis,
     setting_distribution,
 )
 from .paradox import (
@@ -109,7 +108,6 @@ __all__ = [
     "lhv_mixture_test",
     "paradox_counts",
     "paradox_p_value",
-    "parse_signed_axis",
     "point_correlator",
     "quantum_strategy",
     "reconstruct",

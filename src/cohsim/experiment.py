@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .measurement import AXES, expectation, setting_distribution
+from .measurement import _check_setting, expectation, setting_distribution
 from .paradox import ParadoxSpec, _mixture_gap
 from .states import DensityOperator, StateVector, werner_mix
 
@@ -47,6 +47,14 @@ _TOMO_DOMAIN = 907
 
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
 _COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
+
+
+def _is_whole(value) -> bool:
+    """Whether ``value`` equals an int; ``int()`` raises on inf and nan."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -70,13 +78,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}={value} must be positive and finite")
-        if int(self.num_trials) != self.num_trials or self.num_trials < 1:
+        if not _is_whole(self.num_trials) or self.num_trials < 1:
             raise ValueError(f"num_trials={self.num_trials} must be a positive integer")
         if not 0.0 <= self.visibility_v <= 1.0:
             raise ValueError(f"visibility_v={self.visibility_v} must lie in [0, 1]")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency={self.efficiency} must lie in (0, 1]")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not _is_whole(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed={self.seed} must be an unsigned 64-bit integer")
         object.__setattr__(self, "num_trials", int(self.num_trials))
         object.__setattr__(self, "seed", int(self.seed))
@@ -149,18 +157,6 @@ def _write_csv(path: str | Path, header, rows) -> None:
         writer.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _check_setting(setting) -> tuple[str, str]:
-    """The one setting check: exactly a 2-tuple ``(u, v)`` of axes from
-    ``AXES``, so a string such as ``"XZ"``, a list or a longer tuple is refused."""
-    pair = isinstance(setting, tuple) and len(setting) == 2
-    if not (pair and all(ax in AXES for ax in setting)):
-        raise ValueError(
-            f"setting {setting!r} is not an axis pair: it must be a tuple (u, v)"
-            f" with each setting axis one of {AXES}"
-        )
-    return setting
-
-
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """The generator of one draw: seeded by ``(seed, *key)`` and nothing else."""
     return np.random.default_rng(np.random.SeedSequence((seed, *key)))
@@ -218,8 +214,9 @@ class CountTable:
     stream_tag: int = 0
 
     def __post_init__(self) -> None:
-        if self.stream_tag < 0:
-            raise ValueError("stream_tag must be nonnegative")
+        # The tag seeds the bootstrap streams, which take only integers.
+        if not isinstance(self.stream_tag, (int, np.integer)) or self.stream_tag < 0:
+            raise ValueError(f"stream_tag={self.stream_tag!r} must be a nonnegative integer")
         u, v = _check_setting(self.setting)
         try:
             with np.errstate(invalid="ignore"):
@@ -247,10 +244,11 @@ class CountTable:
         """Counts of setting ``(u, v)`` summed over trials, shape (2, 2).
 
         Raises:
-            KeyError: ``(u, v)`` is not this table's setting.
+            ValueError: ``(u, v)`` is not this table's setting.
         """
         if (u, v) != self.setting:
-            raise KeyError(f"no counts for setting ({u},{v})")
+            held = ",".join(self.setting)
+            raise ValueError(f"no counts for setting ({u},{v}): the table holds ({held})")
         return self.counts.sum(axis=0)
 
     def to_csv(self, path: str | Path) -> None:

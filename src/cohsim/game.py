@@ -88,13 +88,12 @@ def quantum_strategy(theta: float, obs_a="X", obs_b="X") -> JointDistribution:
 
     Input pair (x, y) addresses ``epr_family`` source ``"xy"``: (0,1) ->
     |01>, (1,0) -> |10>, (0,0) -> the superposition at ``theta``. Both
-    parties measure their fixed signed axis (``"X"``, ``"-X"``, ``"Z"``,
-    ...; a leading minus swaps that party's outcome labels). The (1,1)
-    row is uniform random outputs by protocol, not a measurement.
+    parties measure their fixed axis, the setting ``(obs_a, obs_b)``. The
+    (1,1) row is uniform random outputs by protocol, not a measurement.
 
     Raises:
         ValueError: theta outside ``(0, pi/2)`` (from ``epr_family``), or
-            an invalid axis description.
+            a setting that ``setting_distribution`` refuses.
     """
     probs = np.empty((2, 2, 2, 2))
     for label in EPR_LABELS:

@@ -1,13 +1,12 @@
 """Dichotomic Pauli measurements and Born-rule distributions.
 
 Outcome convention: outcome ``0`` corresponds to the ``+1`` eigenvalue of
-the measured observable and outcome ``1`` to ``-1``. Measuring the signed
-axis ``s M`` (``s = ±1``, ``M`` one of X, Y, Z) gives outcome ``a`` with
-the projector ``P_a = (I + (-1)^a s M)/2``, so ``P0 - P1 = s M`` and
-``P0 + P1 = I``. Every Born-rule value is therefore a combination of
-Pauli-chain expectations, evaluated by ``expectation``. A signed axis
-has one spelling, the string that ``parse_signed_axis`` reads (``"X"``,
-``"-Y"``).
+the measured observable and outcome ``1`` to ``-1``. Measuring the axis
+``M`` (one of ``AXES``) gives outcome ``a`` with the projector
+``P_a = (I + (-1)^a M)/2``, so ``P0 - P1 = M`` and ``P0 + P1 = I``. Every
+Born-rule value is therefore a combination of Pauli-chain expectations,
+evaluated by ``expectation``. A two-party setting is the axis pair
+``(u, v)`` that ``_check_setting`` accepts.
 """
 
 from __future__ import annotations
@@ -63,22 +62,16 @@ def as_chain(obs: ObservableChain | str | Iterable[str]) -> ObservableChain:
     return ObservableChain(tuple(obs))
 
 
-def parse_signed_axis(spec: str) -> tuple[str, int]:
-    """Parse ``"X"`` or ``"-X"`` into ``(axis, sign)``.
-
-    Raises:
-        ValueError: ``spec`` is not a string, or names no signed axis.
-    """
-    if not isinstance(spec, str):
-        raise ValueError(f"cannot interpret observable {spec!r}")
-    text = spec.strip().upper()
-    sign = 1
-    if text.startswith(("+", "-")):
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    if text not in AXES:
-        raise ValueError(f"unknown signed axis {spec!r}")
-    return text, sign
+def _check_setting(setting) -> tuple[str, str]:
+    """The one setting check: exactly a 2-tuple ``(u, v)`` of axes from
+    ``AXES``, so a string such as ``"XZ"``, a list or a longer tuple is refused."""
+    pair = isinstance(setting, tuple) and len(setting) == 2
+    if not (pair and all(ax in AXES for ax in setting)):
+        raise ValueError(
+            f"setting {setting!r} is not an axis pair: it must be a tuple (u, v)"
+            f" with each setting axis one of {AXES}"
+        )
+    return setting
 
 
 # (-i)^k for k = number of Y factors mod 4, as exact complex constants.
@@ -192,23 +185,21 @@ def setting_distribution(
 ) -> np.ndarray:
     """Born-rule outcome table ``p[a, b]`` for one two-party setting.
 
-    ``obs_a`` and ``obs_b`` are single-qubit signed axes, spelled as
-    ``parse_signed_axis`` reads them (``"X"``, ``"-Y"``), measured on
-    qubits 0 and 1. With ``P_a = (I + (-1)^a s_a A)/2`` on each side,
+    ``obs_a`` and ``obs_b`` are the axes of the setting ``(obs_a, obs_b)``,
+    measured on qubits 0 and 1. With ``P_a = (I + (-1)^a A)/2`` on each side,
 
-    ``p[a, b] = (1 + (-1)^a s_a <A I> + (-1)^b s_b <I B>
-    + (-1)^(a+b) s_a s_b <A B>) / 4``, clipped at zero and renormalized.
+    ``p[a, b] = (1 + (-1)^a <A I> + (-1)^b <I B> + (-1)^(a+b) <A B>) / 4``,
+    clipped at zero and renormalized.
 
     Raises:
-        ValueError: a state not on 2 qubits, or an axis ``parse_signed_axis`` refuses.
+        ValueError: a state not on 2 qubits, or a setting ``_check_setting`` refuses.
     """
+    _check_setting((obs_a, obs_b))
     if state.num_qubits != 2:
         raise ValueError(f"two-party setting needs a 2-qubit state, got {state.num_qubits}")
-    ax_a, sg_a = parse_signed_axis(obs_a)
-    ax_b, sg_b = parse_signed_axis(obs_b)
-    e_a = sg_a * expectation(state, ax_a + "I")
-    e_b = sg_b * expectation(state, "I" + ax_b)
-    e_ab = sg_a * sg_b * expectation(state, ax_a + ax_b)
+    e_a = expectation(state, obs_a + "I")
+    e_b = expectation(state, "I" + obs_b)
+    e_ab = expectation(state, obs_a + obs_b)
     sign = np.array([1.0, -1.0])
     table = (1.0 + sign[:, None] * e_a + sign[None, :] * e_b + np.outer(sign, sign) * e_ab) / 4.0
     table = np.clip(table, 0.0, None)

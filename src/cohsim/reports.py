@@ -89,8 +89,9 @@ def paradox_simulated_block(
     spec = coherence_paradox(theta, axis)
     counts = paradox_counts(spec, paradox_sources(theta), cfg, tag_base=tag_base)
     rows = _theory_rows(theta, spec)
-    for key, c, row in zip(spec.observation_keys(), spec.constraints, rows):
-        est = correlator_from_counts(counts[key], c.observable.axes[0], c.observable.axes[1])
+    for key, row in zip(spec.observation_keys(), rows):
+        table = counts[key]
+        est = correlator_from_counts(table, *table.setting)
         row.update(
             estimate=est.value,
             std_err=est.std_err,

@@ -159,9 +159,9 @@ def reconstruct(
     spread to measure, so 1 is refused.
 
     Raises:
-        ValueError: missing settings, zero totals, ``num_bootstrap`` of 1
-            or below 0, or fewer than two replicates that can be
-            inverted.
+        ValueError: missing settings, a table under another setting's
+            key, zero totals, ``num_bootstrap`` of 1 or below 0, or fewer
+            than two replicates that can be inverted.
     """
     _check_bootstrap_count(num_bootstrap, allow_none=True)
     pooled, cfg, tag = _pooled_stack(counts)

@@ -30,7 +30,8 @@ from cohsim.experiment import (
     simulate_counts,
     visibility_scan,
 )
-from cohsim.measurement import AXES, ObservableChain
+from cohsim.game import quantum_strategy
+from cohsim.measurement import AXES, ObservableChain, setting_distribution
 from cohsim.paradox import (
     MixtureClaim,
     ParadoxConstraint,
@@ -95,6 +96,14 @@ class TestExperimentConfig:
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_trials", "seed"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_count_refused(self, field, value):
+        # int(inf) raises OverflowError, an ArithmeticError the CLI reports
+        # as a numerical failure; a count that is no integer is bad input.
+        with pytest.raises(ValueError, match=f"{field}=.* must be"):
             ExperimentConfig(**{field: value})
 
     def test_pooled_count_ceiling(self):
@@ -206,10 +215,23 @@ class TestSimulateCounts:
             simulate_counts(epr_family(0.4, "00"), ("Q", "Z"), DESK)
 
 
-MALFORMED_SETTINGS = [("X", "Z", "Y"), "XZY", "XZ", ["X", "Z"], ("X",), ("Q", "Z")]
+MALFORMED_SETTINGS = [
+    ("X", "Z", "Y"),
+    "XZY",
+    "XZ",
+    ["X", "Z"],
+    ("X",),
+    ("Q", "Z"),
+    ("-X", "X"),
+    ("+X", "Z"),
+    ("x", "Z"),
+]
+MALFORMED_PAIRS = [s for s in MALFORMED_SETTINGS if isinstance(s, tuple) and len(s) == 2]
 
 
 class TestSettingCheck:
+    """One rule and one message for a two-party setting, wherever it enters."""
+
     @pytest.mark.parametrize("setting", MALFORMED_SETTINGS, ids=repr)
     def test_simulate_counts_refuses(self, setting):
         with pytest.raises(ValueError, match="setting axis"):
@@ -219,6 +241,16 @@ class TestSettingCheck:
     def test_count_table_refuses(self, setting):
         with pytest.raises(ValueError, match="axis pair"):
             CountTable(setting, np.zeros((1, 2, 2), dtype=np.int64), ONE_TRIAL)
+
+    @pytest.mark.parametrize("setting", MALFORMED_PAIRS, ids=repr)
+    def test_setting_distribution_refuses(self, setting):
+        with pytest.raises(ValueError, match="setting axis"):
+            setting_distribution(epr_family(0.4, "00"), *setting)
+
+    @pytest.mark.parametrize("setting", MALFORMED_PAIRS, ids=repr)
+    def test_quantum_strategy_refuses(self, setting):
+        with pytest.raises(ValueError, match="setting axis"):
+            quantum_strategy(0.4, *setting)
 
 
 class TestCountTable:
@@ -231,6 +263,16 @@ class TestCountTable:
             hand_table([[-1, 0], [0, 1]])
         with pytest.raises(ValueError, match="setting axis"):
             hand_table([[1, 0], [0, 1]], setting=("Q", "Z"))
+
+    @pytest.mark.parametrize("tag", [1.5, float("nan"), 2.0, "1"], ids=repr)
+    def test_non_integer_stream_tag_rejected(self, tag):
+        # The tag seeds the bootstrap, which numpy refuses with a TypeError.
+        with pytest.raises(ValueError, match="stream_tag=.* must be a nonnegative integer"):
+            hand_table([[1, 0], [0, 1]], stream_tag=tag)
+
+    @pytest.mark.parametrize("tag", [np.int64(3), np.uint64(2**63)], ids=repr)
+    def test_integer_stream_tag_accepted(self, tag):
+        assert hand_table([[1, 0], [0, 1]], stream_tag=tag).stream_tag == tag
 
     @pytest.mark.parametrize(
         "cell", [1.5, float("nan"), 2**63], ids=["fraction", "nan", "beyond-int64"]
@@ -265,9 +307,9 @@ class TestCountTable:
     def test_other_setting_rejected(self):
         # Without the guard a ZZ table would answer for XX.
         table = hand_table([[1, 2], [3, 4]])
-        with pytest.raises(KeyError, match="no counts for setting"):
+        with pytest.raises(ValueError, match=r"no counts for setting \(X,X\).*holds \(Z,Z\)"):
             point_correlator(table, "X", "X")
-        with pytest.raises(KeyError, match="no counts for setting"):
+        with pytest.raises(ValueError, match="no counts for setting"):
             correlator_from_counts(table, "X", "X")
 
     def test_csv_round_trip(self, tmp_path):

@@ -46,9 +46,11 @@ class TestTransverseStrategy:
         assert ev.p_win == pytest.approx(0.5 + math.sin(2 * theta) / 8.0, abs=1e-12)
 
     def test_mirrored_axis_loses_the_gain(self):
-        # Flipping one party's axis sign flips the interference term.
+        # Swapping party B's outcome labels (measuring -X) flips the
+        # interference term.
         theta = math.pi / 4
-        ev = winning_probability(quantum_strategy(theta, "X", "-X"))
+        mirrored = JointDistribution(quantum_strategy(theta, "X", "X").probs[:, ::-1])
+        ev = winning_probability(mirrored)
         assert ev.p_win == pytest.approx(0.5 - math.sin(2 * theta) / 8.0, abs=1e-10)
         assert ev.p_win == pytest.approx(0.375, abs=1e-10)
 

@@ -18,7 +18,6 @@ from cohsim.measurement import (
     _pauli_action,
     as_chain,
     expectation,
-    parse_signed_axis,
     setting_distribution,
 )
 from cohsim.states import (
@@ -63,14 +62,11 @@ EIGVECS = {
     "Y": ([_SQ2, 1j * _SQ2], [_SQ2, -1j * _SQ2]),
     "Z": ([1.0, 0.0], [0.0, 1.0]),
 }
-SIGNED_AXES = [sign + ax for ax in AXES for sign in ("", "-")]
 
 
-def dense_projectors(signed_axis):
-    """``(P0, P1)`` of the signed axis (``"X"``, ``"-Y"``) from its eigenvectors."""
-    axis, sign = parse_signed_axis(signed_axis)
-    plus, minus = (np.outer(v, np.conj(v)) for v in map(np.asarray, EIGVECS[axis]))
-    return (plus, minus) if sign > 0 else (minus, plus)
+def dense_projectors(axis):
+    """``(P0, P1)`` of the axis (``"X"``, ``"Y"`` or ``"Z"``) from its eigenvectors."""
+    return tuple(np.outer(v, np.conj(v)) for v in map(np.asarray, EIGVECS[axis]))
 
 
 def dense_setting_distribution(state, obs_a, obs_b):
@@ -102,7 +98,7 @@ class TestPauli:
 
 
 class TestProjectors:
-    """The outcome convention ``P_a = (I + (-1)^a s M)/2``, seen through tables."""
+    """The outcome convention ``P_a = (I + (-1)^a M)/2``, seen through tables."""
 
     @pytest.mark.parametrize("axis", AXES)
     def test_complete_and_idempotent(self, axis):
@@ -116,8 +112,8 @@ class TestProjectors:
         np.testing.assert_allclose(table, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
         # ... and P0 + P1 = I: one party's marginal ignores the other's axis.
         psi = random_state(2, 31)
-        rows = [setting_distribution(psi, axis, other).sum(axis=1) for other in SIGNED_AXES]
-        cols = [setting_distribution(psi, other, axis).sum(axis=0) for other in SIGNED_AXES]
+        rows = [setting_distribution(psi, axis, other).sum(axis=1) for other in AXES]
+        cols = [setting_distribution(psi, other, axis).sum(axis=0) for other in AXES]
         for got in rows[1:]:
             np.testing.assert_allclose(got, rows[0], atol=1e-15)
         for got in cols[1:]:
@@ -125,54 +121,24 @@ class TestProjectors:
 
     @pytest.mark.parametrize("axis", AXES)
     def test_difference_is_pauli(self, axis):
-        # P0 - P1 = s M on each side, and on both together.
+        # P0 - P1 = M on each side, and on both together.
         for state in (random_state(2, 41), random_density(2, 43)):
-            for signed in (axis, "-" + axis):
-                sign = parse_signed_axis(signed)[1]
-                for other in SIGNED_AXES:
-                    other_axis, other_sign = parse_signed_axis(other)
-                    table = setting_distribution(state, signed, other)
-                    marg_a = table[0, :].sum() - table[1, :].sum()
-                    corr = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
-                    want_a = sign * dense_expectation(state, axis + "I")
-                    want_ab = sign * other_sign * dense_expectation(state, axis + other_axis)
-                    assert marg_a == pytest.approx(want_a, abs=1e-15)
-                    assert corr == pytest.approx(want_ab, abs=1e-15)
-
-    @pytest.mark.parametrize("axis", AXES)
-    def test_negative_sign_swaps_outcomes(self, axis):
-        psi = random_state(2, 53)
-        for other in AXES:
-            plain = setting_distribution(psi, axis, other)
-            np.testing.assert_allclose(
-                setting_distribution(psi, "-" + axis, other), plain[::-1, :], atol=1e-15
-            )
-            plain = setting_distribution(psi, other, axis)
-            np.testing.assert_allclose(
-                setting_distribution(psi, other, "-" + axis), plain[:, ::-1], atol=1e-15
-            )
+            for other in AXES:
+                table = setting_distribution(state, axis, other)
+                marg_a = table[0, :].sum() - table[1, :].sum()
+                corr = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
+                want_a = dense_expectation(state, axis + "I")
+                want_ab = dense_expectation(state, axis + other)
+                assert marg_a == pytest.approx(want_a, abs=1e-15)
+                assert corr == pytest.approx(want_ab, abs=1e-15)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             setting_distribution(epr_family(0.4, "00"), "W", "Z")
 
-    def test_chain_is_not_a_signed_axis(self):
-        with pytest.raises(ValueError, match="cannot interpret observable"):
+    def test_chain_is_not_a_setting_axis(self):
+        with pytest.raises(ValueError, match="setting axis"):
             setting_distribution(epr_family(0.4, "00"), as_chain("X"), "Z")
-
-
-class TestParseSignedAxis:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("X", ("X", 1)), ("+Y", ("Y", 1)), ("-X", ("X", -1)), (" -z ", ("Z", -1))],
-    )
-    def test_forms(self, text, expected):
-        assert parse_signed_axis(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "A", "--X", "X-"])
-    def test_rejects(self, text):
-        with pytest.raises(ValueError):
-            parse_signed_axis(text)
 
 
 class TestObservableChain:
@@ -373,15 +339,9 @@ class TestSettingDistribution:
         table = setting_distribution(epr_family(0.4, "01"), "Z", "Z")
         np.testing.assert_allclose(table, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
-    def test_signed_axis_swaps_rows(self):
-        psi = epr_family(0.3, "00")
-        plain = setting_distribution(psi, "X", "X")
-        flipped = setting_distribution(psi, "-X", "X")
-        np.testing.assert_allclose(flipped, plain[::-1, :], atol=1e-14)
-
     def test_tuple_form_is_refused(self):
-        # A signed axis has one spelling, the string; "-X" is the tuple's meaning.
-        with pytest.raises(ValueError, match="cannot interpret observable"):
+        # A setting axis is one string of AXES, never a tuple.
+        with pytest.raises(ValueError, match="setting axis"):
             setting_distribution(epr_family(0.3, "00"), ("X", -1), "Y")
 
     def test_born_rule_consistency_randomized(self):
@@ -404,10 +364,10 @@ class TestSettingDistribution:
             assert marg_b == pytest.approx(expectation(psi, "I" + ax_b), abs=1e-10)
 
     def test_matches_dense_oracle(self):
-        # All 36 signed-axis pairs against np.kron projector traces.
+        # All 9 axis pairs against np.kron projector traces.
         for seed in range(5):
             for state in (random_state(2, 2 * seed + 60), random_density(2, 2 * seed + 70)):
-                for obs_a, obs_b in itertools.product(SIGNED_AXES, repeat=2):
+                for obs_a, obs_b in itertools.product(AXES, repeat=2):
                     np.testing.assert_allclose(
                         setting_distribution(state, obs_a, obs_b),
                         dense_setting_distribution(state, obs_a, obs_b),
@@ -463,8 +423,8 @@ class TestBornTableProperties:
     @PROPERTY_SETTINGS
     @given(
         state=states(2),
-        obs_a=st.sampled_from(SIGNED_AXES),
-        obs_b=st.sampled_from(SIGNED_AXES),
+        obs_a=st.sampled_from(AXES),
+        obs_b=st.sampled_from(AXES),
     )
     def test_setting_distribution_is_the_born_table(self, state, obs_a, obs_b):
         table = setting_distribution(state, obs_a, obs_b)

@@ -370,6 +370,13 @@ class TestReconstructValidation:
         with pytest.raises(ValueError, match="zero total"):
             reconstruct(tables)
 
+    def test_misfiled_table_rejected(self):
+        # The ("X", "X") key holds the XY table: a ValueError, not a KeyError.
+        tables = exact_tables(epr_family(0.5, "00"), 2**20)
+        tables[("X", "X")] = tables[("X", "Y")]
+        with pytest.raises(ValueError, match=r"no counts for setting \(X,X\).*holds \(X,Y\)"):
+            reconstruct(tables)
+
     @staticmethod
     def one_cell_tables(count):
         """Every setting records ``count`` coincidences, all in cell (0, 0)."""
