@@ -9,8 +9,9 @@ the ``to_csv`` methods) write only the paths it hands them. The
 directory and its manifest appear with the first data file, so input
 rejected before then leaves no directory. The manifest is finalized with
 the exit code, the files on disk and the wall-clock time, so a run can be
-audited and replayed: the same command, seed, and config reproduce every
-data file bit for bit. Its timing fields are the only nondeterministic bytes.
+audited and replayed: the same arguments reproduce every data file bit
+for bit, as the config comes from ``--config`` alone. Its timing fields
+are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
 an unreadable ``--config`` or an unwritable output file too), 3 numerical
@@ -24,7 +25,6 @@ import contextlib
 import hashlib
 import json
 import math
-import os
 import platform
 import re
 import sys
@@ -104,8 +104,8 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config file (flag, else $COHSIM_CONFIG), with flag overrides on top;
-    the defaults for a command without a ``--config`` flag."""
+    """The ``--config`` file, with flag overrides on top; the defaults for
+    a command without a ``--config`` flag."""
     if not hasattr(args, "config"):
         return ExperimentConfig()
     overrides = {}
@@ -113,9 +113,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.visibility is not None:
         overrides["visibility_v"] = args.visibility
-    path = args.config or os.environ.get("COHSIM_CONFIG")
-    if path:
-        return ExperimentConfig.from_file(path, **overrides)
+    if args.config:
+        return ExperimentConfig.from_file(args.config, **overrides)
     return ExperimentConfig(**overrides)
 
 
@@ -381,11 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--config",
-            help="experiment config file with 'key = value' lines"
-            " (default: $COHSIM_CONFIG when set)",
-        )
+        sp.add_argument("--config", help="experiment config file with 'key = value' lines")
         sp.add_argument("--seed", type=int, help="override the RNG seed")
         sp.add_argument(
             "--visibility", type=float, help="override the source visibility v in [0, 1]"

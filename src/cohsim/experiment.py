@@ -11,13 +11,17 @@ parametric bootstrap (re-drawing each cell from a Poisson at its
 observed mean); evidence against the best convex-mixture model is
 summarized by a Hoeffding tail bound optimized over the mixture weights.
 
-Every random quantity draws from its own RNG stream (``_stream``) keyed
-by the seed, the table's stream tag, the setting, and the trial or
-replicate domain, so results are bit-reproducible and independent of
-evaluation order. Both bootstraps redraw through ``_poisson_bootstrap``.
+Every random quantity draws from its own RNG stream,
+``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
+setting, and the trial or replicate domain, so results are
+bit-reproducible and independent of evaluation order. ``_stream``
+applies the one tag rule (``_check_tag``: an int or numpy integer, at
+least 0), which ``CountTable`` applies too. Per-trial counts and fringe
+points draw through ``_draws``, and both bootstraps redraw through
+``_poisson_bootstrap``.
 
-Every data file is a CSV written by ``_write_csv``: the count tables
-and fringe scans here, and the row tables and density matrices of the
+Every CSV data file is written by ``_write_csv``: the count tables and
+fringe scans here, and the row tables and density matrices of the
 ``reports`` and ``tomography`` modules. Floats are written as their
 ``repr``, so each reads back exactly.
 """
@@ -32,11 +36,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .measurement import _check_setting, expectation, setting_distribution
+from .measurement import AXES, _check_setting, expectation, setting_distribution
 from .paradox import ParadoxSpec, _mixture_gap
 from .states import DensityOperator, StateVector, werner_mix
 
-AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 CLASSICAL_VISIBILITY_BOUND = 0.71
 
 # Stream-domain constants keep bootstrap and scan draws on RNG streams
@@ -90,7 +93,10 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
         # Poisson draws at this mean stay far below 2**53, so counts are
         # exact as floats (bootstrap, tomography) and never wrap an int64.
-        pooled_mean = self.mean_per_trial * self.num_trials
+        try:
+            pooled_mean = self.mean_per_trial * self.num_trials
+        except OverflowError:  # num_trials beyond the float range
+            pooled_mean = math.inf
         if pooled_mean > 2.0**50:
             raise ValueError(
                 f"expected pooled count per setting {pooled_mean:.3g} exceeds 2**50"
@@ -157,9 +163,23 @@ def _write_csv(path: str | Path, header, rows) -> None:
         writer.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The generator of one draw: seeded by ``(seed, *key)`` and nothing else."""
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
+def _check_tag(tag) -> None:
+    """The one stream-tag rule, which ``_stream`` and ``CountTable`` apply: an
+    int or numpy integer, at least 0, as a seed sequence takes no other."""
+    if not isinstance(tag, (int, np.integer)) or tag < 0:
+        raise ValueError(f"stream_tag={tag!r} must be a nonnegative integer")
+
+
+def _stream(seed: int, tag: int, *key: int) -> np.random.Generator:
+    """The generator of one draw, seeded by ``(seed, tag, *key)`` alone, after ``_check_tag``."""
+    _check_tag(tag)
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, *key)))
+
+
+def _draws(seed: int, tag: int, key: tuple[int, ...], means) -> np.ndarray:
+    """Poisson draw ``i`` at ``means[i]`` from ``_stream(seed, tag, *key, i)``, as int64."""
+    draws = [_stream(seed, tag, *key, i).poisson(mean) for i, mean in enumerate(means)]
+    return np.array(draws, dtype=np.int64)
 
 
 def _cell_correlator(cells: np.ndarray) -> np.ndarray:
@@ -214,9 +234,7 @@ class CountTable:
     stream_tag: int = 0
 
     def __post_init__(self) -> None:
-        # The tag seeds the bootstrap streams, which take only integers.
-        if not isinstance(self.stream_tag, (int, np.integer)) or self.stream_tag < 0:
-            raise ValueError(f"stream_tag={self.stream_tag!r} must be a nonnegative integer")
+        _check_tag(self.stream_tag)
         u, v = _check_setting(self.setting)
         try:
             with np.errstate(invalid="ignore"):
@@ -339,14 +357,10 @@ def simulate_counts(
     re-running with the same config reproduces the table bit for bit.
     """
     u, v = _check_setting(setting)
-    if state.num_qubits != 2:
-        raise ValueError(f"coincidence experiment needs a 2-qubit state, got {state.num_qubits}")
     rho = werner_mix(state, cfg.visibility_v)
-    probs = setting_distribution(rho, u, v)
-    means = cfg.mean_per_trial * probs
-    trials = np.empty((cfg.num_trials, 2, 2), dtype=np.int64)
-    for t in range(cfg.num_trials):
-        trials[t] = _stream(cfg.seed, stream_tag, AXIS_CODE[u], AXIS_CODE[v], t).poisson(means)
+    means = cfg.mean_per_trial * setting_distribution(rho, u, v)
+    key = (AXES.index(u), AXES.index(v))
+    trials = _draws(cfg.seed, stream_tag, key, [means] * cfg.num_trials)
     return CountTable((u, v), trials, cfg, stream_tag)
 
 
@@ -379,8 +393,9 @@ def correlator_from_counts(
     """
     _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)
-    key = (table.stream_tag, AXIS_CODE[u], AXIS_CODE[v], _BOOT_DOMAIN, 0)
-    draws = _poisson_bootstrap(table.pooled(u, v), _stream(table.config.seed, *key), num_bootstrap)
+    key = (AXES.index(u), AXES.index(v), _BOOT_DOMAIN, 0)
+    rng = _stream(table.config.seed, table.stream_tag, *key)
+    draws = _poisson_bootstrap(table.pooled(u, v), rng, num_bootstrap)
     std_err = float(np.std(_cell_correlator(draws), ddof=1))
     return EstimatedCorrelator(value=value, std_err=std_err, n_total=total)
 
@@ -407,9 +422,10 @@ def paradox_counts(
     blocks under one seed should space their tag bases apart.
 
     Raises:
-        ValueError: a label without a source, or an observable that is
-            not a two-party axis pair.
+        ValueError: a ``tag_base`` that breaks the stream-tag rule, a label
+            without a source, or an observable that is not a two-party axis pair.
     """
+    _check_tag(tag_base)
     out: dict[tuple[str, str], CountTable] = {}
     for idx, (key, con) in enumerate(zip(spec.observation_keys(), spec.constraints)):
         if con.source_label not in sources:
@@ -541,7 +557,8 @@ def visibility_scan(
         ValueError: empty grid, an angle ``t`` with ``2 t`` not finite
             (NaN, infinite, beyond about 9e307, or an int too large for a
             float), fewer than three grid angles distinct modulo pi (the
-            fit's three coefficients need them), or a non-2-qubit state.
+            fit's three coefficients need them), a non-2-qubit state, or,
+            with ``simulate=True``, a ``stream_tag`` ``_check_tag`` refuses.
         ArithmeticError: fit breakdown (zero mean rate).
     """
     fixed_angle, *grid = (_scan_angle(a) for a in (fixed_arm_angle, *scan_grid))
@@ -566,11 +583,7 @@ def visibility_scan(
     measure_time = cfg.duration_per_setting * cfg.num_trials
     counts: tuple[int, ...] | None = None
     if simulate:
-        drawn = np.empty(len(grid), dtype=np.int64)
-        for i, prob in enumerate(probs):
-            drawn[i] = _stream(cfg.seed, stream_tag, _SCAN_DOMAIN, i).poisson(
-                rate_scale * measure_time * prob
-            )
+        drawn = _draws(cfg.seed, stream_tag, (_SCAN_DOMAIN,), rate_scale * measure_time * probs)
         counts = tuple(int(n) for n in drawn)
         rates = drawn / measure_time
     else:

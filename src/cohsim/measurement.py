@@ -20,7 +20,7 @@ import numpy as np
 from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector
 
 AXES = ("X", "Y", "Z")
-CHAIN_AXES = ("X", "Y", "Z", "I")
+CHAIN_AXES = AXES + ("I",)
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,16 @@ class ObservableChain:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "label", "".join(axes))
 
-    @classmethod
-    def from_string(cls, text: str) -> "ObservableChain":
-        return cls(tuple(text.strip().upper()))
-
     @property
     def num_qubits(self) -> int:
         return len(self.axes)
 
 
 def as_chain(obs: ObservableChain | str | Iterable[str]) -> ObservableChain:
-    """Coerce a chain description (``"XYY"`` or axis sequence) to a chain."""
+    """Coerce a chain description (``"XYY"`` or axis sequence) to a chain;
+    a string is its letters as written, so ``"xyy"`` or ``" XYY"`` is refused."""
     if isinstance(obs, ObservableChain):
         return obs
-    if isinstance(obs, str):
-        return ObservableChain.from_string(obs)
     return ObservableChain(tuple(obs))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
-    _poisson_bootstrap, _stream, _write_csv, simulate_counts,
+    _check_tag, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
@@ -156,14 +156,18 @@ def reconstruct(
     inverted (``bootstrap_used`` counts the rest).
 
     ``num_bootstrap = 0`` means no bootstrap; one replicate has no
-    spread to measure, so 1 is refused.
+    spread to measure, so 1 is refused, and without a ``target`` there
+    is no fidelity to bootstrap, so a positive count is refused.
 
     Raises:
         ValueError: missing settings, a table under another setting's
-            key, zero totals, ``num_bootstrap`` of 1 or below 0, or fewer
+            key, zero totals, ``num_bootstrap`` of 1 or below 0, a
+            positive ``num_bootstrap`` without a ``target``, or fewer
             than two replicates that can be inverted.
     """
     _check_bootstrap_count(num_bootstrap, allow_none=True)
+    if num_bootstrap > 0 and target is None:
+        raise ValueError(f"num_bootstrap={num_bootstrap} needs a target state to score")
     pooled, cfg, tag = _pooled_stack(counts)
     rho_linear = _invert(pooled)
     mat, clip = _project(rho_linear)
@@ -234,9 +238,11 @@ def tomography_report(
     by default), where ``result`` is the ``reconstruct`` output with the
     state as its target: ``fidelity_std_err`` and ``bootstrap_used``
     are None without a bootstrap. Nothing is written to disk. Stream
-    tags run from ``tag_base`` so a caller reusing one seed for several
-    artifact groups can keep their count draws independent.
+    tags run from ``tag_base`` (a ``ValueError`` unless a nonnegative
+    integer) so a caller reusing one seed for several artifact groups
+    can keep their count draws independent.
     """
+    _check_tag(tag_base)
     chosen = states if states is not None else report_states()
     report = []
     for idx, (label, psi) in enumerate(chosen):

@@ -319,11 +319,21 @@ class TestConfigPlumbing:
         assert manifest["config"]["num_trials"] == 2
         assert manifest["seed"] == 1
 
-    def test_env_var_used_when_flag_absent(self, tmp_path, fast_cfg, monkeypatch, capsys):
-        monkeypatch.setenv("COHSIM_CONFIG", fast_cfg)
-        out = tmp_path / "o"
-        assert main(["paradox", "--out", str(out)]) == 0
-        assert manifest_of(out)["config"]["duration_per_setting"] == 0.01
+    def test_exported_config_variable_changes_nothing(
+        self, tmp_path, fast_cfg, monkeypatch, capsys
+    ):
+        # The config comes from --config alone, so the data files depend
+        # on the argument list the manifest records.
+        runs = []
+        for exported in (False, True):
+            if exported:
+                monkeypatch.setenv("COHSIM_CONFIG", fast_cfg)
+            out = tmp_path / f"o{exported}"
+            assert main(["paradox", "--mode", "simulated", "--out", str(out)]) == 0
+            runs.append(manifest_of(out))
+        plain, exported = runs
+        assert exported["config"] == ExperimentConfig().to_dict()
+        assert exported["sha256"] == plain["sha256"]
 
     def test_flag_overrides_file_values(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "o"
@@ -358,10 +368,14 @@ class TestConfigPlumbing:
         assert f"{line.split()[0]}=" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_count_beyond_exact_range_exits_two(self, tmp_path, capsys):
-        # Unchecked, the pooled int64 counts at this rate would wrap.
+    @pytest.mark.parametrize(
+        "line", ["pair_rate = 1.5e17", "num_trials = 1" + "0" * 400], ids=["rate", "trials"]
+    )
+    def test_count_beyond_exact_range_exits_two(self, line, tmp_path, capsys):
+        # Unchecked, the pooled int64 counts at this rate would wrap, and
+        # this many trials would overflow the float of the pooled mean.
         path = tmp_path / "huge.cfg"
-        path.write_text("pair_rate = 1.5e17\n")
+        path.write_text(line + "\n")
         out = tmp_path / "o"
         args = ["paradox", "--mode", "simulated", "--config", str(path), "--out", str(out)]
         assert main(args) == 2

@@ -41,6 +41,7 @@ from cohsim.paradox import (
 )
 from cohsim.reports import paradox_exact_block, paradox_simulated_block
 from cohsim.states import EPR_LABELS, DensityOperator, StateVector, epr_family, werner_mix
+from cohsim.tomography import tomography_report
 
 from .test_measurement import PROPERTY_SETTINGS
 from .test_states import random_state
@@ -87,6 +88,7 @@ class TestExperimentConfig:
             ("duration_per_setting", math.nan),
             ("duration_per_setting", math.inf),
             ("num_trials", 0),
+            pytest.param("num_trials", 10**400, id="num_trials-1e400"),
             ("visibility_v", 1.5),
             ("efficiency", 0.0),
             ("efficiency", 1.0001),
@@ -115,6 +117,8 @@ class TestExperimentConfig:
         # Unchecked, the default pooled int64 counts at this rate would wrap.
         with pytest.raises(ValueError, match=r"exceeds 2\*\*50"):
             ExperimentConfig(pair_rate=1.5e17)
+        # A mean per trial that rounds to 0.0 is accepted: the check never divides by it.
+        assert ExperimentConfig(pair_rate=5e-324, duration_per_setting=1e-10).mean_per_trial == 0.0
 
     def test_replace(self):
         cfg = ExperimentConfig().replace(seed=9, visibility_v=0.5)
@@ -206,9 +210,12 @@ class TestSimulateCounts:
             mean = total_mean * prob
             assert abs(pooled[cell] - mean) < 5 * math.sqrt(mean)
 
-    def test_rejects_non_two_qubit_state(self):
-        with pytest.raises(ValueError):
-            simulate_counts(StateVector([1.0, 0.0]), ("Z", "Z"), DESK)
+    @pytest.mark.parametrize("num_qubits", [1, 3])
+    def test_rejects_non_two_qubit_state(self, num_qubits):
+        # setting_distribution's guard, the one two-qubit check on the count path.
+        state = random_state(num_qubits, 7)
+        with pytest.raises(ValueError, match="two-party setting needs a 2-qubit state"):
+            simulate_counts(state, ("Z", "Z"), DESK)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -253,6 +260,26 @@ class TestSettingCheck:
             quantum_strategy(0.4, *setting)
 
 
+# Each way a stream tag enters: the table itself, and every function that draws.
+TAG_ENTRIES = {
+    "CountTable": lambda tag: hand_table([[1, 0], [0, 1]], stream_tag=tag),
+    "simulate_counts": lambda tag: simulate_counts(
+        epr_family(0.4, "00"), ("Z", "Z"), ONE_TRIAL, stream_tag=tag
+    ),
+    "visibility_scan": lambda tag: visibility_scan(
+        epr_family(math.pi / 4, "00"), 0.0, [0.0, 0.5, 1.0], ONE_TRIAL, simulate=True,
+        stream_tag=tag,
+    ),
+    "paradox_counts": lambda tag: paradox_counts(
+        coherence_paradox(math.pi / 4, "X"),
+        {label: epr_family(math.pi / 4, label) for label in EPR_LABELS},
+        ONE_TRIAL,
+        tag_base=tag,
+    ),
+    "tomography_report": lambda tag: tomography_report(ONE_TRIAL, num_bootstrap=0, tag_base=tag),
+}
+
+
 class TestCountTable:
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -264,11 +291,13 @@ class TestCountTable:
         with pytest.raises(ValueError, match="setting axis"):
             hand_table([[1, 0], [0, 1]], setting=("Q", "Z"))
 
-    @pytest.mark.parametrize("tag", [1.5, float("nan"), 2.0, "1"], ids=repr)
-    def test_non_integer_stream_tag_rejected(self, tag):
-        # The tag seeds the bootstrap, which numpy refuses with a TypeError.
+    @pytest.mark.parametrize("entry", sorted(TAG_ENTRIES))
+    @pytest.mark.parametrize("tag", [1.5, float("nan"), 2.0, "1", -1], ids=repr)
+    def test_non_integer_stream_tag_rejected(self, entry, tag):
+        # Every draw entry applies the table's rule; numpy would refuse
+        # these seeds with a TypeError or its own message.
         with pytest.raises(ValueError, match="stream_tag=.* must be a nonnegative integer"):
-            hand_table([[1, 0], [0, 1]], stream_tag=tag)
+            TAG_ENTRIES[entry](tag)
 
     @pytest.mark.parametrize("tag", [np.int64(3), np.uint64(2**63)], ids=repr)
     def test_integer_stream_tag_accepted(self, tag):

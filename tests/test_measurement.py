@@ -142,8 +142,8 @@ class TestProjectors:
 
 
 class TestObservableChain:
-    def test_from_string_round_trip(self):
-        chain = ObservableChain.from_string("XYZ")
+    def test_chain_string_round_trip(self):
+        chain = as_chain("XYZ")
         assert chain.axes == ("X", "Y", "Z")
         assert chain.label == "XYZ"
         assert chain.num_qubits == 3
@@ -155,6 +155,12 @@ class TestObservableChain:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ObservableChain(())
+
+    @pytest.mark.parametrize("text", ["zz", " ZZ "], ids=repr)
+    def test_chain_text_read_as_written(self, text):
+        # Lower case and padding are no chain, as they are no setting axis.
+        with pytest.raises(ValueError, match="unknown axis"):
+            expectation(epr_family(0.4, "00"), text)
 
     def test_as_chain_accepts_chain_string_iterable(self):
         chain = ObservableChain(("X", "Y"))

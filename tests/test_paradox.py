@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohsim import paradox
-from cohsim.measurement import ObservableChain, expectation, setting_distribution
+from cohsim.measurement import ObservableChain, as_chain, expectation, setting_distribution
 from cohsim.paradox import (
     GHZ_CHAINS,
     GHZ_TARGET,
@@ -313,7 +313,7 @@ def two_row_three_component_spec() -> ParadoxSpec:
     """
     values = {"A": (1.0, 1.0), "B": (-1.0, 1.0), "C": (1.0, -1.0), "M": (-1.0, -1.0)}
     constraints = tuple(
-        ParadoxConstraint(label, ObservableChain.from_string(chain), value)
+        ParadoxConstraint(label, as_chain(chain), value)
         for label, pair in values.items()
         for chain, value in zip(("XX", "ZZ"), pair)
     )
@@ -989,7 +989,7 @@ class TestRepeatedKeys:
 
     def test_from_dict_refuses_a_repeat(self):
         doc = coherence_paradox(math.pi / 8, "X").to_dict()
-        doc["constraints"].append({"source": "00", "observable": "xx", "expected": 0.5})
+        doc["constraints"].append({"source": "00", "observable": "XX", "expected": 0.5})
         with pytest.raises(ValueError, match=re.escape("repeats constraint key ('00', 'XX')")):
             ParadoxSpec.from_dict(doc)
 
@@ -1130,6 +1130,12 @@ class TestSpecValidationAndSerialization:
         assert set(doc["constraints"][0]) == {"source", "observable", "expected"}
         assert set(doc["mixture_claim"]) == {"mixed", "components", "note"}
         json.dumps(doc)
+
+    def test_from_dict_reads_chain_text_as_written(self):
+        doc = coherence_paradox(math.pi / 8, "X").to_dict()
+        doc["constraints"][-1]["observable"] = " xx "
+        with pytest.raises(ValueError, match="unknown axis ' '"):
+            ParadoxSpec.from_dict(doc)
 
 
 class TestVerdictInvariants:

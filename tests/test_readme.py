@@ -53,8 +53,7 @@ def cli_examples() -> list[list[str]]:
 
 
 @pytest.mark.parametrize("argv", cli_examples(), ids=" ".join)
-def test_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("COHSIM_CONFIG", raising=False)
+def test_cli_example_runs(argv, tmp_path, capsys):
     out = tmp_path / "out"
     # A later --out wins over one the example gives.
     assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err

@@ -363,6 +363,13 @@ class TestReconstructValidation:
         with pytest.raises(ValueError, match="missing tomography settings"):
             reconstruct(tables)
 
+    def test_bootstrap_without_target_rejected(self):
+        # No target means no fidelity, so the requested error would not exist.
+        tables = exact_tables(epr_family(0.5, "00"), 2**20)
+        with pytest.raises(ValueError, match="num_bootstrap=100 needs a target"):
+            reconstruct(tables, num_bootstrap=100)
+        assert reconstruct(tables, num_bootstrap=0).fidelity_std_err is None
+
     def test_zero_total_rejected(self):
         tables = exact_tables(epr_family(0.5, "00"), 2**20)
         empty = np.zeros((1, 2, 2), dtype=np.int64)
