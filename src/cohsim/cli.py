@@ -104,18 +104,14 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The ``--config`` file, with flag overrides on top; the defaults for
-    a command without a ``--config`` flag."""
+    """The ``--config`` file, or the defaults, with ``--seed`` and
+    ``--visibility`` applied once on top; the defaults for a command
+    without those flags."""
     if not hasattr(args, "config"):
         return ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.visibility is not None:
-        overrides["visibility_v"] = args.visibility
-    if args.config:
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig(**overrides)
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    flags = {"seed": args.seed, "visibility_v": args.visibility}
+    return cfg.replace(**{field: value for field, value in flags.items() if value is not None})
 
 
 class _Run:
@@ -137,7 +133,6 @@ class _Run:
             "command": args.command,
             "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
             "config": self.cfg.to_dict(),
-            "seed": self.cfg.seed,
             "versions": {
                 "cohsim": __version__,
                 "numpy": np.__version__,

@@ -29,6 +29,7 @@ fringe scans here, and the row tables and density matrices of the
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -60,6 +61,37 @@ def _is_whole(value) -> bool:
         return False
 
 
+# Each config field's own rule: a test of its value alone, and what the
+# error says the value must be.
+_POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
+_FIELD_RULES = {
+    "pair_rate": _POSITIVE_FINITE,
+    "duration_per_setting": _POSITIVE_FINITE,
+    "num_trials": (lambda v: _is_whole(v) and v >= 1, "must be a positive integer"),
+    "visibility_v": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "efficiency": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "seed": (lambda v: _is_whole(v) and 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+}
+
+
+def _check_field(name: str, value, where: str = "") -> None:
+    """``ValueError``, its message after ``where``, if ``value`` breaks field ``name``'s rule."""
+    test, rule = _FIELD_RULES[name]
+    if not test(value):
+        raise ValueError(f"{where}{name}={value} {rule}")
+
+
+def _read_utf8(path: str | Path, kind: str) -> str:
+    """The text of a ``kind`` file; a byte that is not UTF-8 raises
+    ``ValueError`` naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{kind} file {path} line {line}: {err}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of the synthetic experiment.
@@ -77,18 +109,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("pair_rate", "duration_per_setting"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name}={value} must be positive and finite")
-        if not _is_whole(self.num_trials) or self.num_trials < 1:
-            raise ValueError(f"num_trials={self.num_trials} must be a positive integer")
-        if not 0.0 <= self.visibility_v <= 1.0:
-            raise ValueError(f"visibility_v={self.visibility_v} must lie in [0, 1]")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency={self.efficiency} must lie in (0, 1]")
-        if not _is_whole(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed={self.seed} must be an unsigned 64-bit integer")
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
         object.__setattr__(self, "num_trials", int(self.num_trials))
         object.__setattr__(self, "seed", int(self.seed))
         # Poisson draws at this mean stay far below 2**53, so counts are
@@ -116,34 +138,42 @@ class ExperimentConfig:
         return ExperimentConfig(**merged)
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
-        """Load ``key = value`` lines; ``#`` starts a comment.
-
-        Keyword overrides (CLI flags) win over file values.
+    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        """Load ``key = value`` lines; ``#`` starts a comment. The file is
+        read whole and checked as it stands; flags go on top through ``replace``.
 
         Raises:
-            ValueError: unknown key, or unparsable value (named with the file).
+            ValueError: a byte not UTF-8, a line not ``key = value``, an
+                unknown or repeated key, a value that does not parse or
+                breaks its field's rule (each named with file and line),
+                or a pooled count beyond 2**50 (named with the file).
         """
         parsers = {f.name: type(f.default) for f in fields(cls)}
         values: dict = {}
-        for raw in Path(path).read_text().splitlines():
+        seen: dict[str, int] = {}
+        for number, raw in enumerate(_read_utf8(path, "config").splitlines(), 1):
+            where = f"config file {path} line {number}"
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {raw!r} is not 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
+                raise ValueError(f"{where}: {raw!r} is not 'key = value'")
+            key, _, value = (part.strip() for part in line.partition("="))
             if key not in parsers:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            if key in seen:
+                raise ValueError(f"{where}: config key {key!r} repeats line {seen[key]}")
+            seen[key] = number
             try:
-                values[key] = parsers[key](text)
+                values[key] = parsers[key](value)
             except ValueError:
-                kind = parsers[key].__name__
-                raise ValueError(f"config {path}: {key} = {text!r} is not a {kind}") from None
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+                kind = "an int" if parsers[key] is int else "a float"
+                raise ValueError(f"{where}: {key} = {value!r} is not {kind}") from None
+            _check_field(key, values[key], f"{where}: ")
+        try:
+            return cls(**values)
+        except ValueError as err:
+            raise ValueError(f"config file {path}: {err}") from None
 
 
 def _cell(value) -> str:
@@ -282,44 +312,48 @@ class CountTable:
         """Read the rows of one setting written by ``to_csv``.
 
         Raises:
-            ValueError: a missing column, a short or long row, a
-                ``trial``, ``a``, ``b`` or ``count`` cell not an integer,
-                rows of more than one setting, a ``(trial, a, b)`` cell given
-                twice, or not exactly the 4 cells of each trial ``0..T-1``,
-                where T is ``config.num_trials``.
+            ValueError: a byte that is not UTF-8, a missing column, no
+                rows, a short or long row, a ``trial``, ``a``, ``b`` or
+                ``count`` cell not an integer, rows of more than one
+                setting, a ``(trial, a, b)`` cell given twice, or not
+                exactly the 4 cells of each trial ``0..T-1``, where T is
+                ``config.num_trials``; each named with the file, and with
+                the line where one applies.
         """
         setting = None
         cells: dict[tuple[int, int, int], int] = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [col for col in _COUNT_COLUMNS if col not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"count file {path} lacks columns {', '.join(missing)}")
-            for row in reader:
-                if None in row.values():
-                    raise ValueError(f"count file {path} line {reader.line_num} is incomplete")
-                if None in row:  # DictReader files surplus fields under the key None
-                    raise ValueError(f"count file {path} line {reader.line_num} has extra fields")
-                found = (row["u"], row["v"])
-                if setting not in (None, found):
-                    raise ValueError(f"count file holds settings {setting} and {found}")
-                setting = found
-                ints = {}
-                for col in ("trial", "a", "b", "count"):
-                    try:
-                        ints[col] = int(row[col])
-                    except ValueError:
-                        where = f"count file {path} line {reader.line_num} column {col}"
-                        raise ValueError(f"{where} is not an integer: {row[col]!r}") from None
-                cell = (ints["trial"], ints["a"], ints["b"])
-                if cell in cells:
-                    raise ValueError(f"setting {setting} repeats cell (trial, a, b) = {cell}")
-                cells[cell] = ints["count"]
+        reader = csv.DictReader(io.StringIO(_read_utf8(path, "count"), newline=""))
+        missing = [col for col in _COUNT_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"count file {path} lacks columns {', '.join(missing)}")
+        for row in reader:
+            where = f"count file {path} line {reader.line_num}"
+            if None in row.values():
+                raise ValueError(f"{where} is incomplete")
+            if None in row:  # DictReader files surplus fields under the key None
+                raise ValueError(f"{where} has extra fields")
+            found = (row["u"], row["v"])
+            if setting not in (None, found):
+                raise ValueError(f"{where}: the file holds settings {setting} and {found}")
+            setting = found
+            ints = {}
+            for col in ("trial", "a", "b", "count"):
+                try:
+                    ints[col] = int(row[col])
+                except ValueError:
+                    text = f"column {col} is not an integer: {row[col]!r}"
+                    raise ValueError(f"{where} {text}") from None
+            cell = (ints["trial"], ints["a"], ints["b"])
+            if cell in cells:
+                raise ValueError(f"{where}: setting {setting} repeats cell (trial, a, b) = {cell}")
+            cells[cell] = ints["count"]
+        if setting is None:
+            raise ValueError(f"count file {path} holds no rows")
         grid = [(t, a, b) for t in range(config.num_trials) for a in range(2) for b in range(2)]
         if set(cells) != set(grid):
             raise ValueError(
-                f"setting {setting} needs the 4 cells of each trial 0..{config.num_trials - 1};"
-                f" missing {sorted(set(grid) - set(cells))},"
+                f"count file {path}: setting {setting} needs the 4 cells of each trial"
+                f" 0..{config.num_trials - 1}; missing {sorted(set(grid) - set(cells))},"
                 f" unexpected {sorted(set(cells) - set(grid))}"
             )
         counts = np.array([cells[cell] for cell in grid]).reshape(-1, 2, 2)

@@ -46,8 +46,7 @@ class ParadoxConstraint:
     expected_value: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.observable, ObservableChain):
-            object.__setattr__(self, "observable", as_chain(self.observable))
+        object.__setattr__(self, "observable", as_chain(self.observable))
         if not -1.0 <= self.expected_value <= 1.0:
             raise ValueError(f"expected value {self.expected_value} outside [-1, 1]")
 
@@ -128,7 +127,7 @@ class ParadoxSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ParadoxSpec":
         constraints = tuple(
-            ParadoxConstraint(item["source"], as_chain(item["observable"]), float(item["expected"]))
+            ParadoxConstraint(item["source"], item["observable"], float(item["expected"]))
             for item in doc["constraints"]
         )
         claim_doc = doc["mixture_claim"]

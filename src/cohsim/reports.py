@@ -36,10 +36,11 @@ from .paradox import (
     lhv_mixture_test,
     theoretical_values,
 )
-from .states import EPR_LABELS, EQ_ATOL, StateVector, dicke_one_excitation, epr_family
+from .states import (
+    DEFAULT_THETAS, EPR_LABELS, EQ_ATOL, StateVector, dicke_one_excitation, epr_family
+)
 
 STRATEGY_AXES = {"x": ("X", "X"), "z": ("Z", "Z")}
-DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 CURVE_THETAS = tuple(i * (math.pi / 2) / 26 for i in range(1, 26))
 
 

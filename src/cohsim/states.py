@@ -132,6 +132,8 @@ class DensityOperator:
 
 
 EPR_LABELS = ("01", "10", "00")
+# The superposition angles of the reports: the paradox table, the game and tomography.
+DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 
 
 def epr_family(theta: float, label: str) -> StateVector:

@@ -9,7 +9,6 @@ partner's three bases so every recorded count contributes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -21,7 +20,9 @@ from .experiment import (
     _check_tag, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
-from .states import DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
+from .states import (
+    DEFAULT_THETAS, DensityOperator, StateVector, _vector_fidelity, epr_family, fidelity
+)
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
 
@@ -201,7 +202,7 @@ def reconstruct(
 
 
 def report_states(
-    thetas: tuple[float, ...] = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4),
+    thetas: tuple[float, ...] = DEFAULT_THETAS,
 ) -> tuple[tuple[str, StateVector], ...]:
     """The standard six sources: |01>, the superpositions, |10>.
 

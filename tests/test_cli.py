@@ -317,7 +317,8 @@ class TestConfigPlumbing:
         manifest = manifest_of(out)
         assert manifest["config"]["pair_rate"] == 1e5
         assert manifest["config"]["num_trials"] == 2
-        assert manifest["seed"] == 1
+        assert manifest["config"]["seed"] == 1
+        assert "seed" not in manifest
 
     def test_exported_config_variable_changes_nothing(
         self, tmp_path, fast_cfg, monkeypatch, capsys
@@ -352,10 +353,31 @@ class TestConfigPlumbing:
         )
         assert code == 0
         manifest = manifest_of(out)
-        assert manifest["seed"] == 77
+        assert manifest["config"]["seed"] == 77
         assert manifest["config"]["visibility_v"] == 0.85
         doc = json.loads((out / "visibility.json").read_text())
         assert doc["visibility"] == pytest.approx(0.85, abs=1e-10)
+
+    def test_repeated_config_key_exits_two(self, tmp_path, capsys):
+        # Once read as the last line's value, seed 2.
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nseed = 2\n")
+        out = tmp_path / "o"
+        assert main(["paradox", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {path} line 2: config key 'seed' repeats line 1" in err
+        assert not out.exists()
+
+    def test_flags_do_not_mask_invalid_file_values(self, tmp_path, capsys):
+        # Once exit 0: the flags replaced both values before any was checked.
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -1\nvisibility_v = 2\n")
+        out = tmp_path / "o"
+        flags = ["--seed", "3", "--visibility", "0.9", "--out", str(out)]
+        assert main(["paradox", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {path} line 1: seed=-1 must be an unsigned 64-bit integer" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line", ["pair_rate = nan", "pair_rate = inf", "duration_per_setting = inf"]

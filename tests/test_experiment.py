@@ -156,15 +156,42 @@ class TestExperimentConfig:
         assert loaded == cfg
         assert loaded.seed == 2**64 - 1 and isinstance(loaded.seed, int)
 
-    def test_from_file_overrides_win(self, tmp_path):
+    def test_from_file_refuses_repeated_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 3\n")
-        assert ExperimentConfig.from_file(path, seed=8).seed == 8
+        path.write_text("seed = 1\nseed = 2\n")
+        with pytest.raises(ValueError, match="config key 'seed' repeats line 1"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("seed = 4\nvisibility_v = 2\n", " line 2: visibility_v=2.0 must lie in [0, 1]"),
+            ("num_trials = 2.5\n", " line 1: num_trials = '2.5' is not an int"),
+            ("pair_rate = fast\n", " line 1: pair_rate = 'fast' is not a float"),
+            ("pair_rate = 1.5e17\n", ": expected pooled count per setting"),
+        ],
+        ids=["out-of-range", "not-int", "not-float", "pooled"],
+    )
+    def test_from_file_error_names_file_and_line(self, text, message, tmp_path):
+        # A count beyond exact range spans several lines, so only the file is named.
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_file(path)
+        assert str(info.value).startswith(f"config file {path}{message}")
+
+    def test_from_file_names_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\npair_rate = 1e5 # \xff\n")
+        prefix = f"config file {path} line 2: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(prefix)):
+            ExperimentConfig.from_file(path)
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("rate = 1e5\n")
-        with pytest.raises(ValueError, match="unknown config key"):
+        path.write_text("pair_rate = 1e5\nrate = 1e5\n")
+        where = f"config file {re.escape(str(path))} line 2: unknown config key 'rate'"
+        with pytest.raises(ValueError, match=where):
             ExperimentConfig.from_file(path)
 
     @pytest.mark.parametrize("field", ["pair_rate", "duration_per_setting"])
@@ -177,8 +204,9 @@ class TestExperimentConfig:
 
     def test_from_file_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("pair_rate 1e5\n")
-        with pytest.raises(ValueError, match="key = value"):
+        path.write_text("# counting run\npair_rate 1e5\n")
+        where = f"config file {re.escape(str(path))} line 2: 'pair_rate 1e5' is not 'key = value'"
+        with pytest.raises(ValueError, match=where):
             ExperimentConfig.from_file(path)
 
 
@@ -377,8 +405,10 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(xy)
         simulate_counts(epr_family(0.5, "00"), ("Z", "Z"), DESK).to_csv(zz)
         rows = zz.read_text().splitlines(keepends=True)[1:]
+        line = len(xy.read_text().splitlines()) + 1
         xy.write_text(xy.read_text() + "".join(rows))
-        with pytest.raises(ValueError, match="holds settings"):
+        where = f"count file {re.escape(str(xy))} line {line}: the file holds settings"
+        with pytest.raises(ValueError, match=where):
             CountTable.from_csv(xy, DESK)
 
     def test_csv_dropped_row_rejected(self, tmp_path):
@@ -386,7 +416,8 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:3] + lines[4:]))
-        with pytest.raises(ValueError, match="missing"):
+        where = f"count file {re.escape(str(path))}: setting .* needs the 4 cells .* missing"
+        with pytest.raises(ValueError, match=where):
             CountTable.from_csv(path, DESK)
 
     def test_csv_duplicated_row_rejected(self, tmp_path):
@@ -394,7 +425,25 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines + [lines[1]]))
-        with pytest.raises(ValueError, match="repeats"):
+        where = f"count file {re.escape(str(path))} line {len(lines) + 1}: setting .* repeats"
+        with pytest.raises(ValueError, match=where):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        with pytest.raises(ValueError, match=f"^count file {re.escape(str(path))} holds no rows$"):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_byte_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"X", b"\xff", 1)
+        path.write_bytes(b"".join(lines))
+        prefix = f"count file {path} line 3: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(prefix)):
             CountTable.from_csv(path, DESK)
 
     def test_csv_missing_column_rejected(self, tmp_path):
