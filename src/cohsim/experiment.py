@@ -77,7 +77,11 @@ _FIELD_RULES = {
 def _check_field(name: str, value, where: str = "") -> None:
     """``ValueError``, its message after ``where``, if ``value`` breaks field ``name``'s rule."""
     test, rule = _FIELD_RULES[name]
-    if not test(value):
+    try:
+        ok = test(value)
+    except TypeError:  # a value of the wrong type, such as None or a str
+        ok = False
+    if not ok:
         raise ValueError(f"{where}{name}={value} {rule}")
 
 

@@ -208,7 +208,7 @@ def _min_max_residual(
     targ = np.asarray(targets, dtype=float)
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
     if m > 1:
-        return _mixture_lp(vals, targ, w)
+        return _mixture_lp(vals, targ, w)[:2]
     # Python floats: the same IEEE doubles as numpy scalars, without their
     # call overhead. list.index finds the first extremum, as argmin does.
     row = vals[0].tolist()
@@ -229,7 +229,9 @@ def _min_max_residual(
     return float(residual(best)), p
 
 
-def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+def _mixture_lp(
+    vals: np.ndarray, targ: np.ndarray, w: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
     """``_min_max_residual`` of any program, by a dense-tableau simplex.
 
     The minimum is the value of the zero-sum game with payoff rows
@@ -241,7 +243,11 @@ def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[floa
     tie only when equal: a tolerance there picks rows whose ratio is not
     the least and can leave a zero-gap program 1e-5 off. Reduced costs and
     pivots within ``tol`` of zero count as zero. The gap is the worst
-    weighted residual at p, so the witness attains it.
+    weighted residual at p, so the witness attains it. ``q``, the slack
+    part of the final objective row clipped at 0 over its sum, is the row
+    player's optimal strategy over the ``2m`` signed payoff rows, and
+    ``min_c q . payoff_c <= optimum <= max_j w_j |vals_j . p - targ_j|``.
+    Returns ``(gap, p, q)``.
 
     Raises:
         ArithmeticError: no optimum within the pivot cap.
@@ -274,7 +280,8 @@ def _mixture_lp(vals: np.ndarray, targ: np.ndarray, w: np.ndarray) -> tuple[floa
     p = np.zeros(k + rows)
     p[basis] = np.clip(tab[:-1, -1], 0.0, None)
     p = p[:k] / p[:k].sum()
-    return float(np.max(w * np.abs(vals @ p - targ))), p
+    q = np.clip(tab[-1, k:-1], 0.0, None)
+    return float(np.max(w * np.abs(vals @ p - targ))), p, q / q.sum()
 
 
 # The GHZ sign-assignment products, built once at import and shared

@@ -266,9 +266,9 @@ class TestExitCodes:
 
 class TestNoScipy:
     def test_runs_with_scipy_blocked(self, tmp_path):
-        # A fresh interpreter, since this test process already holds scipy
-        # from the oracle tests; None in sys.modules makes any import of
-        # scipy raise ImportError.
+        # A fresh interpreter, so no module another test imported is already
+        # loaded; None in sys.modules makes any import of scipy raise
+        # ImportError.
         script = textwrap.dedent(
             f"""
             import sys

@@ -108,6 +108,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field}=.* must be"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,rule",
+        [
+            ("seed", None, "must be an unsigned 64-bit integer"),
+            ("pair_rate", "1e5", "must be positive and finite"),
+            ("efficiency", [0.5], "must lie in (0, 1]"),
+            ("visibility_v", None, "must lie in [0, 1]"),
+        ],
+        ids=["seed-None", "pair_rate-str", "efficiency-list", "visibility_v-None"],
+    )
+    def test_wrong_type_is_named(self, field, value, rule):
+        # A value of the wrong type breaks its field's rule, named like any other.
+        message = f"^{re.escape(f'{field}={value} {rule}')}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig().replace(**{field: value})
+
     def test_pooled_count_ceiling(self):
         # Four trials of 2**48 pool to 2**50 per setting, the largest accepted.
         edge = dict(duration_per_setting=1.0, num_trials=4, efficiency=1.0)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from cohsim.cli import main
 
@@ -46,7 +45,6 @@ def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

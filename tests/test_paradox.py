@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -133,25 +134,23 @@ def exact_min_max_k3(rows, targets, weights=None) -> float:
     return min(objective(p) for p in candidates)
 
 
-def linprog_min_max(rows, targets, weights):
-    """Reference minimax through the linear program, for any row count."""
-    from scipy.optimize import linprog
+def certificate_bounds(rows, targets, weights, p, q):
+    """``(upper, lower)`` bounds on a program's minimax from a primal-dual pair.
 
-    m, k = rows.shape
-    scaled = weights[:, None] * rows
-    a_ub = np.block([[scaled, -np.ones((m, 1))], [-scaled, -np.ones((m, 1))]])
-    b_ub = np.concatenate([weights * targets, -weights * targets])
-    res = linprog(
-        np.eye(k + 1)[-1],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.append(np.ones(k), 0.0)[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    assert res.success, res.message
-    return max(0.0, float(res.x[-1]))
+    ``p`` weights the columns and ``q`` the ``2m`` signed payoff rows
+    ``+-w_j (rows_j - targets_j)``, the ``+`` rows first. The worst
+    weighted residual at ``p`` bounds the optimum from above; the least
+    column payoff under ``q`` bounds it from below, and so does 0, since
+    the signed rows come in pairs (von Neumann's minimax theorem). Bounds
+    that meet prove the optimum with no solver.
+    """
+    assert p.min() >= 0.0 and q.min() >= 0.0
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    payoff = weights[:, None] * (rows - targets[:, None])
+    upper = float(np.max(weights * np.abs(rows @ p - targets)))
+    lower = max(0.0, float(np.min(q @ np.vstack([payoff, -payoff]))))
+    return upper, lower
 
 
 def breakpoint_min_max(rows, targets, weights=None):
@@ -354,33 +353,35 @@ class TestGhzEnumeration:
 
 class TestGhzHullClosedForm:
     PRODUCTS = ghz_sign_assignment_products()
-    # The hull of the 8 distinct product vectors is the hull of all 64
-    # rows, and the smaller program solves about three times faster.
-    VERTICES = np.unique(PRODUCTS, axis=0)
+    ODD_SIGNS = [s for s in itertools.product((-1.0, 1.0), repeat=4) if math.prod(s) < 0]
 
-    def check_against_linear_program(self, e):
+    def check_certificate(self, e):
+        # The dual puts 1/4 on each row -s_i (x_i - e_i) of the Mermin
+        # normal s with the largest s . e: the + row where s_i = -1, else
+        # the - row.
         gap, weights = _ghz_hull_residual(e)
-        reference = linprog_min_max(self.VERTICES.T, e, np.ones(4))
-        assert gap == pytest.approx(reference, abs=1e-12)
+        s = max(self.ODD_SIGNS, key=lambda sign: float(np.dot(sign, e)))
+        q = np.zeros(8)
+        for i, sign in enumerate(s):
+            q[i if sign < 0 else 4 + i] = 0.25
         assert weights.shape == (64,)
-        assert weights.min() >= 0.0
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        worst = float(np.max(np.abs(self.PRODUCTS.T @ weights - e)))
-        assert worst == pytest.approx(gap, abs=1e-12)
+        upper, lower = certificate_bounds(self.PRODUCTS.T, e, np.ones(4), weights, q)
+        assert upper - lower <= 1e-12
+        assert gap == pytest.approx(lower, abs=1e-12)
         return gap
 
     def test_products_are_the_even_sign_vectors(self):
         even = {s for s in itertools.product((-1.0, 1.0), repeat=4) if math.prod(s) > 0}
         assert {tuple(row) for row in self.PRODUCTS} == even
 
-    def test_cube_matches_linear_program(self):
-        gaps = [self.check_against_linear_program(e) for e in cube_points(900, seed=71)]
+    def test_cube_is_certified_optimal(self):
+        gaps = [self.check_certificate(e) for e in cube_points(900, seed=71)]
         assert sum(g > 0.0 for g in gaps) >= 100
         assert sum(g == 0.0 for g in gaps) >= 100
 
     def test_werner_sweep_is_mermins_bound(self):
         for v in np.linspace(0.0, 1.0, 101):
-            gap = self.check_against_linear_program(v * np.array(GHZ_TARGET))
+            gap = self.check_certificate(v * np.array(GHZ_TARGET))
             assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
 
     def test_vertex_rows_are_the_first_row_of_each_vertex(self):
@@ -519,17 +520,20 @@ class TestMinMaxResidual:
             assert gap <= 1e-9
             assert weights.sum() == pytest.approx(1.0, abs=1e-8)
 
-    def test_one_row_matches_linear_program(self):
+    def test_one_row_meets_its_dual_bound(self):
         cases = list(one_row_cases(300, seed=41))
         assert sum(rows.min() == rows.max() for rows, _t, _w in cases) >= 50
         for rows, targets, weights in cases:
             gap, p = _min_max_residual(rows, targets, weights)
-            assert gap == pytest.approx(linprog_min_max(rows, targets, weights), abs=1e-12)
+            row, t, w = rows[0], targets[0], weights[0]
+            bound = w * max(0.0, row.min() - t, t - row.max())
+            assert gap == pytest.approx(bound, abs=1e-12)
             assert p.shape == (rows.shape[1],)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            residual = float(weights[0] * abs(rows[0] @ p - targets[0]))
-            assert residual == pytest.approx(gap, abs=1e-12)
+            # The dual puts all of q on the signed row the residual's sign picks.
+            q = np.array([1.0, 0.0]) if row @ p >= t else np.array([0.0, 1.0])
+            upper, lower = certificate_bounds(rows, targets, weights, p, q)
+            assert upper == pytest.approx(gap, abs=1e-12)
+            assert upper - lower <= 1e-12
 
     def test_one_row_is_bit_identical_to_the_breakpoint_scan(self):
         cases = list(oracle_one_row_cases(2400, seed=47))
@@ -560,17 +564,16 @@ class TestMinMaxResidual:
             _min_max_residual(rng.uniform(-1, 1, size=(m, k)), rng.uniform(-1, 1, size=m))
         assert calls == shapes
 
-    def test_multi_row_matches_linear_program(self):
+    def test_multi_row_is_certified_optimal(self):
         cases = list(multi_row_cases(1200, seed=43))
         gaps = []
         for rows, targets, weights in cases:
-            gap, p = _min_max_residual(rows, targets, weights)
-            reference = linprog_min_max(rows, targets, weights)
-            assert gap == pytest.approx(reference, abs=1e-10 * max(1.0, weights.max()))
+            gap, p, q = paradox._mixture_lp(rows, targets, weights)
             assert p.shape == (rows.shape[1],)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert float(np.max(weights * np.abs(rows @ p - targets))) == gap
+            assert q.shape == (2 * rows.shape[0],)
+            upper, lower = certificate_bounds(rows, targets, weights, p, q)
+            assert upper == gap
+            assert upper - lower <= 1e-12 * max(1.0, weights.max())
             gaps.append(gap)
         assert sum(g > 1e-9 for g in gaps) >= 300
         assert sum(g <= 1e-9 for g in gaps) >= 300
@@ -598,13 +601,42 @@ class TestMinMaxResidual:
         assert verdict.violation_gap == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(verdict.witness_weights, [0.0, 0.5, 0.5], atol=1e-9)
 
+    def test_uniform_dual_certifies_no_positive_gap(self):
+        # Under a uniform q each + row cancels its - row, so every column
+        # scores 0 and the lower bound is 0: a positive gap stays unproven.
+        positive = []
+        for rows, targets, weights in multi_row_cases(200, seed=43):
+            gap, p, _q = paradox._mixture_lp(rows, targets, weights)
+            if gap > 1e-9:
+                positive.append((rows, targets, weights, p))
+        assert len(positive) >= 20
+        for rows, targets, weights, p in positive[:20]:
+            q = np.full(2 * len(targets), 1.0 / (2 * len(targets)))
+            upper, lower = certificate_bounds(rows, targets, weights, p, q)
+            assert lower == pytest.approx(0.0, abs=1e-15)
+            assert upper - lower > 1e-12 * max(1.0, weights.max())
+
+    def test_corrupted_pair_leaves_the_two_row_program_unproven(self):
+        # The program of two_row_three_component_spec: rows XX and ZZ over
+        # components A, B, C, the mixed row M at (-1, -1), gap exactly 1.
+        rows = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+        targets, weights = np.array([-1.0, -1.0]), np.ones(2)
+        gap, p, q = paradox._mixture_lp(rows, targets, weights)
+        assert gap == 1.0
+        upper, lower = certificate_bounds(rows, targets, weights, p, q)
+        assert upper - lower <= 1e-12
+        # All of q on the -XX row: every column scores at most 0.
+        minus_xx = np.array([0.0, 0.0, 1.0, 0.0])
+        upper, lower = certificate_bounds(rows, targets, weights, p, minus_xx)
+        assert upper - lower == pytest.approx(1.0, abs=1e-12)
+        # All of p on A: both residuals grow to 2, while q still proves 1.
+        upper, lower = certificate_bounds(rows, targets, weights, np.array([1.0, 0.0, 0.0]), q)
+        assert upper - lower == pytest.approx(1.0, abs=1e-12)
+
     def test_no_program_calls_linprog(self, monkeypatch):
-        import scipy.optimize
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("linprog called")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        # None in sys.modules makes any import of scipy raise ImportError.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         spec = two_row_three_component_spec()
         assert lhv_mixture_test(spec, theoretical_values(spec), tol=1e-9).violation_gap == 1.0
         for rows, targets, weights in multi_row_cases(20, seed=44):
