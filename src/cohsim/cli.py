@@ -14,7 +14,8 @@ for bit, as the config comes from ``--config`` alone. Its timing fields
 are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
-an unreadable ``--config`` or an unwritable output file too), 3 numerical
+an unreadable ``--config``, an unwritable output file, or a size, such
+as ``--bootstrap``, whose arrays numpy cannot allocate, too), 3 numerical
 failure.
 """
 
@@ -62,6 +63,9 @@ _TAG_GAME_X = 100
 _TAG_GAME_Z = 200
 _TAG_TOMO = 300
 _TAG_VIS = 400
+
+# A simulated scan opens one RNG stream per grid point.
+_MAX_SCAN_POINTS = 100_000
 
 
 def parse_angle(text: str) -> float:
@@ -301,6 +305,8 @@ def cmd_dicke(args: argparse.Namespace, run: _Run) -> list[str]:
 
 def cmd_visibility(args: argparse.Namespace, run: _Run) -> list[str]:
     fixed = parse_angle(args.fixed)
+    if args.points > _MAX_SCAN_POINTS:
+        raise ValueError(f"--points {args.points} is above the ceiling of {_MAX_SCAN_POINTS}")
     fit = _scan(run, "visibility.csv", fixed, args.points, simulate=(args.mode == "simulated"))
     run.json("visibility.json", fit)
     relation = "exceeds" if fit["exceeds_classical_bound"] else "is within"
@@ -423,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("visibility", help="two-arm fringe scan and visibility fit")
     sp.add_argument("--fixed", default="0", help="fixed-arm analyzer angle (0 or 3pi/4)")
     sp.add_argument("--mode", default="exact", choices=["exact", "simulated"])
-    sp.add_argument("--points", type=int, default=25, help="scan grid size")
+    sp.add_argument(
+        "--points", type=int, default=25, help=f"scan grid size, 3 to {_MAX_SCAN_POINTS}"
+    )
     add_common(sp)
     sp.set_defaults(func=cmd_visibility)
 
@@ -447,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         run = _Run(args)
         lines = args.func(args, run)
         run.close(0)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         code, error = 2, f"cohsim: error: {exc}"
     except ArithmeticError as exc:
         code, error = 3, f"cohsim: numerical failure: {exc}"

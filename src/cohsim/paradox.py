@@ -197,10 +197,10 @@ def _min_max_residual(
     mixture component. One row is solved in closed form: the values a
     mixture reaches on it are the interval between two of its entries
     (columns 0 and 1 when there are two, else its smallest and largest),
-    and on that pair the weighted residual is ``|a p + b|`` in the free
-    weight ``p``, least at an endpoint or at the kink ``-b / a``. Two or
-    more rows go through the simplex ``_mixture_lp``; no CLI command
-    builds such a spec (the GHZ check has its own closed form,
+    and on that pair the weighted residual is the V ``|a p + b|`` in the
+    free weight ``p``, least at its kink ``-b / a`` clamped to [0, 1].
+    Two or more rows go through the simplex ``_mixture_lp``; no CLI
+    command builds such a spec (the GHZ check has its own closed form,
     ``_ghz_hull_residual``). Returns ``(gap, weights_vector)``.
     """
     vals = np.asarray(component_values, dtype=float)
@@ -215,18 +215,12 @@ def _min_max_residual(
     cols = [0, 1] if k == 2 else [row.index(min(row)), row.index(max(row))]
     a = row[cols[0]] - row[cols[1]]
     b = row[cols[1]] - float(targ[0])
-    scale = float(w[0])
-
-    def residual(p: float) -> float:
-        return scale * abs(a * p + b)
-
-    candidates = [0.0, 1.0] if a == 0.0 else [0.0, 1.0, -b / a]
-    best = min(sorted(c for c in candidates if 0.0 <= c <= 1.0), key=residual)
+    best = 0.0 if a == 0.0 else min(1.0, max(0.0, -b / a))
     p = np.zeros(k)
     # Two adds, not p[cols] = ...: a constant row picks one column twice.
     p[cols[0]] += best
     p[cols[1]] += 1.0 - best
-    return float(residual(best)), p
+    return float(w[0]) * abs(a * best + b), p
 
 
 def _mixture_lp(

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,9 @@ FAST_CFG_TEXT = (
     "efficiency = 1.0\n"
     "seed = 1\n"
 )
+# Bootstrap replicates whose (replicate, setting, 2, 2) count array numpy
+# refuses to allocate, at 256 PiB.
+HUGE_BOOTSTRAP = "1000000000000000"
 
 
 @pytest.fixture
@@ -188,6 +192,17 @@ class TestExitCodes:
             assert f"needs 3 grid angles distinct modulo pi, found {distinct}" in err
             assert not out.exists()
 
+    def test_scan_points_above_the_ceiling_exit_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr("cohsim.cli.visibility_scan", refuse)
+        out = tmp_path / "o"
+        assert main(["visibility", "--points", "100001", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "cohsim: error: --points 100001 is above the ceiling of 100000\n"
+        assert not out.exists()
+
     def test_nonfinite_fixed_arm_exits_two(self, tmp_path, capsys):
         code = main(["visibility", "--fixed", "nan", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -234,6 +249,29 @@ class TestExitCodes:
         assert main([command, "--bootstrap", "1", "--out", str(out)]) == 2
         assert "at least 2 replicates" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_refused_bootstrap_allocation_exits_two_with_no_directory(self, tmp_path, capsys):
+        # numpy refuses the 256 PiB replicate array before it touches memory.
+        out = tmp_path / "o"
+        argv = ["tomo", "--states", "pi/4", "--bootstrap", HUGE_BOOTSTRAP, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("cohsim: error: Unable to allocate")
+        assert not out.exists()
+
+    def test_refused_bootstrap_allocation_is_recorded(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "o"
+        argv = ["report", "--config", fast_cfg, "--bootstrap", HUGE_BOOTSTRAP, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cohsim: error: Unable to allocate")
+        manifest = assert_manifest_complete(out)
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == err.rstrip("\n")
+        data = [name for name in manifest["output_files"] if name != "manifest.json"]
+        assert len(data) == 9 and not any(name.startswith("tomo/") for name in data)
+        assert manifest["sha256"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in data
+        }
 
     @pytest.mark.parametrize("states", ["pi/4,pi/4", "pi/4,0.7853982"])
     def test_repeated_tomography_state_exits_two(self, states, tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -546,6 +547,22 @@ class TestMinMaxResidual:
             assert gap.hex() == ref_gap.hex()
             assert [x.hex() for x in p.tolist()] == [x.hex() for x in ref_p.tolist()]
 
+    @pytest.mark.parametrize(
+        "row, target",
+        [([0.0, 1e-20], -1.0), ([1e-20, 0.0], 1.0), ([1e-20, 0.0, 5e-21], -1.0)],
+    )
+    def test_tied_endpoints_keep_the_exact_optimum(self, row, target):
+        # Both endpoint residuals round to 1.0 and the kink lies far outside
+        # [0, 1], so rounding cannot tell the endpoints apart; the witness
+        # must still sit on the entry nearest the target, in exact arithmetic.
+        gap, p = _min_max_residual(np.array([row]), np.array([target]))
+        assert gap == 1.0
+        t = Fraction(target)
+        exact = [Fraction(x) for x in row]
+        optimum = max(0, min(exact) - t, t - max(exact))
+        witness = sum(Fraction(w) * x for w, x in zip(p.tolist(), exact))
+        assert abs(witness - t) == optimum
+
     def test_only_multi_row_programs_reach_the_simplex(self, monkeypatch):
         calls = []
         solve = paradox._mixture_lp
@@ -582,6 +599,15 @@ class TestMinMaxResidual:
         for rows, targets, weights in feasible_cases(2000, seed=45):
             gap, p = _min_max_residual(rows, targets, weights)
             assert gap <= 1e-12 * max(1.0, weights.max())
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_columns_that_all_meet_the_targets_solve_to_zero(self):
+        # Every payoff is 0, so only the simplex's shift keeps its program bounded.
+        targets = np.array([0.5, -0.2, 1.0])
+        for k in (1, 2, 5):
+            gap, p = _min_max_residual(np.repeat(targets[:, None], k, axis=1), targets)
+            assert gap == 0.0
             assert p.min() >= 0.0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 

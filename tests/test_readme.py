@@ -4,6 +4,7 @@ and each of its command-line examples runs."""
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from cohsim.cli import main
+from cohsim.experiment import ExperimentConfig
+from cohsim.reports import paradox_simulated_block
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,3 +63,31 @@ def test_cli_example_runs(argv, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 0
     assert all((out / name).is_file() for name in manifest["output_files"])
+
+
+# The acceptance gate's desk-scale config (criterion 5), about 1e5 pairs per setting.
+DESK = ExperimentConfig(
+    pair_rate=1e5, duration_per_setting=1.0, num_trials=1, visibility_v=0.99, efficiency=1.0
+)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_p_value_reads_as_the_readme_says(seed):
+    """README's "Error bars and p-values": the simulated gap of the pi/4
+    superposition along X lies within 3 standard errors of its closed form
+    ``v sin 2 theta``, and ``-log10 p`` within the band that
+    ``N g^2 / (2 ln 10) - log10 2`` gives as the gap ``g`` moves by 3 of them."""
+    theta = math.pi / 4
+    _spec, rows, verdict, _counts = paradox_simulated_block(theta, "X", DESK.replace(seed=seed))
+    mixed = next(row for row in rows if row["label"] == "00")
+    components = [row for row in rows if row["label"] != "00" and row["observable"] == "XX"]
+    assert len(components) == 2
+    se = math.hypot(mixed["std_err"], max(row["std_err"] for row in components))
+    gap = verdict["violation_gap"]
+    assert abs(gap - 0.99 * math.sin(2.0 * theta)) <= 3.0 * se
+
+    def minus_log10_p(g: float) -> float:
+        return mixed["n_total"] * g * g / (2.0 * math.log(10.0)) - math.log10(2.0)
+
+    low, high = minus_log10_p(max(0.0, gap - 3.0 * se)), minus_log10_p(gap + 3.0 * se)
+    assert low <= -verdict["log10_p_value"] <= high
