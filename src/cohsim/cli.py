@@ -14,9 +14,9 @@ for bit, as the config comes from ``--config`` alone. Its timing fields
 are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
-an unreadable ``--config``, an unwritable output file, or a size, such
-as ``--bootstrap``, whose arrays numpy cannot allocate, too), 3 numerical
-failure.
+an unreadable ``--config``, an unwritable output file, a size, such as
+``--bootstrap``, whose arrays numpy cannot allocate, or a simulated run
+with no counts to estimate from, too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 
 from . import __version__
 from .experiment import (
-    CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count, visibility_scan
+    _MAX_DRAWS, CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count,
+    visibility_scan,
 )
 from .reports import (
     CURVE_THETAS,
@@ -63,9 +64,6 @@ _TAG_GAME_X = 100
 _TAG_GAME_Z = 200
 _TAG_TOMO = 300
 _TAG_VIS = 400
-
-# A simulated scan opens one RNG stream per grid point.
-_MAX_SCAN_POINTS = 100_000
 
 
 def parse_angle(text: str) -> float:
@@ -218,8 +216,7 @@ def _tomography(run: _Run, prefix: str, num_bootstrap: int, **kwargs) -> list[di
         stem = f"{prefix}rho_{_slug(label)}"
         write_density_csv(run.path(stem + ".csv"), rho)
         doc = {"label": label, "re": np.real(rho).tolist(), "im": np.imag(rho).tolist(), **scores}
-        # Unsorted keys and no final newline, unlike _Run.json.
-        run.path(stem + ".json").write_text(json.dumps(doc, indent=2))
+        run.json(stem + ".json", doc)
         rows.append({"label": label, **scores})
         counter[label] = {"requested": num_bootstrap, "used": result.bootstrap_used}
     run.csv(prefix + "fidelities.csv", rows)
@@ -305,8 +302,8 @@ def cmd_dicke(args: argparse.Namespace, run: _Run) -> list[str]:
 
 def cmd_visibility(args: argparse.Namespace, run: _Run) -> list[str]:
     fixed = parse_angle(args.fixed)
-    if args.points > _MAX_SCAN_POINTS:
-        raise ValueError(f"--points {args.points} is above the ceiling of {_MAX_SCAN_POINTS}")
+    if args.points > _MAX_DRAWS:
+        raise ValueError(f"--points {args.points} is above the ceiling of {_MAX_DRAWS}")
     fit = _scan(run, "visibility.csv", fixed, args.points, simulate=(args.mode == "simulated"))
     run.json("visibility.json", fit)
     relation = "exceeds" if fit["exceeds_classical_bound"] else "is within"
@@ -430,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixed", default="0", help="fixed-arm analyzer angle (0 or 3pi/4)")
     sp.add_argument("--mode", default="exact", choices=["exact", "simulated"])
     sp.add_argument(
-        "--points", type=int, default=25, help=f"scan grid size, 3 to {_MAX_SCAN_POINTS}"
+        "--points", type=int, default=25, help=f"scan grid size, 3 to {_MAX_DRAWS}"
     )
     add_common(sp)
     sp.set_defaults(func=cmd_visibility)

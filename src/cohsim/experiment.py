@@ -49,6 +49,10 @@ _BOOT_DOMAIN = 811
 _SCAN_DOMAIN = 101
 _TOMO_DOMAIN = 907
 
+# The most trials per table, or points per scan: each opens its own RNG
+# stream, and a table lists its trials before the first draw.
+_MAX_DRAWS = 100_000
+
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
 _COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
 
@@ -103,6 +107,10 @@ class ExperimentConfig:
     ``visibility_v`` mixes the source with white noise before
     measurement; ``efficiency`` scales the detected rate (fair sampling,
     no loophole modeling). ``seed`` roots every RNG stream.
+
+    Raises:
+        ValueError: a field that breaks its rule, an expected pooled count
+            per setting beyond 2**50, or ``num_trials`` above ``_MAX_DRAWS``.
     """
 
     pair_rate: float = 0.34e6
@@ -128,6 +136,11 @@ class ExperimentConfig:
                 f"expected pooled count per setting {pooled_mean:.3g} exceeds 2**50"
                 " (pair_rate * efficiency * duration_per_setting * num_trials)"
             )
+        if self.num_trials > _MAX_DRAWS:
+            raise ValueError(
+                f"num_trials={self.num_trials} is above the ceiling of {_MAX_DRAWS}:"
+                " each trial opens its own random stream"
+            )
 
     @property
     def mean_per_trial(self) -> float:
@@ -150,7 +163,8 @@ class ExperimentConfig:
             ValueError: a byte not UTF-8, a line not ``key = value``, an
                 unknown or repeated key, a value that does not parse or
                 breaks its field's rule (each named with file and line),
-                or a pooled count beyond 2**50 (named with the file).
+                or a pooled count beyond 2**50 or more than ``_MAX_DRAWS``
+                trials (each named with the file).
         """
         parsers = {f.name: type(f.default) for f in fields(cls)}
         values: dict = {}
@@ -214,6 +228,12 @@ def _draws(seed: int, tag: int, key: tuple[int, ...], means) -> np.ndarray:
     """Poisson draw ``i`` at ``means[i]`` from ``_stream(seed, tag, *key, i)``, as int64."""
     draws = [_stream(seed, tag, *key, i).poisson(mean) for i, mean in enumerate(means)]
     return np.array(draws, dtype=np.int64)
+
+
+def _check_nonzero_total(total, what: str) -> None:
+    """The one refusal of an empty count, from which nothing can be estimated."""
+    if total == 0:
+        raise ValueError(f"zero total count for {what}")
 
 
 def _cell_correlator(cells: np.ndarray) -> np.ndarray:
@@ -410,8 +430,7 @@ def point_correlator(table: CountTable, u: str, v: str) -> tuple[float, int]:
     """
     pooled = table.pooled(u, v)
     total = int(pooled.sum())
-    if total == 0:
-        raise ValueError(f"zero total count for setting ({u},{v})")
+    _check_nonzero_total(total, f"setting ({u},{v})")
     return float(_cell_correlator(pooled)), total
 
 
@@ -600,8 +619,9 @@ def visibility_scan(
             (NaN, infinite, beyond about 9e307, or an int too large for a
             float), fewer than three grid angles distinct modulo pi (the
             fit's three coefficients need them), a non-2-qubit state, or,
-            with ``simulate=True``, a ``stream_tag`` ``_check_tag`` refuses.
-        ArithmeticError: fit breakdown (zero mean rate).
+            with ``simulate=True``, a ``stream_tag`` ``_check_tag`` refuses
+            or draws that are all zero.
+        ArithmeticError: fit breakdown (a nonpositive mean rate).
     """
     fixed_angle, *grid = (_scan_angle(a) for a in (fixed_arm_angle, *scan_grid))
     if not grid:
@@ -633,6 +653,8 @@ def visibility_scan(
     coeffs, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
     if rank < 3:
         raise ValueError(f"the fit needs 3 grid angles distinct modulo pi, found {rank}")
+    if counts is not None:
+        _check_nonzero_total(sum(counts), "the fringe scan")
     offset = float(coeffs[0])
     amplitude = float(math.hypot(coeffs[1], coeffs[2]))
     if offset <= 0.0:

@@ -14,8 +14,6 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .experiment import (
     CountTable,
     ExperimentConfig,
@@ -37,7 +35,7 @@ from .paradox import (
     theoretical_values,
 )
 from .states import (
-    DEFAULT_THETAS, EPR_LABELS, EQ_ATOL, StateVector, dicke_one_excitation, epr_family
+    DEFAULT_THETAS, EPR_LABELS, EQ_ATOL, _basis_state, dicke_one_excitation, epr_family
 )
 
 STRATEGY_AXES = {"x": ("X", "X"), "z": ("Z", "Z")}
@@ -185,12 +183,6 @@ def correlator_detail_rows(thetas, axis: str) -> list[dict]:
                 }
             )
     return rows
-
-
-def _basis_state(label: str) -> StateVector:
-    amps = np.zeros(2 ** len(label), dtype=complex)
-    amps[int(label, 2)] = 1.0
-    return StateVector(amps)
 
 
 def dicke_rows(n: int) -> tuple[list[dict], list[dict]]:

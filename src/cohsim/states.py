@@ -131,6 +131,13 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def _basis_state(label: str) -> StateVector:
+    """The computational-basis state ``|label>``, one qubit per bit of ``label``."""
+    amps = np.zeros(2 ** len(label), dtype=complex)
+    amps[int(label, 2)] = 1.0
+    return StateVector(amps)
+
+
 EPR_LABELS = ("01", "10", "00")
 # The superposition angles of the reports: the paradox table, the game and tomography.
 DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
@@ -154,16 +161,13 @@ def epr_family(theta: float, label: str) -> StateVector:
     """
     if label not in EPR_LABELS:
         raise ValueError(f"unknown source label {label!r}, expected one of {EPR_LABELS}")
+    if label != "00":
+        return _basis_state(label)
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
     amps = np.zeros(4, dtype=complex)
-    if label == "01":
-        amps[0b01] = 1.0
-    elif label == "10":
-        amps[0b10] = 1.0
-    else:
-        if not 0.0 < theta < math.pi / 2:
-            raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
-        amps[0b01] = math.cos(theta)
-        amps[0b10] = math.sin(theta)
+    amps[0b01] = math.cos(theta)
+    amps[0b10] = math.sin(theta)
     return StateVector(amps)
 
 

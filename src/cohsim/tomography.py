@@ -17,7 +17,7 @@ import numpy as np
 
 from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
-    _check_tag, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
+    _check_nonzero_total, _check_tag, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import (
@@ -99,9 +99,8 @@ def _pooled_stack(
     if missing:
         raise ValueError(f"missing tomography settings: {missing}")
     stack = np.array([tables[s].pooled(*s) for s in SETTINGS], dtype=float)
-    for setting, cell in zip(SETTINGS, stack):
-        if cell.sum() == 0.0:
-            raise ValueError(f"zero total count for setting {setting}")
+    for (u, v), cell in zip(SETTINGS, stack):
+        _check_nonzero_total(cell.sum(), f"setting ({u},{v})")
     anchor = tables[SETTINGS[0]]
     return stack, anchor.config, anchor.stream_tag
 

@@ -442,6 +442,44 @@ class TestConfigPlumbing:
         assert "exceeds 2**50" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trial_ceiling_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a draw ran at a refused trial count")
+
+        monkeypatch.setattr(cohsim.experiment, "_draws", no_draws)
+        path = tmp_path / "trials.cfg"
+        path.write_text("num_trials = 100001\n")
+        out = tmp_path / "o"
+        args = ["paradox", "--mode", "simulated", "--config", str(path), "--out", str(out)]
+        assert main(args) == 2
+        want = f"config file {path}: num_trials=100001 is above the ceiling of 100000"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["paradox", "--mode", "simulated"], "setting (Z,Z)"),
+            (["game", "--mode", "simulated"], "setting (X,X)"),
+            (["tomo"], "setting (X,X)"),
+            (["visibility", "--mode", "simulated"], "the fringe scan"),
+            (["report"], "setting (Z,Z)"),
+        ],
+        ids=["paradox", "game", "tomo", "visibility", "report"],
+    )
+    def test_run_with_no_counts_exits_two(self, argv, what, tmp_path, capsys):
+        # A valid config at about 2e-295 pairs per setting: every draw is 0.
+        path = tmp_path / "empty.cfg"
+        path.write_text("seed = 1\nduration_per_setting = 1e-300\n")
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        error = f"cohsim: error: zero total count for {what}"
+        assert capsys.readouterr().err == error + "\n"
+        if argv[0] == "report":  # its exact tables come first
+            assert manifest_of(out)["error"] == error
+        else:
+            assert not out.exists()
+
     def test_versions_block(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["paradox", "--out", str(out)]) == 0

@@ -138,6 +138,20 @@ class TestExperimentConfig:
         # A mean per trial that rounds to 0.0 is accepted: the check never divides by it.
         assert ExperimentConfig(pair_rate=5e-324, duration_per_setting=1e-10).mean_per_trial == 0.0
 
+    def test_trial_ceiling(self, tmp_path):
+        # Each trial opens its own random stream, so a config may hold at
+        # most 100000 of them; only constructed here, never drawn.
+        assert ExperimentConfig(num_trials=100_000).num_trials == 100_000
+        message = re.escape("num_trials=100001 is above the ceiling of 100000")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(num_trials=100_001)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig().replace(num_trials=100_001)
+        path = tmp_path / "run.cfg"
+        path.write_text("num_trials = 100001\n")
+        with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: {message}"):
+            ExperimentConfig.from_file(path)
+
     def test_replace(self):
         cfg = ExperimentConfig().replace(seed=9, visibility_v=0.5)
         assert cfg.seed == 9
@@ -573,8 +587,11 @@ class TestPointCorrelator:
         assert total == 100
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError, match="zero total"):
+        with pytest.raises(ValueError, match=re.escape("zero total count for setting (Z,Z)")):
             point_correlator(hand_table([[0, 0], [0, 0]]), "Z", "Z")
+
+    def test_one_count_is_enough(self):
+        assert point_correlator(hand_table([[0, 1], [0, 0]]), "Z", "Z") == (-1.0, 1)
 
 
 class TestCorrelatorFromCounts:
@@ -1029,6 +1046,14 @@ class TestVisibilityScan:
             )
             assert rate == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("pair_rate", [1e-3, 1e3])
+    def test_visibility_does_not_depend_on_the_rate(self, pair_rate):
+        # The rates scale with pair_rate and the fitted visibility does not,
+        # also when the mean rate is far below one per second.
+        cfg = ExperimentConfig(pair_rate=pair_rate, visibility_v=0.8)
+        scan = visibility_scan(epr_family(math.pi / 4, "00"), 0.0, self.GRID, cfg)
+        assert scan.visibility == pytest.approx(0.8, abs=1e-12)
+
     def test_exact_rates_match_dense_oracle(self):
         # Rates against np.kron polarizer projectors |t><t|, t = (cos, sin),
         # traced with the Werner state, on random states and angles.
@@ -1080,6 +1105,14 @@ class TestVisibilityScan:
             visibility_scan(state, 0.0, [])
         with pytest.raises(ValueError, match="2-qubit"):
             visibility_scan(StateVector([1.0, 0.0]), 0.0, self.GRID)
+
+    def test_simulated_scan_with_no_counts_rejected(self):
+        # About 2e-295 pairs per point: every draw is 0, which is no data
+        # rather than a numerical failure.
+        cfg = ExperimentConfig(duration_per_setting=1e-300, seed=1)
+        state = epr_family(math.pi / 4, "00")
+        with pytest.raises(ValueError, match="^zero total count for the fringe scan$"):
+            visibility_scan(state, 0.0, self.GRID, cfg, simulate=True)
 
     def test_dark_port_fit_fails_loudly(self):
         dark = StateVector([0.0, 0.0, 0.0, 1.0])

@@ -96,6 +96,19 @@ def test_manifest_sha256_matches_file_bytes(command, tmp_path, capsys):
     assert sorted(manifest["sha256"]) == listed
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_data_files_have_one_format(command, tmp_path, capsys):
+    # Every JSON data file is written alike: sorted keys, indent 2, final newline.
+    out = tmp_path / "out"
+    data_file_hashes(command, out)
+    odd = []
+    for path in sorted(out.rglob("*.json")):
+        text = path.read_text()
+        if text != json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n":
+            odd.append(path.relative_to(out).as_posix())
+    assert odd == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         doc = {

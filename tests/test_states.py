@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsim import states
 from cohsim.states import (
     EPR_LABELS,
     MAX_QUBITS,
@@ -141,6 +142,12 @@ class TestEprFamily:
         assert psi.amplitudes[0b10] == pytest.approx(math.sin(theta), abs=1e-15)
         assert psi.amplitudes[0b00] == 0.0
         assert psi.amplitudes[0b11] == 0.0
+
+    @pytest.mark.parametrize("label", ["0", "1", "01", "10", "0010", "1" * MAX_QUBITS])
+    def test_basis_state_has_one_unit_amplitude(self, label):
+        expected = np.zeros(2 ** len(label))
+        expected[int(label, 2)] = 1.0
+        np.testing.assert_array_equal(states._basis_state(label).amplitudes, expected)
 
     def test_theta_ignored_for_products(self):
         a = epr_family(0.1, "01")

@@ -57,6 +57,11 @@ TARGETS = (
     "paradox_p_value",
     "_hoeffding_p",
     "point_correlator",
+    "epr_family",
+    "_check_nonzero_total",
+    "visibility_scan",
+    "_check_field",
+    "ExperimentConfig.from_file",
 )
 
 # Survivors known to change no observable behaviour, keyed by function and
@@ -183,14 +188,16 @@ def _mutations(node: ast.AST) -> list[str]:
 
 
 def _find(src: Path, name: str) -> tuple[Path, ast.FunctionDef]:
-    """The one module-level (or class-level) definition of ``name`` under ``src``."""
+    """The one definition of ``name`` under ``src``: a module-level function,
+    or a method given as ``Class.method``."""
+    owner, _, func = name.rpartition(".")
     found = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_bytes(), filename=str(path))
-        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
-        for scope in scopes:
+        scopes = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == owner]
+        for scope in scopes if owner else [tree]:
             for node in scope.body:
-                if isinstance(node, ast.FunctionDef) and node.name == name:
+                if isinstance(node, ast.FunctionDef) and node.name == func:
                     found.append((path, node))
     if len(found) != 1:
         raise SystemExit(f"mutate: {name} is defined {len(found)} times under {src}")
