@@ -15,8 +15,11 @@ are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
 an unreadable ``--config``, an unwritable output file, a size, such as
-``--bootstrap``, whose arrays numpy cannot allocate, or a simulated run
-with no counts to estimate from, too), 3 numerical failure.
+``--bootstrap``, whose arrays numpy cannot allocate, a simulated run
+with no counts to estimate from, or a fringe fit whose mean rate is not
+positive, too), 3 numerical failure (such as a mixture program
+unsolved within its pivot cap, or a matrix square root that fails its
+residual check).
 """
 
 from __future__ import annotations

@@ -620,8 +620,9 @@ def visibility_scan(
             float), fewer than three grid angles distinct modulo pi (the
             fit's three coefficients need them), a non-2-qubit state, or,
             with ``simulate=True``, a ``stream_tag`` ``_check_tag`` refuses
-            or draws that are all zero.
-        ArithmeticError: fit breakdown (a nonpositive mean rate).
+            or draws that are all zero; in either mode, a fringe fit whose
+            mean rate is not positive (a dark port, or a few counts that
+            fall on the fringe's low side).
     """
     fixed_angle, *grid = (_scan_angle(a) for a in (fixed_arm_angle, *scan_grid))
     if not grid:
@@ -658,7 +659,7 @@ def visibility_scan(
     offset = float(coeffs[0])
     amplitude = float(math.hypot(coeffs[1], coeffs[2]))
     if offset <= 0.0:
-        raise ArithmeticError("fringe fit degenerate: nonpositive mean rate")
+        raise ValueError(f"the fringe fit has a mean rate {offset!r}, not positive")
     return VisibilityScan(
         fixed_arm_angle=fixed_angle,
         angles=tuple(grid),

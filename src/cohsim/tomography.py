@@ -26,14 +26,6 @@ from .states import (
 
 SETTINGS = tuple((u, v) for u in AXES for v in AXES)
 
-# The 16 two-qubit Pauli pairs as (i, j, idx, perm, phase), where i and j
-# index ("I", X, Y, Z) and the pair acts as O[idx, perm] = phase.
-_PAIR_ACTIONS = tuple(
-    (i, j, *_pauli_action((si, sj)))
-    for i, si in enumerate(("I",) + AXES)
-    for j, sj in enumerate(("I",) + AXES)
-)
-
 
 def simulate_tomography_counts(
     state: StateVector | DensityOperator,
@@ -120,7 +112,10 @@ def _invert(pooled: np.ndarray) -> np.ndarray:
     coeff[..., 1:, 0] = marg_a.mean(axis=-1)
     coeff[..., 0, 1:] = marg_b.mean(axis=-2)
     rho = np.zeros(batch + (4, 4), dtype=complex)
-    for i, j, idx, perm, phase in _PAIR_ACTIONS:
+    # The 16 Pauli pairs over ("I", X, Y, Z), each acting as O[idx, perm] = phase.
+    paulis = ("I",) + AXES
+    for i, j in np.ndindex(4, 4):
+        idx, perm, phase = _pauli_action((paulis[i], paulis[j]))
         rho[..., idx, perm] += coeff[..., i, j, None] * phase / 4.0
     return rho
 

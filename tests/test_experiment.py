@@ -1116,5 +1116,21 @@ class TestVisibilityScan:
 
     def test_dark_port_fit_fails_loudly(self):
         dark = StateVector([0.0, 0.0, 0.0, 1.0])
-        with pytest.raises(ArithmeticError, match="fit"):
+        with pytest.raises(ValueError, match="fit"):
             visibility_scan(dark, 0.0, self.GRID)
+
+    def test_few_counts_fit_is_refused_as_a_value(self):
+        # About one pair per second: most seeds draw nothing, and a few
+        # draw counts whose fit has a negative mean rate. Each is a
+        # refusal of the data (ValueError), never a numerical failure.
+        state = epr_family(math.pi / 4, "00")
+        refused = []
+        for seed in range(200):
+            cfg = ExperimentConfig(
+                pair_rate=1.0, duration_per_setting=1.0, num_trials=1, efficiency=1.0, seed=seed
+            )
+            try:
+                visibility_scan(state, 0.0, [0.0, 0.3, 0.6], cfg, simulate=True)
+            except ValueError as exc:
+                refused.append(str(exc))
+        assert any(message.startswith("the fringe fit ") for message in refused)

@@ -3,7 +3,10 @@
 import functools
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cohsim
 from cohsim.measurement import (
     AXES,
     JointDistribution,
@@ -277,6 +281,18 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(epr_family(0.4, "00"), "XXX")
 
+    def test_imaginary_part_above_tolerance_refused(self):
+        # A density is Hermitian within NORM_ATOL entry by entry, so at 9
+        # qubits an anti-Hermitian diagonal of 4e-13 per entry passes its
+        # checks, yet adds up to an imaginary <Z...Z> of about 2e-10.
+        n = 9
+        parity = np.array([bin(i).count("1") % 2 for i in range(1 << n)])
+        sign = np.where(parity, -1.0, 1.0)
+        rho = DensityOperator(np.diag(1.0 / (1 << n) + 4e-13j * sign))
+        with pytest.raises(ValueError, match="imaginary part"):
+            expectation(rho, "Z" * n)
+        assert expectation(rho, "I" * n) == pytest.approx(1.0, abs=1e-12)
+
 
 def loop_pauli_action(axes):
     """The per-qubit shift-and-xor form of ``_pauli_action``, kept as its oracle."""
@@ -295,7 +311,7 @@ def loop_pauli_action(axes):
 
 
 class TestPauliAction:
-    """The table-driven kernel against the bit loop, bit for bit."""
+    """The kernel's per-chain parity doubling against the bit loop, bit for bit."""
 
     def assert_same_action(self, axes):
         idx, perm, phase = _pauli_action(axes)
@@ -338,6 +354,23 @@ class TestPauliAction:
             phase[0] = 0.0
         assert _pauli_action(("X", "Y", "Z"))[1][0] != 0
         assert _pauli_action(("X", "Y", "Z"))[2][0] != 0.0
+
+    def test_import_builds_no_action(self):
+        # The cache is the one store of actions: importing the package, the
+        # CLI included, builds none. A fresh interpreter, so no test has
+        # filled the cache yet.
+        script = (
+            "import cohsim.cli\n"
+            "from cohsim.measurement import _pauli_action\n"
+            "print(_pauli_action.cache_info().misses)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestSettingDistribution:
@@ -388,6 +421,16 @@ class TestSettingDistribution:
         table = setting_distribution(epr_family(math.pi / 4, "00"), "X", "X")
         assert table[0, 1] == 0.0
         assert table[1, 0] == 0.0
+
+    def test_clipped_table_is_renormalized(self):
+        # An eigenvalue of -5e-11 is within PSD_SLACK, so the density is
+        # accepted; its Born cell p[1, 1] = -5e-11 is clipped to zero, and
+        # the table is divided by its new sum, 1 + 5e-11.
+        rho = DensityOperator(np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11]))
+        table = setting_distribution(rho, "Z", "Z")
+        assert table[1, 1] == 0.0
+        assert table.sum() == pytest.approx(1.0, abs=1e-15)
+        assert table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_accepts_mixed_state(self):
         rho = werner_mix(epr_family(math.pi / 4, "00"), 0.8)

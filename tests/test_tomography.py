@@ -232,6 +232,25 @@ class TestSimplexProjection:
         eigs = np.array([1.4, -0.1, -0.2, -0.1])
         np.testing.assert_allclose(_simplex_project(eigs), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
+    def test_project_batch_gives_each_matrix_its_clip(self):
+        # Unit-trace Hermitian matrices with a negative eigenvalue each: the
+        # stacked call returns one projection and one clip mass per matrix.
+        rng = np.random.default_rng(23)
+        stack = []
+        negs = rng.uniform(0.01, 0.2, size=5)
+        for neg in negs:
+            q, _r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            eigs = np.append(rng.dirichlet(np.ones(3)) * (1.0 + neg), -neg)
+            stack.append((q * eigs) @ q.conj().T)
+        mats, clips = _project(np.array(stack))
+        assert clips.shape == (5,)
+        for rho, mat, clip, neg in zip(stack, mats, clips, negs):
+            want_mat, want_clip = _project(rho)
+            assert clip == pytest.approx(neg, abs=1e-12)
+            assert clip == pytest.approx(want_clip, abs=1e-12)
+            np.testing.assert_allclose(mat, want_mat, atol=1e-12)
+            assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+
 
 class TestReconstructionQuality:
     def test_noiseless_fidelity_near_one(self):

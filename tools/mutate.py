@@ -62,6 +62,12 @@ TARGETS = (
     "visibility_scan",
     "_check_field",
     "ExperimentConfig.from_file",
+    "_pauli_action",
+    "expectation",
+    "setting_distribution",
+    "_invert",
+    "_simplex_project",
+    "_project",
 )
 
 # Survivors known to change no observable behaviour, keyed by function and
@@ -111,6 +117,36 @@ REASONS: dict[str, dict[tuple[str, str, str], str]] = {
             "The leftover weight goes to +-h_2 instead of +-h_1: another"
             " decomposition of the same point, so the witness still attains the"
             " gap. No data file records the GHZ witness."
+        ),
+    },
+    "expectation": {
+        ("if abs(val.imag) > EQ_ATOL:", "abs(val.imag) > EQ_ATOL",
+         "abs(val.imag) >= EQ_ATOL"): (
+            "Only an imaginary part of exactly 1e-10 tells the two apart."
+        ),
+    },
+    "setting_distribution": {
+        ("if abs(total - 1.0) > EQ_ATOL:", "abs(total - 1.0) > EQ_ATOL",
+         "abs(total - 1.0) >= EQ_ATOL"): (
+            "Only a clipped table whose sum is off by exactly 1e-10 tells the two"
+            " apart."
+        ),
+    },
+    "_simplex_project": {
+        ("valid = desc * np.arange(1, n + 1) > (csum - 1.0)",
+         "desc * np.arange(1, n + 1) > (csum - 1.0)",
+         "desc * np.arange(1, n + 1) >= csum - 1.0"): (
+            "At a tie, desc[k] * (k + 1) == csum[k] - 1, ranks k + 1 and k give the"
+            " same shift, desc[k], so only rounding at an exact tie could move a"
+            " value; the ties the suite meets (a valid spectrum with a zero"
+            " eigenvalue) give a shift of exactly 0 either way."
+        ),
+    },
+    "_project": {
+        ("mat = 0.5 * (mat + _dagger(mat))", "0.5", "1.0"): (
+            "The next line divides by the trace. Doubling is exact in binary"
+            " floating point and doubles the trace exactly, so the quotient is"
+            " the same to the bit."
         ),
     },
 }
