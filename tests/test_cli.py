@@ -20,6 +20,9 @@ from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
 from cohsim.reports import write_rows_csv
 from cohsim.tomography import report_states
 
+from .test_golden import FIXTURE as GOLDEN_FIXTURE
+from .test_golden import _versions as golden_versions
+
 FAST_CFG_TEXT = (
     "pair_rate = 1e5\n"
     "duration_per_setting = 0.01\n"
@@ -346,6 +349,30 @@ class TestNoScipy:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestExit:
+    def test_heap_is_frozen_only_at_exit(self, tmp_path):
+        # The probe is registered before cohsim's handler, so it runs after
+        # it (atexit is last in, first out) and sees what the finalizer sees.
+        script = textwrap.dedent(
+            f"""
+            import atexit, gc
+            atexit.register(lambda: print("exit", gc.get_freeze_count(), flush=True))
+            from cohsim.cli import main
+            assert main(["paradox", "--out", {str(tmp_path / "o")!r}]) == 0
+            print("after main", gc.get_freeze_count(), flush=True)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *_, after_main, at_exit = proc.stdout.splitlines()
+        assert after_main == "after main 0"
+        assert at_exit.startswith("exit ") and int(at_exit.split()[1]) > 0
 
 
 class TestConfigPlumbing:
@@ -791,7 +818,8 @@ class TestReportCommand:
 
     def test_reproducible_across_interpreters(self, tmp_path):
         """Two fresh interpreters with different string hashing write the
-        same data files and the same file list."""
+        same data files and the same file list, and those files, written by
+        a process that then exits, carry the pinned golden bytes."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cohsim.__file__)))
         manifests = []
         for hash_seed in ("1", "2"):
@@ -809,6 +837,16 @@ class TestReportCommand:
             tmp_path / "1", tmp_path / "2", data, shallow=False
         )
         assert (sorted(match), mismatch, errors) == (sorted(data), [], [])
+        # The hashes are pinned to the fixture's Python and numpy versions, as
+        # for the in-process golden comparison; under other versions only the
+        # two runs are compared.
+        golden = json.loads(GOLDEN_FIXTURE.read_text())
+        if golden["versions"] == golden_versions():
+            on_disk = {
+                name: hashlib.sha256((tmp_path / "1" / name).read_bytes()).hexdigest()
+                for name in data
+            }
+            assert on_disk == golden["commands"]["report --seed 0"]
 
 
 class TestWriteRowsCsv:

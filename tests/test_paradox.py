@@ -36,6 +36,7 @@ from cohsim.states import (
     EQ_ATOL,
     EPR_LABELS,
     MAX_QUBITS,
+    DensityOperator,
     StateVector,
     dicke_one_excitation,
     epr_family,
@@ -744,14 +745,25 @@ class TestNoiseCurves:
     @given(
         theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
         v=st.floats(0.0, 1.0),
+        lam=st.floats(0.0, 1.0),
         axis=st.sampled_from(["X", "Y"]),
     )
-    def test_coherence_paradox_gap_is_v_sin_two_theta(self, theta, v, axis):
+    def test_coherence_paradox_gap_is_v_sin_two_theta(self, theta, v, lam, axis):
+        """The gap is ``v (1 - lam) sin 2 theta``, the l1-norm of coherence
+        ``C_l1(rho) = sum_{i != j} |rho_ij|`` of the superposition source
+        (Baumgratz, Cramer & Plenio, PRL 113:140401, 2014), also with its
+        01/10 coherence dephased by ``lam``."""
         spec = coherence_paradox(theta, axis)
         sources = {label: werner_mix(epr_family(theta, label), v) for label in EPR_LABELS}
+        rho = sources["00"].matrix.copy()
+        rho[0b01, 0b10] *= 1.0 - lam
+        rho[0b10, 0b01] *= 1.0 - lam
+        sources["00"] = DensityOperator(rho)
         observed = {key: expectation(sources[key[0]], key[1]) for key in spec.observation_keys()}
         gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
-        assert abs(gap - v * math.sin(2.0 * theta)) <= 1e-15
+        l1_coherence = float(np.abs(rho[~np.eye(4, dtype=bool)]).sum())
+        assert abs(gap - l1_coherence) <= 1e-15
+        assert abs(gap - v * (1.0 - lam) * math.sin(2.0 * theta)) <= 1e-15
 
     @PROPERTY_SETTINGS
     @given(v=st.floats(0.0, 1.0))
