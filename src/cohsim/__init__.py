@@ -65,8 +65,6 @@ from .tomography import (
     reconstruct,
     report_states,
     simulate_tomography_counts,
-    tomography_report,
-    write_density_csv,
 )
 
 __version__ = "0.1.0"
@@ -116,7 +114,6 @@ __all__ = [
     "simulate_counts",
     "simulate_tomography_counts",
     "theoretical_values",
-    "tomography_report",
     "visibility_scan",
     "werner_mix",
     "winning_probability",

@@ -65,8 +65,8 @@ from .reports import (
     paradox_simulated_block,
     write_rows_csv,
 )
-from .states import epr_family
-from .tomography import report_states, tomography_report, write_density_csv
+from .states import StateVector, epr_family
+from .tomography import reconstruct, report_states, simulate_tomography_counts, write_density_csv
 
 _ANGLE_RE = re.compile(r"^\s*([0-9]+)?\s*\*?\s*pi\s*(?:/\s*([0-9]+))?\s*$", re.IGNORECASE)
 
@@ -218,17 +218,31 @@ def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
-def _tomography(run: _Run, prefix: str, num_bootstrap: int, **kwargs) -> list[dict]:
+def _tomography(
+    run: _Run,
+    prefix: str,
+    states: tuple[tuple[str, StateVector], ...],
+    num_bootstrap: int,
+    tag_base: int = 0,
+) -> list[dict]:
     """Tomography dumps under ``prefix``, with each state's requested and
     used bootstrap replicates counted in the manifest.
 
-    Per state, ``rho_<slug>.csv`` (Re and Im blocks) and
-    ``rho_<slug>.json``; then ``fidelities.csv``, one row per state, with
-    an empty std-err cell when no bootstrap ran. Returns those rows.
+    State ``i`` is reconstructed from counts under stream tag
+    ``tag_base + i`` and scored against itself. Every state is
+    reconstructed before the block writes its first file, so a state that
+    fails leaves none of them (and ``tomo`` no directory). Per state,
+    ``rho_<slug>.csv`` (Re and Im blocks) and ``rho_<slug>.json``; then
+    ``fidelities.csv``, one row per state, with an empty std-err cell
+    when no bootstrap ran. Returns those rows.
     """
+    results = []
+    for i, (label, psi) in enumerate(states):
+        tables = simulate_tomography_counts(psi, run.cfg, tag_base + i)
+        results.append((label, reconstruct(tables, target=psi, num_bootstrap=num_bootstrap)))
     rows = []
     counter = run.manifest["counters"]["tomography_bootstrap"] = {}
-    for label, result in tomography_report(run.cfg, num_bootstrap=num_bootstrap, **kwargs):
+    for label, result in results:
         scores = {
             "fidelity": result.fidelity_to_target,
             "fidelity_std_err": result.fidelity_std_err,
@@ -293,10 +307,10 @@ def cmd_game(args: argparse.Namespace, run: _Run) -> list[str]:
 
 def cmd_tomo(args: argparse.Namespace, run: _Run) -> list[str]:
     if args.states.strip().lower() == "all":
-        states = None
+        thetas = DEFAULT_THETAS
     else:
-        states = report_states(thetas=parse_angle_list(args.states))
-    records = _tomography(run, "", states=states, num_bootstrap=args.bootstrap)
+        thetas = parse_angle_list(args.states)
+    records = _tomography(run, "", report_states(thetas), args.bootstrap)
     lines = []
     for rec in records:
         err = "" if rec["fidelity_std_err"] is None else f" +/- {rec['fidelity_std_err']:.2g}"
@@ -372,7 +386,7 @@ def cmd_report(args: argparse.Namespace, run: _Run) -> list[str]:
     run.csv("dicke.csv", dicke_rows(3)[0])
 
     # Tomography dumps.
-    records = _tomography(run, "tomo/", num_bootstrap=args.bootstrap, tag_base=_TAG_TOMO)
+    records = _tomography(run, "tomo/", report_states(), args.bootstrap, tag_base=_TAG_TOMO)
 
     # Visibility scans at the two canonical fixed-arm angles.
     vis_doc = {}

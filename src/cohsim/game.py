@@ -23,18 +23,10 @@ import numpy as np
 from .measurement import JointDistribution, setting_distribution
 from .states import EPR_LABELS, epr_family
 
-IDENTITY_ATOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class GameEvaluation:
-    """Winning probability and coherence terms of one distribution.
-
-    ``identity_holds`` is derived from the two stored values: whether
-    ``p_win = 1/2 + (I_00 + I_11)/4`` holds within ``IDENTITY_ATOL``.
-    The relation is an algebraic consequence of row normalization, so a
-    False value indicates numerical corruption rather than physics.
-    """
+    """Winning probability and coherence terms of one distribution."""
 
     p_win: float
     i_terms: np.ndarray
@@ -47,11 +39,6 @@ class GameEvaluation:
             raise ValueError(f"p_win={self.p_win} outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "i_terms", arr)
-
-    @property
-    def identity_holds(self) -> bool:
-        i = self.i_terms
-        return bool(abs(self.p_win - 0.5 - (i[0, 0] + i[1, 1]) / 4.0) <= IDENTITY_ATOL)
 
 
 def coherence_term(dist: JointDistribution, a: int, b: int) -> float:
@@ -67,8 +54,7 @@ def winning_probability(dist: JointDistribution) -> GameEvaluation:
     """Score a distribution against the winning rule ``a xor b = x xor y``.
 
     Each input pair is weighted 1/4. The returned evaluation carries all
-    four coherence terms, against which ``identity_holds`` checks the
-    normalization identity ``p_win = 1/2 + (I_00 + I_11)/4``.
+    four coherence terms.
     """
     p_win = 0.0
     for x in range(2):

@@ -339,23 +339,22 @@ def _ghz_hull_residual(observed: np.ndarray) -> tuple[float, np.ndarray]:
     return gap, weights
 
 
-def ghz_stabilizer_check(
-    state: StateVector | DensityOperator, tol: float = EQ_ATOL
-) -> ParadoxVerdict:
+def ghz_stabilizer_check(state: StateVector | DensityOperator) -> ParadoxVerdict:
     """Evaluate the four three-qubit stabilizer chains against sign models.
 
-    Computes the expectations of XYY, YXY, YYX, XXX, enumerates all 64
-    deterministic sign assignments (none reproduces the pattern
-    (-1, -1, -1, +1), which is the multiply-the-four-equations
-    contradiction), and reports the l-infinity distance between the
-    observed 4-vector and the convex hull of the assignment products,
-    in closed form from Mermin's bound (see ``_ghz_hull_residual``); a
+    Computes the expectations of XYY, YXY, YYX, XXX and reports the
+    l-infinity distance between the observed 4-vector and the convex
+    hull of the products of the 64 deterministic sign assignments, in
+    closed form from Mermin's bound (see ``_ghz_hull_residual``); a
     Werner-mixed GHZ state at visibility v sits ``max(0, v - 1/2)`` from
-    it. The state is LHV-feasible exactly when that distance is within
-    ``tol``.
+    it. The assignments are enumerated once, at import: a call only
+    reads their count that reproduces the pattern (-1, -1, -1, +1),
+    which is 0 (the multiply-the-four-equations contradiction). The
+    state is LHV-feasible exactly when that distance is within
+    ``EQ_ATOL``.
 
     Raises:
-        ValueError: a state not on 3 qubits, or a ``tol`` not ``>= 0`` (NaN).
+        ValueError: a state not on 3 qubits.
     """
     if state.num_qubits != 3:
         raise ValueError(f"stabilizer check needs a 3-qubit state, got {state.num_qubits}")
@@ -365,7 +364,7 @@ def ghz_stabilizer_check(
         per_constraint_values={("ghz", ch): val for ch, val in zip(GHZ_CHAINS, observed)},
         violation_gap=gap,
         witness_weights=tuple(weights.tolist()),
-        tol=tol,
+        tol=EQ_ATOL,
         satisfying_assignments=_GHZ_SATISFYING,
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
-    _check_nonzero_total, _check_tag, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
+    _check_nonzero_total, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import (
@@ -219,28 +219,3 @@ def write_density_csv(path: str | Path, rho: np.ndarray) -> None:
     blocks = (("re", np.real(rho)), ("im", np.imag(rho)))
     rows = ([name, r, *values] for name, block in blocks for r, values in enumerate(block))
     _write_csv(path, ["block", "row", "c0", "c1", "c2", "c3"], rows)
-
-
-def tomography_report(
-    cfg: ExperimentConfig,
-    states: tuple[tuple[str, StateVector], ...] | None = None,
-    num_bootstrap: int = 100,
-    tag_base: int = 0,
-) -> list[tuple[str, TomographyResult]]:
-    """Reconstruct each source and score it against the ideal pure source.
-
-    Returns one ``(label, result)`` pair per state (``report_states()``
-    by default), where ``result`` is the ``reconstruct`` output with the
-    state as its target: ``fidelity_std_err`` and ``bootstrap_used``
-    are None without a bootstrap. Nothing is written to disk. Stream
-    tags run from ``tag_base`` (a ``ValueError`` unless a nonnegative
-    integer) so a caller reusing one seed for several artifact groups
-    can keep their count draws independent.
-    """
-    _check_tag(tag_base)
-    chosen = states if states is not None else report_states()
-    report = []
-    for idx, (label, psi) in enumerate(chosen):
-        tables = simulate_tomography_counts(psi, cfg, stream_tag=tag_base + idx)
-        report.append((label, reconstruct(tables, target=psi, num_bootstrap=num_bootstrap)))
-    return report

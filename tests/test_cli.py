@@ -18,7 +18,7 @@ from cohsim import __version__
 from cohsim.cli import main, parse_angle, parse_angle_list
 from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
 from cohsim.reports import write_rows_csv
-from cohsim.tomography import report_states
+from cohsim.tomography import reconstruct, report_states
 
 from .test_golden import FIXTURE as GOLDEN_FIXTURE
 from .test_golden import _versions as golden_versions
@@ -259,6 +259,26 @@ class TestExitCodes:
         argv = ["tomo", "--states", "pi/4", "--bootstrap", HUGE_BOOTSTRAP, "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("cohsim: error: Unable to allocate")
+        assert not out.exists()
+
+    def test_later_tomography_state_failure_leaves_no_directory(
+        self, tmp_path, fast_cfg, capsys, monkeypatch
+    ):
+        # Every state is reconstructed before the first file is written.
+        calls = []
+
+        def fail_on_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("second state refused")
+            return reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr("cohsim.cli.reconstruct", fail_on_second)
+        out = tmp_path / "o"
+        argv = ["tomo", "--states", "pi/4", "--bootstrap", "0", "--config", fast_cfg]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "cohsim: error: second state refused\n"
+        assert len(calls) == 2
         assert not out.exists()
 
     def test_refused_bootstrap_allocation_is_recorded(self, tmp_path, fast_cfg, capsys):

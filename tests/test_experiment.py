@@ -41,7 +41,7 @@ from cohsim.paradox import (
 )
 from cohsim.reports import paradox_exact_block, paradox_simulated_block
 from cohsim.states import EPR_LABELS, DensityOperator, StateVector, epr_family, werner_mix
-from cohsim.tomography import tomography_report
+from cohsim.tomography import simulate_tomography_counts
 
 from .test_measurement import PROPERTY_SETTINGS
 from .test_states import random_state
@@ -336,7 +336,9 @@ TAG_ENTRIES = {
         ONE_TRIAL,
         tag_base=tag,
     ),
-    "tomography_report": lambda tag: tomography_report(ONE_TRIAL, num_bootstrap=0, tag_base=tag),
+    "simulate_tomography_counts": lambda tag: simulate_tomography_counts(
+        epr_family(0.4, "00"), ONE_TRIAL, stream_tag=tag
+    ),
 }
 
 

@@ -97,17 +97,6 @@ class TestParallelStrategy:
 
 
 class TestIdentities:
-    def test_identity_holds_for_random_distributions(self):
-        # p_win = 1/2 + (I_00 + I_11)/4 is algebra, not physics: it must
-        # hold for every normalized table.
-        for seed in range(100):
-            dist = random_distribution(seed)
-            ev = winning_probability(dist)
-            assert ev.identity_holds
-            assert ev.p_win == pytest.approx(
-                0.5 + (ev.i_terms[0, 0] + ev.i_terms[1, 1]) / 4.0, abs=1e-10
-            )
-
     def test_coherence_terms_sum_to_zero(self):
         for seed in range(100):
             ev = winning_probability(random_distribution(seed + 1000))

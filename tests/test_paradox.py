@@ -1,5 +1,6 @@
 """Paradox construction, sign-model enumeration, and mixture refutation."""
 
+import cmath
 import dataclasses
 import itertools
 import json
@@ -417,6 +418,7 @@ class TestGhzStabilizerCheck:
         assert verdict.satisfying_assignments == 0
         assert not verdict.lhv_feasible
         assert verdict.violation_gap == pytest.approx(0.5, abs=1e-9)
+        assert verdict.tol == EQ_ATOL
 
     def test_product_state_is_feasible(self):
         zero = np.zeros(8)
@@ -738,6 +740,20 @@ class TestCoherenceParadox:
         np.testing.assert_allclose(verdict.witness_weights, [0.25, 0.75], atol=1e-6)
 
 
+def l1_coherence(matrix: np.ndarray) -> float:
+    """``C_l1(rho) = sum_{i != j} |rho_ij|`` (Baumgratz, Cramer & Plenio,
+    PRL 113:140401, 2014)."""
+    return float(np.abs(matrix[~np.eye(len(matrix), dtype=bool)]).sum())
+
+
+# Per qubit count, the chains with at least one X or Y factor: each flips a
+# bit, so it reads 0 on every diagonal (incoherent) state.
+FLIP_CHAINS = {
+    n: tuple("".join(c) for c in itertools.product("IXYZ", repeat=n) if set(c) & {"X", "Y"})
+    for n in (2, 3)
+}
+
+
 class TestNoiseCurves:
     """Exact verdicts on white-noise sources against their closed forms."""
 
@@ -761,9 +777,80 @@ class TestNoiseCurves:
         sources["00"] = DensityOperator(rho)
         observed = {key: expectation(sources[key[0]], key[1]) for key in spec.observation_keys()}
         gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
-        l1_coherence = float(np.abs(rho[~np.eye(4, dtype=bool)]).sum())
-        assert abs(gap - l1_coherence) <= 1e-15
+        assert abs(gap - l1_coherence(rho)) <= 1e-15
         assert abs(gap - v * (1.0 - lam) * math.sin(2.0 * theta)) <= 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(
+        theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_phased_source_gaps(self, theta, phi, v):
+        """For ``cos theta|01> + e^{i phi} sin theta|10>`` at visibility v,
+        the shipped X paradox reads ``v sin 2 theta |cos phi|``, and a spec
+        with mixed rows XX and XY reads ``v sin 2 theta max(|cos phi|,
+        |sin phi|)``, at least ``C_l1 / sqrt 2``, through ``_mixture_lp``."""
+        amps = np.zeros(4, dtype=complex)
+        amps[0b01] = math.cos(theta)
+        amps[0b10] = cmath.exp(1j * phi) * math.sin(theta)
+        sources = {label: werner_mix(epr_family(theta, label), v) for label in ("01", "10")}
+        sources["00"] = werner_mix(StateVector(amps), v)
+        amplitude = v * math.sin(2.0 * theta)
+
+        def gap(spec):
+            keys = spec.observation_keys()
+            observed = {key: expectation(sources[key[0]], key[1]) for key in keys}
+            return lhv_mixture_test(spec, observed, tol=0.0).violation_gap
+
+        shipped = gap(coherence_paradox(theta, "X"))
+        assert abs(shipped - amplitude * abs(math.cos(phi))) <= 1e-15
+        # Closed-form expected values, kept inside [-1, 1].
+        expected = {
+            ("00", "XX"): amplitude * math.cos(phi),
+            ("00", "XY"): -amplitude * math.sin(phi),
+            ("01", "XX"): 0.0, ("01", "XY"): 0.0, ("10", "XX"): 0.0, ("10", "XY"): 0.0,
+        }
+        two_row = ParadoxSpec(
+            [ParadoxConstraint(label, chain, e) for (label, chain), e in expected.items()],
+            MixtureClaim("00", ("01", "10")),
+        )
+        with mock.patch.object(paradox, "_mixture_lp", wraps=paradox._mixture_lp) as lp:
+            phased = gap(two_row)
+        assert lp.call_count == 1
+        assert abs(phased - amplitude * max(abs(math.cos(phi)), abs(math.sin(phi)))) <= 1e-15
+        assert phased >= l1_coherence(sources["00"].matrix) / math.sqrt(2.0) - 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(
+        num_qubits=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_gap_is_at_most_l1_coherence(self, num_qubits, seed, data):
+        """Mixed rows on chains with an X or Y factor, against components at
+        0: every such chain reads at most ``C_l1`` on any state, so the gap
+        does too."""
+        dim = 2**num_qubits
+        rank = data.draw(st.integers(1, dim), label="rank")
+        chains = data.draw(
+            st.lists(st.sampled_from(FLIP_CHAINS[num_qubits]), min_size=1, max_size=dim,
+                     unique=True),
+            label="chains",
+        )
+        components = [f"c{i}" for i in range(data.draw(st.integers(1, 3), label="components"))]
+        rng = np.random.default_rng(seed)
+        factor = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = factor @ factor.conj().T
+        rho = DensityOperator(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+        observed = {("m", chain): expectation(rho, chain) for chain in chains}
+        observed.update({(label, chain): 0.0 for label in components for chain in chains})
+        spec = ParadoxSpec(
+            [ParadoxConstraint(lb, ch, min(1.0, max(-1.0, e))) for (lb, ch), e in observed.items()],
+            MixtureClaim("m", tuple(components)),
+        )
+        gap = lhv_mixture_test(spec, observed, tol=0.0).violation_gap
+        assert gap <= l1_coherence(rho.matrix) + 1e-15
 
     @PROPERTY_SETTINGS
     @given(v=st.floats(0.0, 1.0))
@@ -1265,20 +1352,11 @@ class TestLhvMixtureTestErrors:
             lhv_mixture_test(spec, observed, tol=1e-10)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan])
-    @pytest.mark.parametrize(
-        "verdict",
-        [
-            lambda tol: lhv_mixture_test(
-                coherence_paradox(0.4, "X"), theoretical_values(coherence_paradox(0.4, "X")), tol
-            ),
-            lambda tol: ghz_stabilizer_check(werner_mix(ghz_state(3), 0.3), tol=tol),
-        ],
-        ids=["lhv_mixture_test", "ghz_stabilizer_check"],
-    )
-    def test_negative_or_nan_tol(self, verdict, tol):
+    def test_negative_or_nan_tol(self, tol):
         # NaN fails every comparison, so it would pass a `tol < 0` check.
+        spec = coherence_paradox(0.4, "X")
         with pytest.raises(ValueError, match="must be nonnegative"):
-            verdict(tol)
+            lhv_mixture_test(spec, theoretical_values(spec), tol)
 
     def test_constraint_order_does_not_change_gap(self):
         spec = coherence_paradox(0.9, "X")

@@ -7,10 +7,12 @@ import json
 import math
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import cohsim
 from cohsim.cli import main
 from cohsim.experiment import ExperimentConfig
 from cohsim.reports import paradox_simulated_block
@@ -42,6 +44,19 @@ def test_library_example_prints_its_comments():
     assert verdict.lhv_feasible is False and verdict.violation_gap == 1.0
     assert namespace["p"] == 5e-324
     assert round(namespace["log10_p"]) == -43407374
+
+
+def test_all_names_the_package_namespace():
+    """The Library example imports from ``cohsim``: a star-import works, and
+    ``__all__`` names exactly the public names the package binds, its
+    submodules aside."""
+    exec("from cohsim import *", {})
+    public = {
+        name
+        for name, value in vars(cohsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(cohsim.__all__) == public
 
 
 def cli_examples() -> list[list[str]]:

@@ -28,7 +28,6 @@ from cohsim.tomography import (
     reconstruct,
     report_states,
     simulate_tomography_counts,
-    tomography_report,
     write_density_csv,
 )
 
@@ -466,13 +465,11 @@ class TestReportOutputs:
         with pytest.raises(ValueError, match=r"'00\(theta=0\.785398\)'"):
             report_states(thetas)
 
-    def test_report_records(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        states = (("ab", epr_family(math.pi / 4, "00")), ("cd e", epr_family(0.4, "01")))
-        report = tomography_report(DESK, states=states, num_bootstrap=5)
-        assert list(tmp_path.iterdir()) == []
-        assert [label for label, _result in report] == ["ab", "cd e"]
-        for _label, result in report:
+    def test_report_records(self):
+        # The two calls a tomography block makes per state.
+        for tag, psi in enumerate((epr_family(math.pi / 4, "00"), epr_family(0.4, "01"))):
+            tables = simulate_tomography_counts(psi, DESK, stream_tag=tag)
+            result = reconstruct(tables, target=psi, num_bootstrap=5)
             assert isinstance(result, TomographyResult)
             rho = result.rho_hat.matrix
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -484,7 +481,9 @@ class TestReportOutputs:
             assert result.bootstrap_used == 5
 
     def test_tag_base_decorrelates_runs(self):
-        states = (("s", epr_family(math.pi / 4, "00")),)
-        a = tomography_report(DESK, states=states, num_bootstrap=0)
-        b = tomography_report(DESK, states=states, num_bootstrap=0, tag_base=9)
-        assert a[0][1].fidelity_to_target != b[0][1].fidelity_to_target
+        psi = epr_family(math.pi / 4, "00")
+        a, b = (
+            reconstruct(simulate_tomography_counts(psi, DESK, stream_tag=tag), target=psi)
+            for tag in (0, 9)
+        )
+        assert a.fidelity_to_target != b.fidelity_to_target
