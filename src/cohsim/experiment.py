@@ -15,10 +15,10 @@ Every random quantity draws from its own RNG stream,
 ``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
 setting, and the trial or replicate domain, so results are
 bit-reproducible and independent of evaluation order. ``_stream``
-applies the one tag rule (``_check_tag``: an int or numpy integer, at
-least 0), which ``CountTable`` applies too. Per-trial counts and fringe
-points draw through ``_draws``, and both bootstraps redraw through
-``_poisson_bootstrap``.
+applies the one tag rule (``_check_tag``: an int or numpy integer in
+``[0, 2**32)``, not a bool), which ``CountTable`` applies too.
+Per-trial counts and fringe points draw through ``_draws``, and both
+bootstraps redraw through ``_poisson_bootstrap``.
 
 Every CSV data file is written by ``_write_csv``: the count tables and
 fringe scans here, and the row tables and density matrices of the
@@ -43,8 +43,10 @@ from .states import DensityOperator, StateVector, werner_mix
 
 CLASSICAL_VISIBILITY_BOUND = 0.71
 
-# Stream-domain constants keep bootstrap and scan draws on RNG streams
-# that can never coincide with a per-trial count stream.
+# Stream-domain constants keep bootstrap, scan and tomography draws on RNG
+# streams that can never coincide with a per-trial count stream: their keys
+# are (u, v, _BOOT_DOMAIN, 0), (_SCAN_DOMAIN, i) and (_TOMO_DOMAIN, 1), a
+# count's (u, v, trial), with u and v axis indices.
 _BOOT_DOMAIN = 811
 _SCAN_DOMAIN = 101
 _TOMO_DOMAIN = 907
@@ -58,9 +60,9 @@ _COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
 
 
 def _is_whole(value) -> bool:
-    """Whether ``value`` equals an int; ``int()`` raises on inf and nan."""
+    """Whether ``value`` equals an int and is no bool; ``int()`` raises on inf and nan."""
     try:
-        return int(value) == value
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (OverflowError, ValueError):
         return False
 
@@ -212,14 +214,17 @@ def _write_csv(path: str | Path, header, rows) -> None:
 
 
 def _check_tag(tag) -> None:
-    """The one stream-tag rule, which ``_stream`` and ``CountTable`` apply: an
-    int or numpy integer, at least 0, as a seed sequence takes no other."""
-    if not isinstance(tag, (int, np.integer)) or tag < 0:
-        raise ValueError(f"stream_tag={tag!r} must be a nonnegative integer")
+    """The one stream-tag rule, which ``_stream`` and ``CountTable`` apply: an int or
+    numpy integer in ``[0, 2**32)``, no bool. A seed sequence splits ints into 32-bit words,
+    so a wider tag could repeat a draw: (2**32, 1) and (0, 2**32 + 1) both give 0, 1, 1."""
+    if isinstance(tag, bool) or not isinstance(tag, (int, np.integer)) or not 0 <= tag < 2**32:
+        raise ValueError(f"stream_tag={tag!r} must be a nonnegative integer below 2**32")
 
 
 def _stream(seed: int, tag: int, *key: int) -> np.random.Generator:
-    """The generator of one draw, seeded by ``(seed, tag, *key)`` alone, after ``_check_tag``."""
+    """The generator of one draw, seeded by ``(seed, tag, *key)`` alone, after
+    ``_check_tag``: with the tag one 32-bit word, no two (seed, tag, key) of the
+    key shapes in use (see the domain constants) share their words."""
     _check_tag(tag)
     return np.random.default_rng(np.random.SeedSequence((seed, tag, *key)))
 
@@ -333,55 +338,51 @@ class CountTable:
     def from_csv(
         cls, path: str | Path, config: ExperimentConfig, stream_tag: int = 0
     ) -> "CountTable":
-        """Read the rows of one setting written by ``to_csv``.
+        """Read back exactly what ``to_csv`` writes: the header, then on row ``k``
+        cell ``k`` of ``np.ndindex(config.num_trials, 2, 2)``, ints as ``str`` writes them.
 
         Raises:
-            ValueError: a byte that is not UTF-8, a missing column, no
-                rows, a short or long row, a ``trial``, ``a``, ``b`` or
-                ``count`` cell not an integer, rows of more than one
-                setting, a ``(trial, a, b)`` cell given twice, or not
-                exactly the 4 cells of each trial ``0..T-1``, where T is
-                ``config.num_trials``; each named with the file, and with
-                the line where one applies.
+            ValueError: a byte not UTF-8, another header, no rows, a short or long
+                row, rows of two settings, an int not as ``str`` writes it, or a row
+                out of order, past the last cell or missing at the end; each named
+                with the file and the line.
         """
-        setting = None
-        cells: dict[tuple[int, int, int], int] = {}
-        reader = csv.DictReader(io.StringIO(_read_utf8(path, "count"), newline=""))
-        missing = [col for col in _COUNT_COLUMNS if col not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"count file {path} lacks columns {', '.join(missing)}")
+        reader = csv.reader(io.StringIO(_read_utf8(path, "count"), newline=""))
+        header = next(reader, [])
+        if header != list(_COUNT_COLUMNS):
+            raise ValueError(
+                f"count file {path} line 1: the header must be {','.join(_COUNT_COLUMNS)},"
+                f" not {','.join(header)!r}"
+            )
+        setting, counts, grid = None, [], np.ndindex(config.num_trials, 2, 2)
         for row in reader:
             where = f"count file {path} line {reader.line_num}"
-            if None in row.values():
+            if len(row) < len(_COUNT_COLUMNS):
                 raise ValueError(f"{where} is incomplete")
-            if None in row:  # DictReader files surplus fields under the key None
+            if len(row) > len(_COUNT_COLUMNS):
                 raise ValueError(f"{where} has extra fields")
-            found = (row["u"], row["v"])
-            if setting not in (None, found):
-                raise ValueError(f"{where}: the file holds settings {setting} and {found}")
-            setting = found
-            ints = {}
-            for col in ("trial", "a", "b", "count"):
+            if setting not in (None, tuple(row[:2])):
+                raise ValueError(f"{where}: the file holds settings {setting} and {tuple(row[:2])}")
+            setting = tuple(row[:2])
+            ints = []
+            for col, text in zip(_COUNT_COLUMNS[2:], row[2:]):
                 try:
-                    ints[col] = int(row[col])
+                    value = int(text)
                 except ValueError:
-                    text = f"column {col} is not an integer: {row[col]!r}"
-                    raise ValueError(f"{where} {text}") from None
-            cell = (ints["trial"], ints["a"], ints["b"])
-            if cell in cells:
-                raise ValueError(f"{where}: setting {setting} repeats cell (trial, a, b) = {cell}")
-            cells[cell] = ints["count"]
+                    value = None
+                if value is None or str(value) != text:
+                    raise ValueError(f"{where} column {col} is not an integer: {text!r}")
+                ints.append(value)
+            a, b, trial, count = ints
+            found, cell = (trial, a, b), next(grid, "no row")
+            if found != cell:
+                raise ValueError(f"{where} holds cell (trial, a, b) = {found} where {cell} belongs")
+            counts.append(count)
         if setting is None:
             raise ValueError(f"count file {path} holds no rows")
-        grid = [(t, a, b) for t in range(config.num_trials) for a in range(2) for b in range(2)]
-        if set(cells) != set(grid):
-            raise ValueError(
-                f"count file {path}: setting {setting} needs the 4 cells of each trial"
-                f" 0..{config.num_trials - 1}; missing {sorted(set(grid) - set(cells))},"
-                f" unexpected {sorted(set(cells) - set(grid))}"
-            )
-        counts = np.array([cells[cell] for cell in grid]).reshape(-1, 2, 2)
-        return cls(setting, counts, config, stream_tag)
+        if (cell := next(grid, None)) is not None:  # ``where`` names the last line
+            raise ValueError(f"{where}: the file ends before cell (trial, a, b) = {cell}")
+        return cls(setting, np.array(counts).reshape(-1, 2, 2), config, stream_tag)
 
 
 @dataclass(frozen=True)

@@ -126,15 +126,37 @@ class ParadoxSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParadoxSpec":
+        """Read a ``to_dict`` document, ``mixture_claim.note`` optional; a field
+        missing or of another type (a bool is no number) raises ``ValueError``
+        naming it, as does a spec the constructors refuse."""
         constraints = tuple(
-            ParadoxConstraint(item["source"], item["observable"], float(item["expected"]))
-            for item in doc["constraints"]
+            ParadoxConstraint(*(_spec_field(row, f"constraints[{i}].{k}", t) for k, t in _ROW))
+            for i, row in enumerate(_spec_field(doc, "constraints", list))
         )
-        claim_doc = doc["mixture_claim"]
-        claim = MixtureClaim(
-            claim_doc["mixed"], tuple(claim_doc["components"]), claim_doc.get("note", "")
-        )
-        return cls(constraints, claim)
+        claim = _spec_field(doc, "mixture_claim", dict)
+        labels = _spec_field(claim, "mixture_claim.components", list)
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"spec field mixture_claim.components must list strings: {labels!r}")
+        note = _spec_field(claim, "mixture_claim.note", str) if "note" in claim else ""
+        mixed = _spec_field(claim, "mixture_claim.mixed", str)
+        return cls(constraints, MixtureClaim(mixed, tuple(labels), note))
+
+
+_ROW = (("source", str), ("observable", str), ("expected", (int, float)))  # a constraint's fields
+_KIND_NAMES = {list: "a list", dict: "an object", str: "a string", (int, float): "a number"}
+
+
+def _spec_field(doc, path: str, kind):
+    """Field ``path`` of a spec document, ``doc`` being the object that holds
+    its last part; ``ValueError`` naming it unless it is a ``kind``, no bool."""
+    where, _, key = path.rpartition(".")
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec {where or 'document'} must be an object, not {doc!r}")
+    if key not in doc:
+        raise ValueError(f"spec field {path} is missing")
+    if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+        raise ValueError(f"spec field {path} must be {_KIND_NAMES[kind]}, not {doc[key]!r}")
+    return doc[key]
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,9 @@ ONE_TRIAL = ExperimentConfig(
 )
 
 
+COUNT_HEADER = ["u", "v", "a", "b", "trial", "count"]  # the header ``to_csv`` writes
+
+
 def hand_table(cells, cfg=ONE_TRIAL, setting=("Z", "Z"), stream_tag=0) -> CountTable:
     arr = np.array(cells, dtype=np.int64).reshape(1, 2, 2)
     return CountTable(setting, arr, cfg, stream_tag)
@@ -94,6 +97,11 @@ class TestExperimentConfig:
             ("efficiency", 1.0001),
             ("seed", -1),
             ("seed", 2**64),
+            # int(True) == True, so without its own check a bool passes as 1.
+            ("num_trials", True),
+            ("seed", True),
+            pytest.param("num_trials", np.True_, id="num_trials-np.True_"),
+            pytest.param("seed", np.True_, id="seed-np.True_"),
         ],
     )
     def test_validation(self, field, value):
@@ -354,16 +362,28 @@ class TestCountTable:
             hand_table([[1, 0], [0, 1]], setting=("Q", "Z"))
 
     @pytest.mark.parametrize("entry", sorted(TAG_ENTRIES))
-    @pytest.mark.parametrize("tag", [1.5, float("nan"), 2.0, "1", -1], ids=repr)
+    @pytest.mark.parametrize(
+        "tag", [1.5, float("nan"), 2.0, "1", -1, True, 2**32, np.uint64(2**32)], ids=repr
+    )
     def test_non_integer_stream_tag_rejected(self, entry, tag):
         # Every draw entry applies the table's rule; numpy would refuse
-        # these seeds with a TypeError or its own message.
+        # the first five as seeds with a TypeError or its own message, and
+        # take True as 1 and a tag of 2**32 or more as two 32-bit words.
         with pytest.raises(ValueError, match="stream_tag=.* must be a nonnegative integer"):
             TAG_ENTRIES[entry](tag)
 
-    @pytest.mark.parametrize("tag", [np.int64(3), np.uint64(2**63)], ids=repr)
+    @pytest.mark.parametrize("tag", [np.int64(3), np.uint64(2**32 - 1), 2**32 - 1], ids=repr)
     def test_integer_stream_tag_accepted(self, tag):
         assert hand_table([[1, 0], [0, 1]], stream_tag=tag).stream_tag == tag
+
+    def test_tag_cannot_spell_another_seed(self):
+        # A seed sequence splits ints into 32-bit words: seed 2**32 with
+        # tag 1 and seed 0 with tag 2**32 + 1 are both the words 0, 1, 1,
+        # and would draw the same counts.
+        state = epr_family(0.4, "00")
+        simulate_counts(state, ("X", "X"), ONE_TRIAL.replace(seed=2**32), stream_tag=1)
+        with pytest.raises(ValueError, match=re.escape(f"stream_tag={2**32 + 1} must be")):
+            simulate_counts(state, ("X", "X"), ONE_TRIAL, stream_tag=2**32 + 1)
 
     @pytest.mark.parametrize(
         "cell", [1.5, float("nan"), 2**63], ids=["fraction", "nan", "beyond-int64"]
@@ -420,7 +440,7 @@ class TestCountTable:
         counts=arrays(
             np.int64, st.integers(1, 4).map(lambda t: (t, 2, 2)), elements=st.integers(0, 2**40)
         ),
-        stream_tag=st.integers(0, 2**64),
+        stream_tag=st.integers(0, 2**32 - 1),
     )
     def test_csv_round_trip_is_byte_stable(self, setting, counts, stream_tag):
         cfg = ONE_TRIAL.replace(num_trials=len(counts))
@@ -450,8 +470,8 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:3] + lines[4:]))
-        where = f"count file {re.escape(str(path))}: setting .* needs the 4 cells .* missing"
-        with pytest.raises(ValueError, match=where):
+        where = f"count file {path} line 4 holds cell (trial, a, b) = (0, 1, 1) where (0, 1, 0)"
+        with pytest.raises(ValueError, match=re.escape(where)):
             CountTable.from_csv(path, DESK)
 
     def test_csv_duplicated_row_rejected(self, tmp_path):
@@ -459,8 +479,28 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines + [lines[1]]))
-        where = f"count file {re.escape(str(path))} line {len(lines) + 1}: setting .* repeats"
-        with pytest.raises(ValueError, match=where):
+        where = f"count file {path} line {len(lines) + 1} holds cell (trial, a, b) = (0, 0, 0)"
+        where += " where no row belongs"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_swapped_rows_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5], lines[6] = lines[6], lines[5]
+        path.write_text("".join(lines))
+        where = f"count file {path} line 6 holds cell (trial, a, b) = (1, 0, 1) where (1, 0, 0)"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_short_file_rejected_at_its_end(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        where = f"count file {path} line 40: the file ends before cell (trial, a, b) = (9, 1, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
             CountTable.from_csv(path, DESK)
 
     def test_csv_without_rows_rejected(self, tmp_path):
@@ -485,7 +525,23 @@ class TestCountTable:
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="lacks columns count$"):
+        where = f"count file {path} line 1: the header must be u,v,a,b,trial,count, not"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} 'u,v,a,b,trial'$"):
+            CountTable.from_csv(path, DESK)
+
+    @pytest.mark.parametrize(
+        "header", ["count,trial,b,a,v,u", "v,u,a,b,trial,count", "u,v,a,b,trial,count,note"]
+    )
+    def test_csv_other_header_rejected(self, tmp_path, header):
+        # A reader that looks columns up by name takes each of these as data.
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        columns = header.split(",")
+        body = [[dict(zip(COUNT_HEADER, row)).get(col, "x") for col in columns] for row in rows]
+        path.write_text("\n".join(",".join(row) for row in [columns, *body]) + "\n")
+        where = f"count file {path} line 1: the header must be u,v,a,b,trial,count, not"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} {header!r}$"):
             CountTable.from_csv(path, DESK)
 
     def test_csv_short_row_rejected(self, tmp_path):
@@ -519,6 +575,32 @@ class TestCountTable:
         path.write_text("".join(lines))
         pattern = f"count file {re.escape(str(path))} line 3 column {column} is not an integer: 'abc'"
         with pytest.raises(ValueError, match=pattern):
+            CountTable.from_csv(path, DESK)
+
+    @pytest.mark.parametrize("column", ["trial", "a", "b", "count"])
+    @pytest.mark.parametrize("text", ["1_0", " 7", "7 ", "+7", "07", "\u0663", "-0"], ids=repr)
+    def test_csv_integer_not_as_str_writes_it_rejected(self, tmp_path, column, text):
+        # int() reads each of these (the Arabic-Indic digit three as 3), but
+        # str() writes none of them, so none is a cell to_csv wrote.
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells[COUNT_HEADER.index(column)] = text
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        where = f"count file {path} line 3 column {column} is not an integer: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            CountTable.from_csv(path, DESK)
+
+    def test_csv_negative_count_is_refused_by_the_table(self, tmp_path):
+        # "-3" is an integer as str writes it; the table refuses it as a count.
+        path = tmp_path / "counts.csv"
+        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",-3\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape("negative count in setting (X,Y)")):
             CountTable.from_csv(path, DESK)
 
 

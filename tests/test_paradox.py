@@ -1288,6 +1288,72 @@ class TestSpecValidationAndSerialization:
         assert set(doc["mixture_claim"]) == {"mixed", "components", "note"}
         json.dumps(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.clear(), "spec field constraints is missing"),
+            (lambda doc: doc.pop("mixture_claim"), "spec field mixture_claim is missing"),
+            (lambda doc: doc.update(constraints=5), "spec field constraints must be a list, not 5"),
+            (lambda doc: doc.update(constraints=[5]), "spec constraints[0] must be an object, not 5"),
+            (
+                lambda doc: doc["constraints"][1].pop("source"),
+                "spec field constraints[1].source is missing",
+            ),
+            (
+                lambda doc: doc["constraints"][0].update(observable=["X", "X"]),
+                "spec field constraints[0].observable must be a string, not ['X', 'X']",
+            ),
+            (
+                lambda doc: doc["constraints"][0].update(expected=None),
+                "spec field constraints[0].expected must be a number, not None",
+            ),
+            (
+                lambda doc: doc["constraints"][0].update(expected=True),
+                "spec field constraints[0].expected must be a number, not True",
+            ),
+            (
+                lambda doc: doc["constraints"][0].update(expected="0.5"),
+                "spec field constraints[0].expected must be a number, not '0.5'",
+            ),
+            (
+                lambda doc: doc.update(mixture_claim=[]),
+                "spec field mixture_claim must be an object, not []",
+            ),
+            (
+                lambda doc: doc["mixture_claim"].update(mixed=0),
+                "spec field mixture_claim.mixed must be a string, not 0",
+            ),
+            (
+                lambda doc: doc["mixture_claim"].update(components="0110"),
+                "spec field mixture_claim.components must be a list, not '0110'",
+            ),
+            (
+                lambda doc: doc["mixture_claim"].update(components=["01", ["10"]]),
+                "spec field mixture_claim.components must list strings: ['01', ['10']]",
+            ),
+            (
+                lambda doc: doc["mixture_claim"].update(note=None),
+                "spec field mixture_claim.note must be a string, not None",
+            ),
+        ],
+        ids=[
+            "empty", "no-claim", "constraints-5", "constraint-5", "no-source", "chain-list",
+            "expected-None", "expected-true", "expected-str", "claim-list", "mixed-int",
+            "components-str", "component-list", "note-None",
+        ],
+    )
+    def test_from_dict_refuses_a_malformed_field_by_name(self, edit, message):
+        # Without the field checks these raise KeyError or TypeError, split
+        # "0110" into the labels 0, 1, 1, 0, or read true as the value 1.0.
+        doc = coherence_paradox(math.pi / 8, "X").to_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ParadoxSpec.from_dict(doc)
+
+    def test_from_dict_refuses_a_document_that_is_no_object(self):
+        with pytest.raises(ValueError, match=r"^spec document must be an object, not \[\]$"):
+            ParadoxSpec.from_dict([])
+
     def test_from_dict_reads_chain_text_as_written(self):
         doc = coherence_paradox(math.pi / 8, "X").to_dict()
         doc["constraints"][-1]["observable"] = " xx "

@@ -61,7 +61,10 @@ TARGETS = (
     "_check_nonzero_total",
     "visibility_scan",
     "_check_field",
+    "_is_whole",
+    "_check_tag",
     "ExperimentConfig.from_file",
+    "CountTable.from_csv",
     "_pauli_action",
     "expectation",
     "setting_distribution",
