@@ -18,8 +18,7 @@ an unreadable ``--config``, an unwritable output file, a size, such as
 ``--bootstrap``, whose arrays numpy cannot allocate, a simulated run
 with no counts to estimate from, or a fringe fit whose mean rate is not
 positive, too), 3 numerical failure (such as a mixture program
-unsolved within its pivot cap, or a matrix square root that fails its
-residual check).
+unsolved within its pivot cap, or an arithmetic overflow).
 
 At exit the process freezes its heap (``gc.freeze``) instead of letting
 the interpreter's finalizer garbage-collect the objects numpy and
@@ -35,6 +34,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import ctypes
 import gc
 import hashlib
 import json
@@ -47,6 +47,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import __version__
 from .experiment import (
@@ -127,6 +128,17 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(parse_angle(p) for p in parts)
 
 
+def _blas_core() -> str | None:
+    """The kernel OpenBLAS picked for this CPU, such as ``"SkylakeX"``, which can move
+    the last bit of some values; None where numpy's BLAS does not export the name."""
+    try:
+        corename = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The ``--config`` file, or the defaults, with ``--seed`` and
     ``--visibility`` applied once on top; the defaults for a command
@@ -158,6 +170,7 @@ class _Run:
             "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
             "config": self.cfg.to_dict(),
             "versions": {
+                "blas_core": _blas_core(),
                 "cohsim": __version__,
                 "numpy": np.__version__,
                 "python": platform.python_version(),

@@ -343,9 +343,10 @@ class CountTable:
 
         Raises:
             ValueError: a byte not UTF-8, another header, no rows, a short or long
-                row, rows of two settings, an int not as ``str`` writes it, or a row
-                out of order, past the last cell or missing at the end; each named
-                with the file and the line.
+                row, rows of two settings, an axis not in ``AXES``, an int not as
+                ``str`` writes it, a negative count, or a row out of order, past the
+                last cell or missing at the end; each named with the file and the
+                line. Any other refusal of ``CountTable`` is named with the file.
         """
         reader = csv.reader(io.StringIO(_read_utf8(path, "count"), newline=""))
         header = next(reader, [])
@@ -364,6 +365,8 @@ class CountTable:
             if setting not in (None, tuple(row[:2])):
                 raise ValueError(f"{where}: the file holds settings {setting} and {tuple(row[:2])}")
             setting = tuple(row[:2])
+            if not all(axis in AXES for axis in setting):
+                raise ValueError(f"{where}: the setting {setting} holds an axis not in {AXES}")
             ints = []
             for col, text in zip(_COUNT_COLUMNS[2:], row[2:]):
                 try:
@@ -374,6 +377,8 @@ class CountTable:
                     raise ValueError(f"{where} column {col} is not an integer: {text!r}")
                 ints.append(value)
             a, b, trial, count = ints
+            if count < 0:
+                raise ValueError(f"{where} column count is negative: {count}")
             found, cell = (trial, a, b), next(grid, "no row")
             if found != cell:
                 raise ValueError(f"{where} holds cell (trial, a, b) = {found} where {cell} belongs")
@@ -382,7 +387,10 @@ class CountTable:
             raise ValueError(f"count file {path} holds no rows")
         if (cell := next(grid, None)) is not None:  # ``where`` names the last line
             raise ValueError(f"{where}: the file ends before cell (trial, a, b) = {cell}")
-        return cls(setting, np.array(counts).reshape(-1, 2, 2), config, stream_tag)
+        try:
+            return cls(setting, np.array(counts).reshape(-1, 2, 2), config, stream_tag)
+        except ValueError as err:
+            raise ValueError(f"count file {path}: {err}") from None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -48,7 +49,7 @@ class ParadoxConstraint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "observable", as_chain(self.observable))
         if not -1.0 <= self.expected_value <= 1.0:
-            raise ValueError(f"expected value {self.expected_value} outside [-1, 1]")
+            raise ValueError(f"expected value {reprlib.repr(self.expected_value)} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,11 @@ class ParadoxSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ParadoxSpec":
         """Read a ``to_dict`` document, ``mixture_claim.note`` optional; a field
-        missing or of another type (a bool is no number) raises ``ValueError``
-        naming it, as does a spec the constructors refuse."""
-        constraints = tuple(
-            ParadoxConstraint(*(_spec_field(row, f"constraints[{i}].{k}", t) for k, t in _ROW))
-            for i, row in enumerate(_spec_field(doc, "constraints", list))
-        )
+        missing or of another type (a bool is no number), or an ``expected``
+        outside [-1, 1], raises ``ValueError`` naming it, as does a spec the
+        constructors refuse."""
+        rows = enumerate(_spec_field(doc, "constraints", list))
+        constraints = tuple(_spec_row(row, f"constraints[{i}]") for i, row in rows)
         claim = _spec_field(doc, "mixture_claim", dict)
         labels = _spec_field(claim, "mixture_claim.components", list)
         if not all(isinstance(label, str) for label in labels):
@@ -144,6 +144,15 @@ class ParadoxSpec:
 
 _ROW = (("source", str), ("observable", str), ("expected", (int, float)))  # a constraint's fields
 _KIND_NAMES = {list: "a list", dict: "an object", str: "a string", (int, float): "a number"}
+
+
+def _spec_row(row, path: str) -> ParadoxConstraint:
+    """Constraint ``path`` of a spec document; a long ``expected`` is cut short."""
+    source, observable, expected = (_spec_field(row, f"{path}.{k}", t) for k, t in _ROW)
+    if not -1.0 <= expected <= 1.0:
+        shown = reprlib.repr(expected)
+        raise ValueError(f"spec field {path}.expected must lie in [-1, 1], not {shown}")
+    return ParadoxConstraint(source, observable, expected)
 
 
 def _spec_field(doc, path: str, kind):

@@ -136,14 +136,15 @@ def _project(rho_linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reconstruct(
     counts: Mapping[tuple[str, str], CountTable],
-    target: StateVector | DensityOperator | None = None,
+    target: StateVector | None = None,
     num_bootstrap: int = 0,
 ) -> TomographyResult:
     """Reconstruct a two-qubit state from nine-setting counts.
 
     ``counts`` maps each of the nine settings to its table, as
     ``simulate_tomography_counts`` returns them; the bootstrap streams
-    derive from the config and tag of the first setting's table. With a
+    derive from the config and tag of the first setting's table. The
+    ``target`` is the pure state the fidelity is scored against. With a
     ``target`` and ``num_bootstrap > 0``, the fidelity's standard error
     runs over the ``_poisson_bootstrap`` replicates of the pooled counts
     (settings in ``SETTINGS`` order), all reconstructed at once; it
@@ -157,8 +158,9 @@ def reconstruct(
     Raises:
         ValueError: missing settings, a table under another setting's
             key, zero totals, ``num_bootstrap`` of 1 or below 0, a
-            positive ``num_bootstrap`` without a ``target``, or fewer
-            than two replicates that can be inverted.
+            positive ``num_bootstrap`` without a ``target``, a ``target``
+            that is no ``StateVector`` (before any bootstrap draw), or
+            fewer than two replicates that can be inverted.
     """
     _check_bootstrap_count(num_bootstrap, allow_none=True)
     if num_bootstrap > 0 and target is None:
@@ -177,13 +179,10 @@ def reconstruct(
             kept = _poisson_bootstrap(pooled, rng, num_bootstrap)
             used = len(kept)
             mats = _project(_invert(kept))[0]
-            if isinstance(target, StateVector):
-                # _project returns density matrices by construction, so no
-                # DensityOperator checks; one matrix at a time, as a stacked
-                # product rounds some values differently.
-                reps = [_vector_fidelity(target.amplitudes, m) for m in mats]
-            else:
-                reps = [fidelity(DensityOperator(m), target) for m in mats]
+            # _project returns density matrices by construction, so no
+            # DensityOperator checks; one matrix at a time, as a stacked
+            # product rounds some values differently.
+            reps = [_vector_fidelity(target.amplitudes, m) for m in mats]
             fid_se = float(np.std(reps, ddof=1))
     return TomographyResult(
         rho_hat=rho_hat,

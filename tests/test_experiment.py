@@ -563,16 +563,21 @@ class TestCountTable:
         with pytest.raises(ValueError, match="line 3 has extra fields"):
             CountTable.from_csv(path, DESK)
 
-    @pytest.mark.parametrize("column", ["trial", "a", "b", "count"])
-    def test_csv_non_integer_cell_rejected(self, tmp_path, column):
+    @staticmethod
+    def edited_csv(tmp_path, line, column, text):
+        """A ``to_csv`` file of setting (X,Y), ``text`` in cell ``column`` of line ``line``."""
         path = tmp_path / "counts.csv"
         simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
         lines = path.read_text().splitlines(keepends=True)
-        header = lines[0].rstrip("\r\n").split(",")
-        cells = lines[2].rstrip("\r\n").split(",")
-        cells[header.index(column)] = "abc"
-        lines[2] = ",".join(cells) + "\n"
-        path.write_text("".join(lines))
+        cells = lines[line - 1].rstrip("\r\n").split(",")
+        cells[COUNT_HEADER.index(column)] = text
+        lines[line - 1] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("column", ["trial", "a", "b", "count"])
+    def test_csv_non_integer_cell_rejected(self, tmp_path, column):
+        path = self.edited_csv(tmp_path, 3, column, "abc")
         pattern = f"count file {re.escape(str(path))} line 3 column {column} is not an integer: 'abc'"
         with pytest.raises(ValueError, match=pattern):
             CountTable.from_csv(path, DESK)
@@ -582,25 +587,38 @@ class TestCountTable:
     def test_csv_integer_not_as_str_writes_it_rejected(self, tmp_path, column, text):
         # int() reads each of these (the Arabic-Indic digit three as 3), but
         # str() writes none of them, so none is a cell to_csv wrote.
-        path = tmp_path / "counts.csv"
-        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[2].rstrip("\r\n").split(",")
-        cells[COUNT_HEADER.index(column)] = text
-        lines[2] = ",".join(cells) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        path = self.edited_csv(tmp_path, 3, column, text)
         where = f"count file {path} line 3 column {column} is not an integer: {text!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
             CountTable.from_csv(path, DESK)
 
-    def test_csv_negative_count_is_refused_by_the_table(self, tmp_path):
-        # "-3" is an integer as str writes it; the table refuses it as a count.
-        path = tmp_path / "counts.csv"
-        simulate_counts(epr_family(0.5, "00"), ("X", "Y"), DESK).to_csv(path)
-        lines = path.read_text().splitlines(keepends=True)
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",-3\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=re.escape("negative count in setting (X,Y)")):
+    def test_csv_negative_count_rejected_on_its_line(self, tmp_path):
+        # "-3" is an integer as str writes it, but no count.
+        path = self.edited_csv(tmp_path, 3, "count", "-3")
+        where = f"count file {path} line 3 column count is negative: -3"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            CountTable.from_csv(path, DESK)
+
+    @pytest.mark.parametrize("column", ["u", "v"])
+    def test_csv_axis_outside_xyz_rejected_on_its_line(self, tmp_path, column):
+        path = self.edited_csv(tmp_path, 2, column, "Q")
+        setting = ("Q", "Y") if column == "u" else ("X", "Q")
+        where = f"count file {path} line 2: the setting {setting} holds an axis not in {AXES}"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            CountTable.from_csv(path, DESK)
+
+    @pytest.mark.parametrize(
+        "count, refusal",
+        [
+            (2**63, "counts for (X,Y) must be whole numbers within int64"),
+            (10**400, "counts for (X,Y) must be whole numbers within int64"),
+            (2**53, "setting (X,Y) totals more than 2**53 counts"),
+        ],
+        ids=["2**63", "10**400", "2**53"],
+    )
+    def test_csv_count_the_table_refuses_names_the_file(self, tmp_path, count, refusal):
+        path = self.edited_csv(tmp_path, 3, "count", str(count))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'count file {path}: {refusal}')}$"):
             CountTable.from_csv(path, DESK)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohsim.cli import main
+from cohsim.cli import _blas_core, main
 
 FIXTURE = Path(__file__).with_name("golden_sha256.json")
 
@@ -42,9 +42,12 @@ COMMANDS = (
 
 
 def _versions() -> dict:
+    """The versions the hashes are pinned to, and the BLAS kernel they were
+    written with: some values differ in the last bit from kernel to kernel."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_core": _blas_core(),
     }
 
 

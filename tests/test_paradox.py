@@ -1316,6 +1316,15 @@ class TestSpecValidationAndSerialization:
                 "spec field constraints[0].expected must be a number, not '0.5'",
             ),
             (
+                lambda doc: doc["constraints"][2].update(expected=-1.5),
+                "spec field constraints[2].expected must lie in [-1, 1], not -1.5",
+            ),
+            (
+                lambda doc: doc["constraints"][0].update(expected=10**400),
+                "spec field constraints[0].expected must lie in [-1, 1],"
+                " not 100000000000000000...0000000000000000000",
+            ),
+            (
                 lambda doc: doc.update(mixture_claim=[]),
                 "spec field mixture_claim must be an object, not []",
             ),
@@ -1338,7 +1347,8 @@ class TestSpecValidationAndSerialization:
         ],
         ids=[
             "empty", "no-claim", "constraints-5", "constraint-5", "no-source", "chain-list",
-            "expected-None", "expected-true", "expected-str", "claim-list", "mixed-int",
+            "expected-None", "expected-true", "expected-str", "expected-1.5", "expected-1e400",
+            "claim-list", "mixed-int",
             "components-str", "component-list", "note-None",
         ],
     )
@@ -1349,6 +1359,12 @@ class TestSpecValidationAndSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ParadoxSpec.from_dict(doc)
+
+    def test_constraint_caps_the_value_it_refuses(self):
+        # The value in full would be 401 digits.
+        message = "expected value 100000000000000000...0000000000000000000 outside [-1, 1]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ParadoxConstraint("00", "XX", 10**400)
 
     def test_from_dict_refuses_a_document_that_is_no_object(self):
         with pytest.raises(ValueError, match=r"^spec document must be an object, not \[\]$"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsim import states
 from cohsim.states import (
@@ -270,16 +272,6 @@ class TestFidelity:
         expected = abs(np.vdot(a.amplitudes, b.amplitudes))
         assert fidelity(a, b) == pytest.approx(expected, abs=1e-12)
 
-    def test_pure_mixed_shortcut_matches_general(self):
-        # The general path takes a matrix square root whose spectrum has
-        # near-zero eigenvalues for a rank-one input, so its error is of
-        # order sqrt(machine epsilon); the shortcut is the sharper one.
-        psi = random_state(2, 4)
-        rho = werner_mix(random_state(2, 5), 0.7)
-        via_shortcut = fidelity(psi, rho)
-        via_general = fidelity(density_from_state(psi), rho)
-        assert via_shortcut == pytest.approx(via_general, abs=1e-7)
-
     def test_werner_closed_form(self):
         # A pure target against its own Werner mixture: sqrt(v + (1-v)/4).
         psi = epr_family(math.pi / 4, "00")
@@ -289,17 +281,27 @@ class TestFidelity:
                 expected, abs=1e-12
             )
 
-    def test_symmetry(self):
-        rho = werner_mix(random_state(2, 6), 0.6)
-        sigma = werner_mix(random_state(2, 7), 0.3)
-        assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-10)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        num_qubits=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_pure_against_werner_mixture_closed_form(self, num_qubits, seed, v):
+        """``F(psi, v |phi><phi| + (1 - v) I/d) = sqrt(v |<psi|phi>|^2 + (1 - v)/d)``,
+        with the pure state on either side."""
+        psi, phi = random_state(num_qubits, seed), random_state(num_qubits, seed + 1)
+        rho = werner_mix(phi, v)
+        overlap = abs(complex(np.vdot(psi.amplitudes, phi.amplitudes))) ** 2
+        expected = math.sqrt(v * overlap + (1.0 - v) / psi.dim)
+        assert abs(fidelity(psi, rho) - expected) <= 1e-12
+        assert abs(fidelity(rho, psi) - expected) <= 1e-12
 
-    def test_range(self):
-        for seed in range(10):
-            rho = werner_mix(random_state(2, seed), 0.4)
-            sigma = werner_mix(random_state(2, seed + 100), 0.9)
-            value = fidelity(rho, sigma)
-            assert 0.0 <= value <= 1.0
+    def test_two_density_operators_refused(self):
+        rho = werner_mix(random_state(2, 6), 0.6)
+        sigma = density_from_state(random_state(2, 7))
+        with pytest.raises(ValueError, match="^fidelity needs a pure state on one side$"):
+            fidelity(rho, sigma)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohsim import tomography
 from cohsim.experiment import _TOMO_DOMAIN, CountTable, ExperimentConfig, simulate_counts
 from cohsim.measurement import AXES, setting_distribution
 from cohsim.states import (
@@ -343,10 +344,16 @@ class TestBatchedBootstrap:
         result = self.assert_matches_loop(tables, epr_family(math.pi / 4, "00"), 200)
         assert 0 < result.bootstrap_used < 200
 
-    def test_matches_loop_for_density_target(self):
+    def test_density_target_refused_before_any_draw(self, monkeypatch):
         psi = epr_family(math.pi / 4, "00")
         tables = simulate_tomography_counts(psi, DESK.replace(visibility_v=0.9), stream_tag=3)
-        self.assert_matches_loop(tables, werner_mix(psi, 0.9), 30)
+
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(tomography, "_poisson_bootstrap", no_draw)
+        with pytest.raises(ValueError, match="^fidelity needs a pure state on one side$"):
+            reconstruct(tables, target=werner_mix(psi, 0.9), num_bootstrap=30)
 
     def test_no_bootstrap_reports_no_count(self):
         tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
