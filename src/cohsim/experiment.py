@@ -29,6 +29,7 @@ fringe scans here, and the row tables and density matrices of the
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import asdict, dataclass, fields
@@ -153,8 +154,7 @@ class ExperimentConfig:
         return asdict(self)
 
     def replace(self, **changes) -> "ExperimentConfig":
-        merged = {**asdict(self), **changes}
-        return ExperimentConfig(**merged)
+        return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -628,14 +628,21 @@ def visibility_scan(
             (NaN, infinite, beyond about 9e307, or an int too large for a
             float), fewer than three grid angles distinct modulo pi (the
             fit's three coefficients need them), a non-2-qubit state, or,
-            with ``simulate=True``, a ``stream_tag`` ``_check_tag`` refuses
-            or draws that are all zero; in either mode, a fringe fit whose
-            mean rate is not positive (a dark port, or a few counts that
-            fall on the fringe's low side).
+            with ``simulate=True``, more than ``_MAX_DRAWS`` grid angles
+            (each opens its own random stream; refused before any draw),
+            a ``stream_tag`` ``_check_tag`` refuses or draws that are all
+            zero; in either mode, a fringe fit whose mean rate is not
+            positive (a dark port, or a few counts that fall on the
+            fringe's low side).
     """
     fixed_angle, *grid = (_scan_angle(a) for a in (fixed_arm_angle, *scan_grid))
     if not grid:
         raise ValueError("scan grid must be nonempty")
+    if simulate and len(grid) > _MAX_DRAWS:
+        raise ValueError(
+            f"a simulated scan of {len(grid)} angles is above the ceiling of {_MAX_DRAWS}:"
+            " each angle opens its own random stream"
+        )
     if state.num_qubits != 2:
         raise ValueError("visibility scan needs a 2-qubit state")
     cfg = cfg or ExperimentConfig()

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .measurement import ObservableChain, as_chain, expectation
-from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector
+from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector, _check_int
 
 GHZ_CHAINS = ("XYY", "YXY", "YYX", "XXX")
 GHZ_TARGET = (-1.0, -1.0, -1.0, 1.0)
@@ -450,13 +450,12 @@ def dicke_paradox(n: int, z_position: int) -> ParadoxSpec:
     rather than as a quantum prediction.
 
     Raises:
-        ValueError: for n outside [2, MAX_QUBITS] or a Z position
-            outside [0, n).
+        ValueError: for ``n`` not an integer in [2, MAX_QUBITS] or
+            ``z_position`` not an integer in [0, n - 1] (a bool or float
+            is refused for either).
     """
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"n={n} must be in [2, {MAX_QUBITS}]")
-    if not 0 <= z_position < n:
-        raise ValueError(f"z_position={z_position} must be in [0, {n})")
+    n = _check_int("n", n, 2, MAX_QUBITS)
+    z_position = _check_int("z_position", z_position, 0, n - 1)
     z_chain = ObservableChain(("Z",) * n)
     mixed_chain = ObservableChain(tuple("Z" if i == z_position else "X" for i in range(n)))
     component_labels = tuple("0" * k + "1" + "0" * (n - 1 - k) for k in range(n))

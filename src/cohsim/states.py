@@ -23,6 +23,15 @@ EQ_ATOL = 1e-10
 PSD_SLACK = 1e-10
 
 
+def _check_int(name: str, value, low: int, high: int) -> int:
+    """The one integer rule of the state layer: an int or numpy integer, no bool,
+    within ``[low, high]``, returned as an int."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and low <= value <= high):
+        raise ValueError(f"{name}={value!r} must be an integer in [{low}, {high}]")
+    return int(value)
+
+
 def _num_qubits_from_dim(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
@@ -59,10 +68,11 @@ class StateVector:
     and infinity only when the norm is not finite.
 
     Raises:
-        ValueError: if an entry is NaN or infinite, the length is not a
-            power of two, the qubit count exceeds ``MAX_QUBITS``, or the
-            norm is off by more than ``NORM_ATOL`` or is not finite (as
-            when a finite entry's square overflows).
+        ValueError: if the amplitudes are not a 1-D array (a matrix or a
+            scalar is refused, not flattened), an entry is NaN or infinite,
+            the length is not a power of two, the qubit count exceeds
+            ``MAX_QUBITS``, or the norm is off by more than ``NORM_ATOL``
+            or is not finite (as when a finite entry's square overflows).
     """
 
     amplitudes: np.ndarray
@@ -70,7 +80,7 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
-            amps = amps.reshape(-1)
+            raise ValueError(f"state vector must be a 1-D array, got shape {amps.shape}")
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm) and np.count_nonzero(np.isfinite(amps)) != amps.size:
             raise ValueError(_NONFINITE)
@@ -170,9 +180,13 @@ def epr_family(theta: float, label: str) -> StateVector:
 
 
 def ghz_state(n: int) -> StateVector:
-    """``(|0...0> + |1...1>)/sqrt(2)`` on ``n >= 2`` qubits."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"n={n} must be in [2, {MAX_QUBITS}]")
+    """``(|0...0> + |1...1>)/sqrt(2)`` on ``n >= 2`` qubits.
+
+    Raises:
+        ValueError: if ``n`` is not an integer (a bool or float is refused)
+            in ``[2, MAX_QUBITS]``.
+    """
+    n = _check_int("n", n, 2, MAX_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2)
     return StateVector(amps)
@@ -182,9 +196,12 @@ def dicke_one_excitation(n: int) -> StateVector:
     """Equal superposition of the ``n`` one-excitation basis states.
 
     ``(|10...0> + |010...0> + ... + |0...01>)/sqrt(n)``.
+
+    Raises:
+        ValueError: if ``n`` is not an integer (a bool or float is refused)
+            in ``[2, MAX_QUBITS]``.
     """
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"n={n} must be in [2, {MAX_QUBITS}]")
+    n = _check_int("n", n, 2, MAX_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n):
         amps[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)

@@ -13,7 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cohsim import experiment
 from cohsim.experiment import (
+    _MAX_DRAWS,
     CLASSICAL_VISIBILITY_BOUND,
     CountTable,
     EstimatedCorrelator,
@@ -165,6 +167,8 @@ class TestExperimentConfig:
         assert cfg.seed == 9
         assert cfg.visibility_v == 0.5
         assert cfg.pair_rate == 0.34e6
+        with pytest.raises(TypeError, match="sed"):
+            ExperimentConfig().replace(sed=1)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1207,6 +1211,27 @@ class TestVisibilityScan:
             visibility_scan(state, 0.0, [])
         with pytest.raises(ValueError, match="2-qubit"):
             visibility_scan(StateVector([1.0, 0.0]), 0.0, self.GRID)
+
+    def test_simulated_scan_above_the_draw_ceiling_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a scan beyond the ceiling must not draw")
+
+        monkeypatch.setattr(experiment, "_draws", no_draw)
+        state = epr_family(math.pi / 4, "00")
+        grid = np.linspace(0.0, math.pi, _MAX_DRAWS + 1)
+        with pytest.raises(ValueError, match=f"{_MAX_DRAWS + 1} angles is above the ceiling"):
+            visibility_scan(state, 0.0, grid, simulate=True)
+        # An exact scan draws nothing and has no ceiling.
+        assert len(visibility_scan(state, 0.0, grid).angles) == _MAX_DRAWS + 1
+
+    def test_simulated_scan_at_the_draw_ceiling_runs(self, monkeypatch):
+        # The ceiling itself is allowed; a small one keeps the draws cheap.
+        cfg = ExperimentConfig(num_trials=1)
+        monkeypatch.setattr(experiment, "_MAX_DRAWS", 3)
+        state = epr_family(math.pi / 4, "00")
+        assert visibility_scan(state, 0.0, [0.0, 0.5, 1.0], cfg, simulate=True).counts
+        with pytest.raises(ValueError, match="4 angles is above the ceiling of 3"):
+            visibility_scan(state, 0.0, [0.0, 0.5, 1.0, 1.5], cfg, simulate=True)
 
     def test_simulated_scan_with_no_counts_rejected(self):
         # About 2e-295 pairs per point: every draw is 0, which is no data

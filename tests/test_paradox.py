@@ -1235,15 +1235,33 @@ class TestDickeParadox:
             value = expectation(StateVector(amps), con.observable)
             assert value == pytest.approx(con.expected_value, abs=1e-12)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            dicke_paradox(1, 0)
-        with pytest.raises(ValueError):
-            dicke_paradox(MAX_QUBITS + 1, 0)
-        with pytest.raises(ValueError):
-            dicke_paradox(3, 3)
-        with pytest.raises(ValueError):
-            dicke_paradox(3, -1)
+    @pytest.mark.parametrize(
+        "n, z_position, name",
+        [
+            (1, 0, "n"),
+            (MAX_QUBITS + 1, 0, "n"),
+            (3.0, 0, "n"),
+            (True, 0, "n"),
+            (3, 3, "z_position"),
+            (3, -1, "z_position"),
+            # A float slot matches no position: read as data, the mixed chain is XXX.
+            (3, 0.5, "z_position"),
+            (3, 1.0, "z_position"),
+            (3, True, "z_position"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_arguments(self, n, z_position, name):
+        with pytest.raises(ValueError, match=f"^{name}=.* must be an integer in "):
+            dicke_paradox(n, z_position)
+
+    def test_numpy_integers_give_the_same_spec(self):
+        spec = dicke_paradox(np.int64(3), np.int64(1))
+        assert spec == dicke_paradox(3, 1)
+        assert spec.to_dict() == dicke_paradox(3, 1).to_dict()
+        assert dicke_paradox(np.int32(MAX_QUBITS), np.int8(MAX_QUBITS - 1)) == dicke_paradox(
+            MAX_QUBITS, MAX_QUBITS - 1
+        )
 
 
 class TestSpecValidationAndSerialization:

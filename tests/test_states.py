@@ -1,6 +1,7 @@
 """State constructors, validation, mixing, and fidelity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ class TestStateVector:
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.6], [0.8]]), np.array(1.0)],
+        ids=["matrix", "column", "0-d"],
+    )
+    def test_rejects_non_1d_input_naming_its_shape(self, amps):
+        # A matrix is not flattened into a longer vector: [[1, 0], [0, 0]]
+        # would otherwise read as the 2-qubit |00>.
+        shape = re.escape(str(amps.shape))
+        with pytest.raises(ValueError, match=f"must be a 1-D array, got shape {shape}"):
+            StateVector(amps)
 
     def test_rejects_too_many_qubits(self):
         dim = 2 ** (MAX_QUBITS + 1)
@@ -176,10 +189,14 @@ class TestGhzState:
         expected[0] = expected[7] = 1.0 / math.sqrt(2)
         np.testing.assert_allclose(psi.amplitudes, expected)
 
-    @pytest.mark.parametrize("n", [1, MAX_QUBITS + 1])
+    @pytest.mark.parametrize("n", [1, MAX_QUBITS + 1, 3.0, True, "3"], ids=repr)
     def test_rejects_bad_n(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n=.* must be an integer in \[2, 10\]$"):
             ghz_state(n)
+
+    @pytest.mark.parametrize("n", [2, MAX_QUBITS])
+    def test_accepts_numpy_integers(self, n):
+        assert np.array_equal(ghz_state(np.int64(n)).amplitudes, ghz_state(n).amplitudes)
 
 
 class TestDickeOneExcitation:
@@ -199,10 +216,15 @@ class TestDickeOneExcitation:
         b = epr_family(math.pi / 4, "00").amplitudes
         assert np.max(np.abs(a - b)) < 1e-15
 
-    @pytest.mark.parametrize("n", [0, 1, MAX_QUBITS + 1])
+    @pytest.mark.parametrize("n", [0, 1, MAX_QUBITS + 1, 2.5, 3.0, True], ids=repr)
     def test_rejects_bad_n(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n=.* must be an integer in \[2, 10\]$"):
             dicke_one_excitation(n)
+
+    @pytest.mark.parametrize("n", [2, MAX_QUBITS])
+    def test_accepts_numpy_integers(self, n):
+        amps = dicke_one_excitation(np.int32(n)).amplitudes
+        assert np.array_equal(amps, dicke_one_excitation(n).amplitudes)
 
 
 class TestWernerMix:

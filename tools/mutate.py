@@ -57,6 +57,8 @@ TARGETS = (
     "paradox_p_value",
     "_hoeffding_p",
     "point_correlator",
+    "_check_int",
+    "StateVector.__post_init__",
     "epr_family",
     "_check_nonzero_total",
     "visibility_scan",
@@ -120,6 +122,14 @@ REASONS: dict[str, dict[tuple[str, str, str], str]] = {
             "The leftover weight goes to +-h_2 instead of +-h_1: another"
             " decomposition of the same point, so the witness still attains the"
             " gap. No data file records the GHZ witness."
+        ),
+    },
+    "StateVector.__post_init__": {
+        ("if not abs(norm - 1.0) <= NORM_ATOL:", "abs(norm - 1.0) <= NORM_ATOL",
+         "abs(norm - 1.0) < NORM_ATOL"): (
+            "Near 1, norm - 1.0 is exact and a multiple of 2**-53, and NORM_ATOL"
+            " (1e-12, 0x1.19799812dea11p-40 as a double) is not, so the two never"
+            " meet."
         ),
     },
     "expectation": {
