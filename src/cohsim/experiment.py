@@ -14,9 +14,9 @@ summarized by a Hoeffding tail bound optimized over the mixture weights.
 Every random quantity draws from its own RNG stream,
 ``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
 setting, and the trial or replicate domain, so results are
-bit-reproducible and independent of evaluation order. ``_stream``
-applies the one tag rule (``_check_tag``: an int or numpy integer in
-``[0, 2**32)``, not a bool), which ``CountTable`` applies too.
+bit-reproducible and independent of evaluation order. ``_stream`` and
+``CountTable`` apply the one tag rule, ``_check_tag``: the package's one
+integer test, ``states._is_int``, and the range ``[0, 2**32)``.
 Per-trial counts and fringe points draw through ``_draws``, and both
 bootstraps redraw through ``_poisson_bootstrap``.
 
@@ -32,6 +32,7 @@ import csv
 import dataclasses
 import io
 import math
+import reprlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -40,7 +41,7 @@ import numpy as np
 
 from .measurement import AXES, _check_setting, expectation, setting_distribution
 from .paradox import ParadoxSpec, _mixture_gap
-from .states import DensityOperator, StateVector, werner_mix
+from .states import DensityOperator, StateVector, _is_int, werner_mix
 
 CLASSICAL_VISIBILITY_BOUND = 0.71
 
@@ -60,36 +61,30 @@ _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
 _COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
 
 
-def _is_whole(value) -> bool:
-    """Whether ``value`` equals an int and is no bool; ``int()`` raises on inf and nan."""
-    try:
-        return not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (OverflowError, ValueError):
-        return False
-
-
 # Each config field's own rule: a test of its value alone, and what the
 # error says the value must be.
 _POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
 _FIELD_RULES = {
     "pair_rate": _POSITIVE_FINITE,
     "duration_per_setting": _POSITIVE_FINITE,
-    "num_trials": (lambda v: _is_whole(v) and v >= 1, "must be a positive integer"),
+    "num_trials": (
+        lambda v: _is_int(v) and 1 <= v <= _MAX_DRAWS, f"must be an integer in [1, {_MAX_DRAWS}]"
+    ),
     "visibility_v": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "efficiency": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "seed": (lambda v: _is_whole(v) and 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+    "seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
 }
 
 
 def _check_field(name: str, value, where: str = "") -> None:
-    """``ValueError``, its message after ``where``, if ``value`` breaks field ``name``'s rule."""
+    """``ValueError`` (after ``where``, the value cut short) if ``value`` breaks ``name``'s rule."""
     test, rule = _FIELD_RULES[name]
     try:
         ok = test(value)
     except TypeError:  # a value of the wrong type, such as None or a str
         ok = False
     if not ok:
-        raise ValueError(f"{where}{name}={value} {rule}")
+        raise ValueError(f"{where}{name}={reprlib.repr(value)} {rule}")
 
 
 def _read_utf8(path: str | Path, kind: str) -> str:
@@ -112,8 +107,8 @@ class ExperimentConfig:
     no loophole modeling). ``seed`` roots every RNG stream.
 
     Raises:
-        ValueError: a field that breaks its rule, an expected pooled count
-            per setting beyond 2**50, or ``num_trials`` above ``_MAX_DRAWS``.
+        ValueError: a field that breaks its rule (``num_trials`` is an ``_is_int``
+            up to ``_MAX_DRAWS``), or an expected pooled count per setting beyond 2**50.
     """
 
     pair_rate: float = 0.34e6
@@ -130,19 +125,11 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
         # Poisson draws at this mean stay far below 2**53, so counts are
         # exact as floats (bootstrap, tomography) and never wrap an int64.
-        try:
-            pooled_mean = self.mean_per_trial * self.num_trials
-        except OverflowError:  # num_trials beyond the float range
-            pooled_mean = math.inf
+        pooled_mean = self.mean_per_trial * self.num_trials
         if pooled_mean > 2.0**50:
             raise ValueError(
                 f"expected pooled count per setting {pooled_mean:.3g} exceeds 2**50"
                 " (pair_rate * efficiency * duration_per_setting * num_trials)"
-            )
-        if self.num_trials > _MAX_DRAWS:
-            raise ValueError(
-                f"num_trials={self.num_trials} is above the ceiling of {_MAX_DRAWS}:"
-                " each trial opens its own random stream"
             )
 
     @property
@@ -164,9 +151,9 @@ class ExperimentConfig:
         Raises:
             ValueError: a byte not UTF-8, a line not ``key = value``, an
                 unknown or repeated key, a value that does not parse or
-                breaks its field's rule (each named with file and line),
-                or a pooled count beyond 2**50 or more than ``_MAX_DRAWS``
-                trials (each named with the file).
+                breaks its field's rule, such as more than ``_MAX_DRAWS``
+                trials (each named with file and line), or a pooled count
+                beyond 2**50 (named with the file).
         """
         parsers = {f.name: type(f.default) for f in fields(cls)}
         values: dict = {}
@@ -214,10 +201,10 @@ def _write_csv(path: str | Path, header, rows) -> None:
 
 
 def _check_tag(tag) -> None:
-    """The one stream-tag rule, which ``_stream`` and ``CountTable`` apply: an int or
-    numpy integer in ``[0, 2**32)``, no bool. A seed sequence splits ints into 32-bit words,
-    so a wider tag could repeat a draw: (2**32, 1) and (0, 2**32 + 1) both give 0, 1, 1."""
-    if isinstance(tag, bool) or not isinstance(tag, (int, np.integer)) or not 0 <= tag < 2**32:
+    """The one stream-tag rule, which ``_stream`` and ``CountTable`` apply: ``_is_int`` and
+    in ``[0, 2**32)``. A seed sequence splits ints into 32-bit words, so a wider tag
+    could repeat a draw: (2**32, 1) and (0, 2**32 + 1) both give 0, 1, 1."""
+    if not (_is_int(tag) and 0 <= tag < 2**32):
         raise ValueError(f"stream_tag={tag!r} must be a nonnegative integer below 2**32")
 
 
@@ -267,12 +254,12 @@ def _poisson_bootstrap(pooled: np.ndarray, rng: np.random.Generator, count: int)
 
 
 def _check_bootstrap_count(num_bootstrap: int, allow_none: bool = False) -> None:
-    """A standard error needs two or more replicates; with ``allow_none``,
-    0 (no bootstrap at all) passes too."""
-    if num_bootstrap < 2 and not (allow_none and num_bootstrap == 0):
+    """A standard error needs 2 or more replicates, an ``_is_int``; ``allow_none`` lets 0 pass."""
+    if not (_is_int(num_bootstrap) and (num_bootstrap >= 2 or (allow_none and num_bootstrap == 0))):
         none = " (or 0 for no bootstrap)" if allow_none else ""
         raise ValueError(
-            f"num_bootstrap={num_bootstrap}: a standard error needs at least 2 replicates{none}"
+            f"num_bootstrap={reprlib.repr(num_bootstrap)}: a standard error needs"
+            f" an integer count of at least 2 replicates{none}"
         )
 
 
@@ -457,9 +444,9 @@ def correlator_from_counts(
     v = 0.9 and theta = pi/4, against a nominal 0.954.
 
     Raises:
-        ValueError: zero total count, ``num_bootstrap`` below 2 (one
-            replicate has no spread to measure), or fewer than two
-            nonempty replicates.
+        ValueError: zero total count, a ``num_bootstrap`` that is no integer (a
+            float or bool) or below 2 (one replicate has no spread to measure),
+            both before any draw, or fewer than two nonempty replicates.
     """
     _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)

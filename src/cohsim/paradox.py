@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .measurement import ObservableChain, as_chain, expectation
-from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector, _check_int
+from .states import EQ_ATOL, MAX_QUBITS, DensityOperator, StateVector, _check_int, _check_theta
 
 GHZ_CHAINS = ("XYY", "YXY", "YYX", "XXX")
 GHZ_TARGET = (-1.0, -1.0, -1.0, 1.0)
@@ -128,9 +128,9 @@ class ParadoxSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ParadoxSpec":
         """Read a ``to_dict`` document, ``mixture_claim.note`` optional; a field
-        missing or of another type (a bool is no number), or an ``expected``
-        outside [-1, 1], raises ``ValueError`` naming it, as does a spec the
-        constructors refuse."""
+        missing or of another type (a bool is no number), an ``observable``
+        that is no chain or an ``expected`` outside [-1, 1] raises
+        ``ValueError`` naming it, as does a spec the constructors refuse."""
         rows = enumerate(_spec_field(doc, "constraints", list))
         constraints = tuple(_spec_row(row, f"constraints[{i}]") for i, row in rows)
         claim = _spec_field(doc, "mixture_claim", dict)
@@ -147,12 +147,16 @@ _KIND_NAMES = {list: "a list", dict: "an object", str: "a string", (int, float):
 
 
 def _spec_row(row, path: str) -> ParadoxConstraint:
-    """Constraint ``path`` of a spec document; a long ``expected`` is cut short."""
+    """Constraint ``path`` of a spec document; each refusal names its field's path."""
     source, observable, expected = (_spec_field(row, f"{path}.{k}", t) for k, t in _ROW)
+    try:
+        chain = as_chain(observable)
+    except ValueError as err:
+        raise ValueError(f"spec field {path}.observable: {err}") from None
     if not -1.0 <= expected <= 1.0:
         shown = reprlib.repr(expected)
         raise ValueError(f"spec field {path}.expected must lie in [-1, 1], not {shown}")
-    return ParadoxConstraint(source, observable, expected)
+    return ParadoxConstraint(source, chain, expected)
 
 
 def _spec_field(doc, path: str, kind):
@@ -414,8 +418,7 @@ def coherence_paradox(theta: float, axis: str = "X") -> ParadoxSpec:
         ValueError: for theta outside (0, pi/2) or an axis other than
             X or Y.
     """
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
+    _check_theta(theta)
     if axis not in ("X", "Y"):
         raise ValueError(f"transverse axis must be X or Y, got {axis!r}")
     zz = as_chain("ZZ")

@@ -23,11 +23,14 @@ EQ_ATOL = 1e-10
 PSD_SLACK = 1e-10
 
 
+def _is_int(value) -> bool:
+    """The one integer test of the package: an int or numpy integer, no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, low: int, high: int) -> int:
-    """The one integer rule of the state layer: an int or numpy integer, no bool,
-    within ``[low, high]``, returned as an int."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and low <= value <= high):
+    """``value`` as an int if it passes ``_is_int`` and lies within ``[low, high]``."""
+    if not (_is_int(value) and low <= value <= high):
         raise ValueError(f"{name}={value!r} must be an integer in [{low}, {high}]")
     return int(value)
 
@@ -151,6 +154,12 @@ EPR_LABELS = ("01", "10", "00")
 DEFAULT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4)
 
 
+def _check_theta(theta: float) -> None:
+    """The two-path family's superposition-angle rule: strictly inside ``(0, pi/2)``."""
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
+
+
 def epr_family(theta: float, label: str) -> StateVector:
     """Two-qubit source states of the two-path interference family.
 
@@ -171,8 +180,7 @@ def epr_family(theta: float, label: str) -> StateVector:
         raise ValueError(f"unknown source label {label!r}, expected one of {EPR_LABELS}")
     if label != "00":
         return _basis_state(label)
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta={theta} must lie strictly inside (0, pi/2)")
+    _check_theta(theta)
     amps = np.zeros(4, dtype=complex)
     amps[0b01] = math.cos(theta)
     amps[0b10] = math.sin(theta)

@@ -157,10 +157,10 @@ def reconstruct(
 
     Raises:
         ValueError: missing settings, a table under another setting's
-            key, zero totals, ``num_bootstrap`` of 1 or below 0, a
-            positive ``num_bootstrap`` without a ``target``, a ``target``
-            that is no ``StateVector`` (before any bootstrap draw), or
-            fewer than two replicates that can be inverted.
+            key, zero totals, a ``num_bootstrap`` that is no integer (a float
+            or bool) or is 1 or below 0, a positive one without a ``target``, a
+            ``target`` that is no ``StateVector`` (all before any bootstrap
+            draw), or fewer than two replicates that can be inverted.
     """
     _check_bootstrap_count(num_bootstrap, allow_none=True)
     if num_bootstrap > 0 and target is None:

@@ -476,17 +476,29 @@ class TestConfigPlumbing:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line", ["pair_rate = 1.5e17", "num_trials = 1" + "0" * 400], ids=["rate", "trials"]
+        "line, want",
+        [
+            ("pair_rate = 1.5e17", ": expected pooled count per setting 9e+19 exceeds 2**50"),
+            (
+                "num_trials = 1" + "0" * 400,
+                " line 1: num_trials=100000000000000000...0000000000000000000"
+                " must be an integer in [1, 100000]\n",
+            ),
+        ],
+        ids=["rate", "trials"],
     )
-    def test_count_beyond_exact_range_exits_two(self, line, tmp_path, capsys):
-        # Unchecked, the pooled int64 counts at this rate would wrap, and
-        # this many trials would overflow the float of the pooled mean.
+    def test_count_beyond_exact_range_exits_two(self, line, want, tmp_path, capsys):
+        # Unchecked, the pooled int64 counts at this rate would wrap. The
+        # trial count breaks its field's range on its line, and the 401
+        # digits are cut short.
         path = tmp_path / "huge.cfg"
         path.write_text(line + "\n")
         out = tmp_path / "o"
         args = ["paradox", "--mode", "simulated", "--config", str(path), "--out", str(out)]
         assert main(args) == 2
-        assert "exceeds 2**50" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config file {path}{want}" in err
+        assert len(err) < len(str(path)) + 200
         assert not out.exists()
 
     def test_trial_ceiling_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch):
@@ -499,7 +511,7 @@ class TestConfigPlumbing:
         out = tmp_path / "o"
         args = ["paradox", "--mode", "simulated", "--config", str(path), "--out", str(out)]
         assert main(args) == 2
-        want = f"config file {path}: num_trials=100001 is above the ceiling of 100000"
+        want = f"config file {path} line 1: num_trials=100001 must be an integer in [1, 100000]"
         assert want in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Synthetic counting experiment: counts, estimators, p-values, fringes."""
 
 import csv
+import json
 import math
 import re
 import sys
@@ -94,6 +95,10 @@ class TestExperimentConfig:
             ("duration_per_setting", math.inf),
             ("num_trials", 0),
             pytest.param("num_trials", 10**400, id="num_trials-1e400"),
+            # A whole float is no integer, as for a qubit count or a stream tag.
+            ("num_trials", 3.0),
+            pytest.param("num_trials", np.float64(3.0), id="num_trials-np.float64(3.0)"),
+            ("seed", 2.0),
             ("visibility_v", 1.5),
             ("efficiency", 0.0),
             ("efficiency", 1.0001),
@@ -129,12 +134,19 @@ class TestExperimentConfig:
         ids=["seed-None", "pair_rate-str", "efficiency-list", "visibility_v-None"],
     )
     def test_wrong_type_is_named(self, field, value, rule):
-        # A value of the wrong type breaks its field's rule, named like any other.
-        message = f"^{re.escape(f'{field}={value} {rule}')}$"
+        # A value of the wrong type breaks its field's rule, named like any
+        # other, with its repr: the str "1e5" shows as '1e5'.
+        message = f"^{re.escape(f'{field}={value!r} {rule}')}$"
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=message):
             ExperimentConfig().replace(**{field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = ExperimentConfig(num_trials=np.int64(3), seed=np.uint64(7))
+        assert (type(cfg.num_trials), type(cfg.seed)) == (int, int)
+        assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+        assert (cfg.num_trials, cfg.seed) == (3, 7)
 
     def test_pooled_count_ceiling(self):
         # Four trials of 2**48 pool to 2**50 per setting, the largest accepted.
@@ -148,18 +160,24 @@ class TestExperimentConfig:
         # A mean per trial that rounds to 0.0 is accepted: the check never divides by it.
         assert ExperimentConfig(pair_rate=5e-324, duration_per_setting=1e-10).mean_per_trial == 0.0
 
-    def test_trial_ceiling(self, tmp_path):
+    def test_trial_ceiling(self, tmp_path, monkeypatch):
         # Each trial opens its own random stream, so a config may hold at
-        # most 100000 of them; only constructed here, never drawn.
+        # most 100000 of them, a bound of num_trials's own rule; only
+        # constructed here, never drawn.
+        def no_draws(*args):
+            raise AssertionError("a draw ran at a refused trial count")
+
+        monkeypatch.setattr(experiment, "_draws", no_draws)
         assert ExperimentConfig(num_trials=100_000).num_trials == 100_000
-        message = re.escape("num_trials=100001 is above the ceiling of 100000")
-        with pytest.raises(ValueError, match=message):
+        message = re.escape("num_trials=100001 must be an integer in [1, 100000]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(num_trials=100_001)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig().replace(num_trials=100_001)
         path = tmp_path / "run.cfg"
-        path.write_text("num_trials = 100001\n")
-        with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: {message}"):
+        path.write_text("pair_rate = 1e5\nnum_trials = 100001\n")
+        where = re.escape(f"config file {path} line 2: ")
+        with pytest.raises(ValueError, match=f"^{where}{message}$"):
             ExperimentConfig.from_file(path)
 
     def test_replace(self):
@@ -727,11 +745,18 @@ class TestCorrelatorFromCounts:
         b = correlator_from_counts(table, "X", "X")
         assert (a.value, a.std_err) == (b.value, b.std_err)
 
-    @pytest.mark.parametrize("num_bootstrap", [0, 1])
-    def test_fewer_than_two_replicates_rejected(self, num_bootstrap):
-        # No spread to measure; a 0.0 error would read as exact.
+    @pytest.mark.parametrize("num_bootstrap", [0, 1, 2.0, 2.5, np.float64(3), True], ids=repr)
+    def test_fewer_than_two_replicates_rejected(self, num_bootstrap, monkeypatch):
+        # No spread to measure; a 0.0 error would read as exact. A count
+        # that is no integer is refused too, before any draw; numpy would
+        # raise a TypeError for a float size.
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(experiment, "_poisson_bootstrap", no_draw)
         table = hand_table([[1, 49], [49, 1]])
-        with pytest.raises(ValueError, match=f"num_bootstrap={num_bootstrap}: .* at least 2"):
+        shown = re.escape(repr(num_bootstrap))
+        with pytest.raises(ValueError, match=f"^num_bootstrap={shown}: .* at least 2"):
             correlator_from_counts(table, "Z", "Z", num_bootstrap=num_bootstrap)
 
     def test_empty_replicates_are_left_out(self):

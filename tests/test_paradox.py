@@ -1322,6 +1322,21 @@ class TestSpecValidationAndSerialization:
                 "spec field constraints[0].observable must be a string, not ['X', 'X']",
             ),
             (
+                lambda doc: doc["constraints"][0].update(observable="Q"),
+                "spec field constraints[0].observable: unknown axis 'Q',"
+                " expected one of ('X', 'Y', 'Z', 'I')",
+            ),
+            (
+                lambda doc: doc["constraints"][1].update(observable=""),
+                "spec field constraints[1].observable: observable chain must have at least one"
+                " factor",
+            ),
+            (
+                lambda doc: doc["constraints"][4].update(observable="XX "),
+                "spec field constraints[4].observable: unknown axis ' ',"
+                " expected one of ('X', 'Y', 'Z', 'I')",
+            ),
+            (
                 lambda doc: doc["constraints"][0].update(expected=None),
                 "spec field constraints[0].expected must be a number, not None",
             ),
@@ -1365,6 +1380,7 @@ class TestSpecValidationAndSerialization:
         ],
         ids=[
             "empty", "no-claim", "constraints-5", "constraint-5", "no-source", "chain-list",
+            "chain-Q", "chain-empty", "chain-space",
             "expected-None", "expected-true", "expected-str", "expected-1.5", "expected-1e400",
             "claim-list", "mixed-int",
             "components-str", "component-list", "note-None",

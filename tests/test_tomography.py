@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -364,6 +365,18 @@ class TestBatchedBootstrap:
         tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
         with pytest.raises(ValueError, match="num_bootstrap=-1"):
             reconstruct(tables, target=epr_family(0.5, "00"), num_bootstrap=-1)
+
+    @pytest.mark.parametrize("num_bootstrap", [2.0, 2.5, np.float64(3), False], ids=repr)
+    def test_replicate_count_that_is_no_integer_rejected(self, num_bootstrap, monkeypatch):
+        # Refused before any draw; numpy would raise a TypeError for a float size.
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(tomography, "_poisson_bootstrap", no_draw)
+        tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        shown = re.escape(repr(num_bootstrap))
+        with pytest.raises(ValueError, match=f"^num_bootstrap={shown}: .* integer count"):
+            reconstruct(tables, target=epr_family(0.5, "00"), num_bootstrap=num_bootstrap)
 
     def test_memory_stays_small(self):
         # 1000 replicates hold a few (1000, 4, 4) stacks, about 2 MB at

@@ -57,14 +57,16 @@ TARGETS = (
     "paradox_p_value",
     "_hoeffding_p",
     "point_correlator",
+    "_is_int",
     "_check_int",
     "StateVector.__post_init__",
+    "_check_theta",
     "epr_family",
     "_check_nonzero_total",
     "visibility_scan",
     "_check_field",
-    "_is_whole",
     "_check_tag",
+    "_check_bootstrap_count",
     "ExperimentConfig.from_file",
     "CountTable.from_csv",
     "_pauli_action",
