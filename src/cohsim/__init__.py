@@ -12,7 +12,6 @@ from .states import (
     MAX_QUBITS,
     DensityOperator,
     StateVector,
-    density_from_state,
     dicke_one_excitation,
     epr_family,
     fidelity,
@@ -35,7 +34,6 @@ from .paradox import (
     ParadoxVerdict,
     coherence_paradox,
     dicke_paradox,
-    ghz_sign_assignment_products,
     ghz_stabilizer_check,
     lhv_mixture_test,
     theoretical_values,
@@ -54,6 +52,7 @@ from .experiment import (
     VisibilityScan,
     correlator_from_counts,
     delta_method_std_err,
+    judge,
     paradox_counts,
     paradox_p_value,
     point_correlator,
@@ -94,15 +93,14 @@ __all__ = [
     "coherence_term",
     "correlator_from_counts",
     "delta_method_std_err",
-    "density_from_state",
     "dicke_one_excitation",
     "dicke_paradox",
     "epr_family",
     "expectation",
     "fidelity",
-    "ghz_sign_assignment_products",
     "ghz_stabilizer_check",
     "ghz_state",
+    "judge",
     "lhv_mixture_test",
     "paradox_counts",
     "paradox_p_value",

@@ -14,11 +14,11 @@ for bit, as the config comes from ``--config`` alone. Its timing fields
 are the only nondeterministic bytes.
 
 Exit codes: 0 success, 2 bad arguments or values (an unusable ``--out``,
-an unreadable ``--config``, an unwritable output file, a size, such as
-``--bootstrap``, whose arrays numpy cannot allocate, a simulated run
-with no counts to estimate from, or a fringe fit whose mean rate is not
-positive, too), 3 numerical failure (such as a mixture program
-unsolved within its pivot cap, or an arithmetic overflow).
+an unreadable ``--config``, an unwritable output file, a ``--bootstrap``
+above its ceiling, a size whose arrays numpy cannot allocate, a
+simulated run with no counts to estimate from, or a fringe fit whose mean
+rate is not positive, too), 3 numerical failure (such as a mixture
+program unsolved within its pivot cap, or an arithmetic overflow).
 
 At exit the process freezes its heap (``gc.freeze``) instead of letting
 the interpreter's finalizer garbage-collect the objects numpy and
@@ -51,19 +51,12 @@ from numpy.linalg import _umath_linalg
 
 from . import __version__
 from .experiment import (
-    _MAX_DRAWS, CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count,
+    _MAX_DRAWS, ALPHA, CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count,
     visibility_scan,
 )
 from .reports import (
-    CURVE_THETAS,
-    DEFAULT_THETAS,
-    correlator_detail_rows,
-    dicke_rows,
-    game_curve_rows,
-    game_exact_rows,
-    game_simulated_rows,
-    paradox_exact_block,
-    paradox_simulated_block,
+    CURVE_THETAS, DEFAULT_THETAS, correlator_detail_rows, dicke_rows, game_curve_rows,
+    game_exact_rows, game_simulated_rows, paradox_exact_block, paradox_simulated_block,
     write_rows_csv,
 )
 from .states import StateVector, epr_family
@@ -169,6 +162,7 @@ class _Run:
             "command": args.command,
             "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
             "config": self.cfg.to_dict(),
+            "alpha": ALPHA,
             "versions": {
                 "blas_core": _blas_core(),
                 "cohsim": __version__,
@@ -220,11 +214,13 @@ class _Run:
 
 
 def _verdict_line(verdict: dict) -> str:
-    state = "feasible" if verdict["lhv_feasible"] else "INFEASIBLE"
-    line = f"mixture model {state}: gap = {verdict['violation_gap']:.6g}"
-    if "p_value" in verdict:
-        line += f", p = {verdict['p_value']:.3g} (log10 p = {verdict['log10_p_value']:.1f})"
-    return line
+    """An exact verdict's word is ``lhv_feasible``, a data verdict's its p-value at ``ALPHA``."""
+    gap = f"gap = {verdict['violation_gap']:.6g}"
+    if "p_value" not in verdict:
+        return f"mixture model {'feasible' if verdict['lhv_feasible'] else 'INFEASIBLE'}: {gap}"
+    state = "refuted" if verdict["p_value"] <= ALPHA else "not refuted"
+    p = f"p = {verdict['p_value']:.3g} (log10 p = {verdict['log10_p_value']:.1f})"
+    return f"mixture model {state} at alpha = {ALPHA:g}: {gap}, {p}"
 
 
 def _slug(label: str) -> str:
@@ -434,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--out", help="output directory (default: cohsim_<command>)")
 
+    boot_help = f"bootstrap replicates: 0 for none, else 2 to {_MAX_DRAWS}"
+
     sp = sub.add_parser(
         "paradox", help="five-correlator table and mixture verdict for one angle"
     )
@@ -461,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'all' for the six standard sources, or a comma list of angles"
         " for the superposition family",
     )
-    sp.add_argument(
-        "--bootstrap", type=int, default=100, help="bootstrap replicates: 0 for none, else at least 2"
-    )
+    sp.add_argument("--bootstrap", type=int, default=100, help=boot_help)
     add_common(sp)
     sp.set_defaults(func=cmd_tomo)
 
@@ -482,12 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_visibility)
 
     sp = sub.add_parser("report", help="regenerate every table and dataset in one directory")
-    sp.add_argument(
-        "--bootstrap",
-        type=int,
-        default=100,
-        help="tomography bootstrap replicates: 0 for none, else at least 2",
-    )
+    sp.add_argument("--bootstrap", type=int, default=100, help="tomography " + boot_help)
     add_common(sp)
     sp.set_defaults(func=cmd_report)
 

@@ -10,6 +10,8 @@ Correlators are estimated from pooled counts; error bars come from a
 parametric bootstrap (re-drawing each cell from a Poisson at its
 observed mean); evidence against the best convex-mixture model is
 summarized by a Hoeffding tail bound optimized over the mixture weights.
+``judge`` is the one path from a spec's count tables, simulated or read
+back with ``CountTable.from_csv``, to its estimate columns and verdict.
 
 Every random quantity draws from its own RNG stream,
 ``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
@@ -40,8 +42,8 @@ from typing import Mapping
 import numpy as np
 
 from .measurement import AXES, _check_setting, expectation, setting_distribution
-from .paradox import ParadoxSpec, _mixture_gap
-from .states import DensityOperator, StateVector, _is_int, werner_mix
+from .paradox import ParadoxSpec, ParadoxVerdict, _mixture_gap, lhv_mixture_test
+from .states import EQ_ATOL, DensityOperator, StateVector, _is_int, werner_mix
 
 CLASSICAL_VISIBILITY_BOUND = 0.71
 
@@ -53,8 +55,10 @@ _BOOT_DOMAIN = 811
 _SCAN_DOMAIN = 101
 _TOMO_DOMAIN = 907
 
-# The most trials per table, or points per scan: each opens its own RNG
-# stream, and a table lists its trials before the first draw.
+# The most trials per table, points per scan or bootstrap replicates per
+# call: each trial or point opens its own RNG stream, a table lists its
+# trials before the first draw, and a bootstrap draws all its replicates
+# in one array.
 _MAX_DRAWS = 100_000
 
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
@@ -205,7 +209,9 @@ def _check_tag(tag) -> None:
     in ``[0, 2**32)``. A seed sequence splits ints into 32-bit words, so a wider tag
     could repeat a draw: (2**32, 1) and (0, 2**32 + 1) both give 0, 1, 1."""
     if not (_is_int(tag) and 0 <= tag < 2**32):
-        raise ValueError(f"stream_tag={tag!r} must be a nonnegative integer below 2**32")
+        raise ValueError(
+            f"stream_tag={reprlib.repr(tag)} must be a nonnegative integer below 2**32"
+        )
 
 
 def _stream(seed: int, tag: int, *key: int) -> np.random.Generator:
@@ -254,12 +260,14 @@ def _poisson_bootstrap(pooled: np.ndarray, rng: np.random.Generator, count: int)
 
 
 def _check_bootstrap_count(num_bootstrap: int, allow_none: bool = False) -> None:
-    """A standard error needs 2 or more replicates, an ``_is_int``; ``allow_none`` lets 0 pass."""
-    if not (_is_int(num_bootstrap) and (num_bootstrap >= 2 or (allow_none and num_bootstrap == 0))):
+    """A standard error needs 2 to ``_MAX_DRAWS`` replicates, an ``_is_int``;
+    ``allow_none`` lets 0 pass."""
+    n = num_bootstrap
+    if not (_is_int(n) and (2 <= n <= _MAX_DRAWS or (allow_none and n == 0))):
         none = " (or 0 for no bootstrap)" if allow_none else ""
         raise ValueError(
             f"num_bootstrap={reprlib.repr(num_bootstrap)}: a standard error needs"
-            f" an integer count of at least 2 replicates{none}"
+            f" an integer count of at least 2 replicates{none}, and at most {_MAX_DRAWS}"
         )
 
 
@@ -445,8 +453,9 @@ def correlator_from_counts(
 
     Raises:
         ValueError: zero total count, a ``num_bootstrap`` that is no integer (a
-            float or bool) or below 2 (one replicate has no spread to measure),
-            both before any draw, or fewer than two nonempty replicates.
+            float or bool), below 2 (one replicate has no spread to measure) or
+            above ``_MAX_DRAWS``, all before any draw, or fewer than two
+            nonempty replicates.
     """
     _check_bootstrap_count(num_bootstrap)
     value, total = point_correlator(table, u, v)
@@ -535,6 +544,39 @@ def _hoeffding_p(scaled_gap: float, terms: int) -> tuple[float, float]:
     """
     p = max(min(1.0, terms * math.exp(-(scaled_gap * scaled_gap) / 2.0)), _MIN_POSITIVE)
     return p, min(0.0, math.log10(terms) - (scaled_gap * scaled_gap) / (2.0 * math.log(10.0)))
+
+
+# The declared level of a data verdict: p <= ALPHA refutes the mixture model.
+ALPHA = 1e-3
+
+
+def judge(
+    spec: ParadoxSpec, counts: Mapping[tuple[str, str], CountTable]
+) -> tuple[list[dict], ParadoxVerdict]:
+    """Estimate columns and mixture verdict of a spec's count tables.
+
+    ``counts`` maps each ``spec.observation_keys()`` key to its table, as
+    ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them.
+    Returns one row per constraint, in spec order (``estimate``,
+    ``std_err``, ``delta_std_err``, ``n_total``), and the
+    ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on the estimates, with
+    the ``paradox_p_value`` attached.
+
+    Raises:
+        ValueError: a missing table, a table under another setting's key,
+            or a zero total, each before any bootstrap draw.
+    """
+    p, log10_p = paradox_p_value(spec, counts)
+    rows = []
+    for key in spec.observation_keys():
+        e = correlator_from_counts(counts[key], *counts[key].setting)
+        delta = delta_method_std_err(e.value, e.n_total)
+        rows.append(
+            dict(estimate=e.value, std_err=e.std_err, delta_std_err=delta, n_total=e.n_total)
+        )
+    observed = {key: row["estimate"] for key, row in zip(spec.observation_keys(), rows)}
+    verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL)
+    return rows, dataclasses.replace(verdict, p_value=p, log10_p_value=log10_p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -183,7 +183,7 @@ class ParadoxVerdict:
     ``satisfying_assignments`` is filled only by the stabilizer check,
     where deterministic sign assignments are enumerated exhaustively.
     ``p_value`` and its ``log10_p_value`` are filled, together, only for
-    a verdict on counted data (``paradox_p_value``). ``to_dict`` leaves
+    a verdict on counted data (``judge``). ``to_dict`` leaves
     out the two p-value keys when they are None.
     """
 
@@ -313,9 +313,11 @@ def _mixture_lp(
     return float(np.max(w * np.abs(vals @ p - targ))), p, q / q.sum()
 
 
-# The GHZ sign-assignment products, built once at import and shared
-# read-only by every stabilizer check with the parsed chains, the count of
-# satisfying assignments and _GHZ_VERTEX_ROWS[i] = first rows of (h_i, -h_i).
+# The GHZ sign-assignment products: each of three parties carries signs for
+# its X and Y readouts, and row i holds (XYY, YXY, YYX, XXX) under the i-th
+# of the 2^6 assignments. Built once at import and shared read-only by every
+# stabilizer check with the parsed chains, the count of satisfying
+# assignments and _GHZ_VERTEX_ROWS[i] = first rows of (h_i, -h_i).
 _GHZ_PRODUCTS = np.array(
     [
         (x1 * y2 * y3, y1 * x2 * y3, y1 * y2 * x3, x1 * x2 * x3)
@@ -330,17 +332,6 @@ _GHZ_VERTEX_ROWS = tuple(
     tuple(int(np.argmax(np.all(_GHZ_PRODUCTS == sign * h, axis=1))) for sign in (1.0, -1.0))
     for h in _HADAMARD
 )
-
-
-def ghz_sign_assignment_products() -> np.ndarray:
-    """Products of the four chains under all 2^6 deterministic assignments.
-
-    Each of three parties carries independent signs for its X and Y
-    readouts; row ``i`` holds the resulting values of (XYY, YXY, YYX,
-    XXX) for assignment ``i``. Shape (64, 4). The table is built once,
-    at import; each call returns a writable copy of it.
-    """
-    return _GHZ_PRODUCTS.copy()
 
 
 def _ghz_hull_residual(observed: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,24 +5,16 @@ row's keys in column order, so a builder alone fixes its table's
 columns; ``write_rows_csv`` hands them to the experiment module's one
 CSV writer. All simulation goes through the experiment module so seeds
 behave identically whether a table is produced alone or inside the
-bundled report.
+bundled report, and every estimate column and data verdict comes from
+the experiment module's ``judge``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
-from .experiment import (
-    CountTable,
-    ExperimentConfig,
-    _write_csv,
-    correlator_from_counts,
-    delta_method_std_err,
-    paradox_counts,
-    paradox_p_value,
-)
+from .experiment import CountTable, ExperimentConfig, _write_csv, judge, paradox_counts
 from .game import quantum_strategy, winning_probability
 from .measurement import expectation
 from .paradox import (
@@ -74,12 +66,10 @@ def paradox_exact_block(theta: float, axis: str) -> tuple[ParadoxSpec, list[dict
 
 
 def paradox_simulated_block(
-    theta: float,
-    axis: str,
-    cfg: ExperimentConfig,
-    tag_base: int = 0,
+    theta: float, axis: str, cfg: ExperimentConfig, tag_base: int = 0
 ) -> tuple[ParadoxSpec, list[dict], dict, dict[tuple[str, str], CountTable]]:
-    """Theoretical and estimated rows, mixture verdict, and p-value.
+    """Theoretical rows joined with ``judge``'s estimate columns, its
+    verdict with p-value, and the count tables it judged.
 
     ``tag_base`` offsets the RNG stream tags so several blocks under one
     seed (different theta or axis) draw independent counts for rows that
@@ -87,20 +77,8 @@ def paradox_simulated_block(
     """
     spec = coherence_paradox(theta, axis)
     counts = paradox_counts(spec, paradox_sources(theta), cfg, tag_base=tag_base)
-    rows = _theory_rows(theta, spec)
-    for key, row in zip(spec.observation_keys(), rows):
-        table = counts[key]
-        est = correlator_from_counts(table, *table.setting)
-        row.update(
-            estimate=est.value,
-            std_err=est.std_err,
-            delta_std_err=delta_method_std_err(est.value, est.n_total),
-            n_total=est.n_total,
-        )
-    observed = {(row["label"], row["observable"]): row["estimate"] for row in rows}
-    p, log10_p = paradox_p_value(spec, counts)
-    verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL)
-    verdict = replace(verdict, p_value=p, log10_p_value=log10_p)
+    estimates, verdict = judge(spec, counts)
+    rows = [{**row, **est} for row, est in zip(_theory_rows(theta, spec), estimates)]
     return spec, rows, verdict.to_dict(), counts
 
 
@@ -137,18 +115,20 @@ def game_simulated_rows(
     """Exact rows augmented with count-based estimates.
 
     Row ``i`` draws ``paradox_counts`` of ``_game_spec`` at tag base
-    ``tag_base + 3 i``. The winning probability is estimated from the
-    three measured correlators: ``1/2 + (E_00 - E_01 - E_10)/8`` with the
-    uniform (1,1) row contributing no signal; errors add in quadrature.
+    ``tag_base + 3 i`` and reads ``judge``'s estimates of them. The winning
+    probability is estimated from the three measured correlators:
+    ``1/2 + (E_00 - E_01 - E_10)/8`` with the uniform (1,1) row
+    contributing no signal; errors add in quadrature.
     """
     rows = game_exact_rows(thetas, strategy)
     for i, row in enumerate(rows):
         spec = _game_spec(row["theta"], strategy)
         counts = paradox_counts(spec, paradox_sources(row["theta"]), cfg, tag_base + 3 * i)
-        est = {lb: correlator_from_counts(t, *t.setting) for (lb, _), t in counts.items()}
-        value = 0.5 + (est["00"].value - est["01"].value - est["10"].value) / 8.0
-        spread = math.sqrt(sum(e.std_err ** 2 for e in est.values())) / 8.0
-        row.update({f"e_{lb}": e.value for lb, e in est.items()})
+        estimates, _verdict = judge(spec, counts)
+        e = {c.source_label: est["estimate"] for c, est in zip(spec.constraints, estimates)}
+        value = 0.5 + (e["00"] - e["01"] - e["10"]) / 8.0
+        spread = math.sqrt(sum(est["std_err"] ** 2 for est in estimates)) / 8.0
+        row.update({f"e_{lb}": v for lb, v in e.items()})
         row.update(p_win_estimate=value, p_win_std_err=spread)
     return rows
 

@@ -13,6 +13,7 @@ Dense vectors and matrices only, kept deliberately small (at most
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def _is_int(value) -> bool:
 def _check_int(name: str, value, low: int, high: int) -> int:
     """``value`` as an int if it passes ``_is_int`` and lies within ``[low, high]``."""
     if not (_is_int(value) and low <= value <= high):
-        raise ValueError(f"{name}={value!r} must be an integer in [{low}, {high}]")
+        raise ValueError(f"{name}={reprlib.repr(value)} must be an integer in [{low}, {high}]")
     return int(value)
 
 
@@ -214,12 +215,6 @@ def dicke_one_excitation(n: int) -> StateVector:
     for k in range(n):
         amps[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)
     return StateVector(amps)
-
-
-def density_from_state(psi: StateVector) -> DensityOperator:
-    """Rank-one projector ``|psi><psi|``."""
-    v = psi.amplitudes
-    return DensityOperator(np.outer(v, v.conj()))
 
 
 def werner_mix(psi: StateVector | DensityOperator, v: float) -> DensityOperator:

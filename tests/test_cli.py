@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import textwrap
@@ -30,8 +31,8 @@ FAST_CFG_TEXT = (
     "efficiency = 1.0\n"
     "seed = 1\n"
 )
-# Bootstrap replicates whose (replicate, setting, 2, 2) count array numpy
-# refuses to allocate, at 256 PiB.
+# Bootstrap replicates whose (replicate, setting, 2, 2) count array would
+# take 256 PiB; the ceiling refuses them before numpy is asked.
 HUGE_BOOTSTRAP = "1000000000000000"
 
 
@@ -254,11 +255,26 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_refused_bootstrap_allocation_exits_two_with_no_directory(self, tmp_path, capsys):
-        # numpy refuses the 256 PiB replicate array before it touches memory.
+        # The ceiling refuses the 256 PiB replicate array before numpy is asked.
         out = tmp_path / "o"
         argv = ["tomo", "--states", "pi/4", "--bootstrap", HUGE_BOOTSTRAP, "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("cohsim: error: Unable to allocate")
+        err = capsys.readouterr().err
+        assert err.startswith(f"cohsim: error: num_bootstrap={HUGE_BOOTSTRAP}: ")
+        assert "at most 100000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, count", [("tomo", "100001"), ("report", "1" + "0" * 400)], ids=["tomo", "report"]
+    )
+    def test_bootstrap_above_the_ceiling_exits_two_with_no_directory(
+        self, command, count, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        assert main([command, "--bootstrap", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cohsim: error: num_bootstrap={reprlib.repr(int(count))}: ")
+        assert "at most 100000" in err and len(err) < 200
         assert not out.exists()
 
     def test_later_tomography_state_failure_leaves_no_directory(
@@ -281,9 +297,17 @@ class TestExitCodes:
         assert len(calls) == 2
         assert not out.exists()
 
-    def test_refused_bootstrap_allocation_is_recorded(self, tmp_path, fast_cfg, capsys):
+    def test_refused_bootstrap_allocation_is_recorded(
+        self, tmp_path, fast_cfg, capsys, monkeypatch
+    ):
+        # An allocation numpy refuses inside the tomography block, after the
+        # first nine data files.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 26.2 TiB for an array")
+
+        monkeypatch.setattr("cohsim.cli.reconstruct", refuse)
         out = tmp_path / "o"
-        argv = ["report", "--config", fast_cfg, "--bootstrap", HUGE_BOOTSTRAP, "--out", str(out)]
+        argv = ["report", "--config", fast_cfg, "--bootstrap", "5", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("cohsim: error: Unable to allocate")
@@ -565,6 +589,20 @@ class TestParadoxCommand:
         assert verdict["violation_gap"] == pytest.approx(1.0)
         assert "INFEASIBLE" in capsys.readouterr().out
         assert_manifest_complete(out)
+
+    def test_simulated_verdict_word_is_its_p_value_at_alpha(self, tmp_path, capsys):
+        # At visibility 0 the estimated gap is sampling noise alone: p = 1.
+        words = {}
+        for name, flags in (("noise", ["--visibility", "0"]), ("default", [])):
+            out = tmp_path / name
+            argv = ["paradox", "--mode", "simulated", *flags, "--out", str(out)]
+            assert main(argv) == 0
+            words[name] = capsys.readouterr().out.splitlines()[-2]
+            assert manifest_of(out)["alpha"] == 0.001
+            assert "lhv_feasible" in json.loads((out / "verdict.json").read_text())
+        assert words["noise"].startswith("mixture model not refuted at alpha = 0.001: gap = ")
+        assert words["noise"].endswith(", p = 1 (log10 p = 0.0)")
+        assert words["default"].startswith("mixture model refuted at alpha = 0.001: gap = ")
 
     def test_simulated_run_files_and_estimates(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "o"

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cohsim import experiment
+from cohsim.cli import main, parse_angle
 from cohsim.experiment import (
     _MAX_DRAWS,
     CLASSICAL_VISIBILITY_BOUND,
@@ -27,6 +29,7 @@ from cohsim.experiment import (
     _write_csv,
     correlator_from_counts,
     delta_method_std_err,
+    judge,
     paradox_counts,
     paradox_p_value,
     point_correlator,
@@ -385,14 +388,21 @@ class TestCountTable:
 
     @pytest.mark.parametrize("entry", sorted(TAG_ENTRIES))
     @pytest.mark.parametrize(
-        "tag", [1.5, float("nan"), 2.0, "1", -1, True, 2**32, np.uint64(2**32)], ids=repr
+        "tag",
+        [
+            1.5, float("nan"), 2.0, "1", -1, True, 2**32, np.uint64(2**32),
+            pytest.param(10**400, id="10**400"),
+        ],
+        ids=repr,
     )
     def test_non_integer_stream_tag_rejected(self, entry, tag):
         # Every draw entry applies the table's rule; numpy would refuse
         # the first five as seeds with a TypeError or its own message, and
         # take True as 1 and a tag of 2**32 or more as two 32-bit words.
-        with pytest.raises(ValueError, match="stream_tag=.* must be a nonnegative integer"):
+        # The refused value is cut short in the message.
+        with pytest.raises(ValueError, match="stream_tag=.* must be a nonnegative integer") as err:
             TAG_ENTRIES[entry](tag)
+        assert len(str(err.value)) < 120
 
     @pytest.mark.parametrize("tag", [np.int64(3), np.uint64(2**32 - 1), 2**32 - 1], ids=repr)
     def test_integer_stream_tag_accepted(self, tag):
@@ -777,6 +787,19 @@ class TestCorrelatorFromCounts:
         with pytest.raises(ValueError, match="num_bootstrap=-1"):
             correlator_from_counts(hand_table([[1, 49], [49, 1]]), "Z", "Z", num_bootstrap=-1)
 
+    def test_replicate_count_ceiling(self, monkeypatch):
+        # _MAX_DRAWS replicates are drawn; one more is refused before any draw.
+        table = hand_table([[1, 49], [49, 1]])
+        assert correlator_from_counts(table, "Z", "Z", num_bootstrap=_MAX_DRAWS).std_err > 0.0
+
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(experiment, "_poisson_bootstrap", no_draw)
+        refusal = f"^num_bootstrap={_MAX_DRAWS + 1}: .* at most 100000$"
+        with pytest.raises(ValueError, match=refusal):
+            correlator_from_counts(table, "Z", "Z", num_bootstrap=_MAX_DRAWS + 1)
+
 
 class TestEstimatedCorrelator:
     def test_validation(self):
@@ -1061,6 +1084,80 @@ class TestPValues:
     )
     def test_hoeffding_tail(self, scaled_gap, terms, want):
         assert _hoeffding_p(scaled_gap, terms) == want
+
+
+class TestJudge:
+    """``judge`` rebuilds a run's verdict from its count files alone."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """A default ``paradox --mode simulated`` run, its count files read back
+        with the manifest's config and each constraint's index as stream tag."""
+        out = tmp_path_factory.mktemp("judge") / "o"
+        assert main(["paradox", "--mode", "simulated", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = ExperimentConfig(**manifest["config"])
+        args = manifest["arguments"]
+        spec = coherence_paradox(parse_angle(args["theta"]), args["axis"])
+        counts = {
+            (label, obs): CountTable.from_csv(out / f"counts_{label}_{obs}.csv", cfg, stream_tag=i)
+            for i, (label, obs) in enumerate(spec.observation_keys())
+        }
+        assert sorted(f"counts_{lb}_{ob}.csv" for lb, ob in counts) == sorted(
+            name for name in os.listdir(out) if name.startswith("counts_")
+        )
+        return out, spec, counts
+
+    def test_count_files_rebuild_the_verdict_and_estimates(self, run):
+        out, spec, counts = run
+        rows, verdict = judge(spec, counts)
+        doc = json.dumps(verdict.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert doc == (out / "verdict.json").read_text()
+        with open(out / "paradox.csv", newline="") as fh:
+            written = list(csv.DictReader(fh))
+        assert [(r["label"], r["observable"]) for r in written] == list(spec.observation_keys())
+        for want, got in zip(written, rows):
+            assert list(got) == ["estimate", "std_err", "delta_std_err", "n_total"]
+            assert [want[col] for col in got] == [
+                repr(got["estimate"]), repr(got["std_err"]), repr(got["delta_std_err"]),
+                str(got["n_total"]),
+            ]
+
+    def test_one_moved_count_changes_the_verdict(self, run):
+        _out, spec, counts = run
+        _rows, verdict = judge(spec, counts)
+        key = ("00", "XX")
+        cells = counts[key].counts.copy()
+        cells[0, 0, 0] -= 1
+        cells[0, 0, 1] += 1
+        table = CountTable(counts[key].setting, cells, counts[key].config, counts[key].stream_tag)
+        _rows, moved = judge(spec, {**counts, key: table})
+        assert moved.violation_gap != verdict.violation_gap
+        assert moved.log10_p_value != verdict.log10_p_value
+        assert moved.per_constraint_values[key] != verdict.per_constraint_values[key]
+
+    @pytest.mark.parametrize("fault", ["missing", "another key", "zero total"])
+    def test_refused_before_any_bootstrap_draw(self, run, fault, monkeypatch):
+        _out, spec, counts = run
+
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(experiment, "_poisson_bootstrap", no_draw)
+        counts = dict(counts)
+        if fault == "missing":
+            del counts[("00", "XX")]
+            message = "missing observations"
+        elif fault == "another key":
+            counts[("01", "XX")] = counts[("01", "ZZ")]
+            message = r"counts under key \('01', 'XX'\) are for setting \('Z', 'Z'\)"
+        else:
+            table = counts[("10", "XX")]
+            zeros = np.zeros_like(table.counts)
+            counts[("10", "XX")] = CountTable(table.setting, zeros, table.config, table.stream_tag)
+            message = "zero total count"
+        with pytest.raises(ValueError, match=message):
+            judge(spec, counts)
 
 
 class TestVisibilityScan:

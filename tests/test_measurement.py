@@ -28,14 +28,13 @@ from cohsim.states import (
     MAX_QUBITS,
     DensityOperator,
     StateVector,
-    density_from_state,
     dicke_one_excitation,
     epr_family,
     ghz_state,
     werner_mix,
 )
 
-from .test_states import random_state
+from .test_states import projector, random_state
 
 # Dense single-qubit Pauli matrices, for the np.kron oracles here and in
 # the tomography tests.
@@ -76,7 +75,7 @@ def dense_projectors(axis):
 def dense_setting_distribution(state, obs_a, obs_b):
     """Reference ``p[a, b] = tr((P_a (x) P_b) rho)`` from ``np.kron`` projectors."""
     if isinstance(state, StateVector):
-        state = density_from_state(state)
+        state = projector(state)
     pa, pb = dense_projectors(obs_a), dense_projectors(obs_b)
     return np.array(
         [[np.trace(np.kron(pa[a], pb[b]) @ state.matrix).real for b in range(2)] for a in range(2)]
@@ -85,8 +84,8 @@ def dense_setting_distribution(state, obs_a, obs_b):
 
 def random_density(num_qubits, seed):
     """Rank-two mixture of two random pure states."""
-    a = density_from_state(random_state(num_qubits, seed)).matrix
-    b = density_from_state(random_state(num_qubits, seed + 1)).matrix
+    a = projector(random_state(num_qubits, seed)).matrix
+    b = projector(random_state(num_qubits, seed + 1)).matrix
     return DensityOperator(0.6 * a + 0.4 * b)
 
 
@@ -201,7 +200,7 @@ class TestExpectation:
     def test_vector_and_density_agree(self):
         for seed in range(20):
             psi = random_state(2, seed)
-            rho = density_from_state(psi)
+            rho = projector(psi)
             for chain in ("XX", "XY", "ZZ", "YZ", "IZ", "XI"):
                 assert expectation(psi, chain) == pytest.approx(
                     expectation(rho, chain), abs=1e-12

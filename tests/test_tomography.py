@@ -16,7 +16,6 @@ from cohsim.measurement import AXES, setting_distribution
 from cohsim.states import (
     DensityOperator,
     StateVector,
-    density_from_state,
     epr_family,
     fidelity,
     werner_mix,
@@ -34,7 +33,7 @@ from cohsim.tomography import (
 )
 
 from .test_measurement import PAULI, PROPERTY_SETTINGS
-from .test_states import random_state
+from .test_states import projector, random_state
 
 FLAT_CFG = ExperimentConfig(
     pair_rate=1.0, duration_per_setting=1.0, num_trials=1, efficiency=1.0
@@ -125,7 +124,7 @@ class TestLinearInversion:
     )
     def test_dyadic_counts_invert_exactly(self, state):
         result = reconstruct(exact_tables(state, 2**20))
-        rho_true = density_from_state(state).matrix
+        rho_true = projector(state).matrix
         np.testing.assert_allclose(result.rho_linear, rho_true, atol=1e-12)
         np.testing.assert_allclose(result.rho_hat.matrix, rho_true, atol=1e-12)
         assert result.clip_magnitude < 1e-12
@@ -134,7 +133,7 @@ class TestLinearInversion:
     def test_random_states_invert_to_rounding_error(self, seed):
         state = random_state(2, seed)
         result = reconstruct(exact_tables(state, 10**12))
-        rho_true = density_from_state(state).matrix
+        rho_true = projector(state).matrix
         np.testing.assert_allclose(result.rho_linear, rho_true, atol=1e-9)
 
     def test_mixed_input_inverts_too(self):

@@ -56,6 +56,7 @@ TARGETS = (
     "delta_method_std_err",
     "paradox_p_value",
     "_hoeffding_p",
+    "judge",
     "point_correlator",
     "_is_int",
     "_check_int",
@@ -322,9 +323,9 @@ def sweep(repo: Path, functions: list[str]) -> dict:
         timeout = 3.0 * (time.monotonic() - start) + 30.0
         report = {}
         for name in functions:
-            entry = {"module": None, "mutants": 0, "killed": 0, "timeouts": 0, "survivors": []}
+            module = _find(src, name)[0].relative_to(src).as_posix()
+            entry = {"module": module, "mutants": 0, "killed": 0, "timeouts": 0, "survivors": []}
             for path, site, line, original, mutated, new in mutants(src, name):
-                entry["module"] = path.relative_to(src).as_posix()
                 clean = path.read_bytes()
                 path.write_bytes(new)
                 try:
