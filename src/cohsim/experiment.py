@@ -556,25 +556,35 @@ def judge(
     """Estimate columns and mixture verdict of a spec's count tables.
 
     ``counts`` maps each ``spec.observation_keys()`` key to its table, as
-    ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them.
-    Returns one row per constraint, in spec order (``estimate``,
-    ``std_err``, ``delta_std_err``, ``n_total``), and the
-    ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on the estimates, with
-    the ``paradox_p_value`` attached.
+    ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them:
+    one draw, so every table holds the first row's config, and the first
+    row's stream tag plus its row index. Returns one row per constraint,
+    in spec order (``estimate``, ``std_err``, ``delta_std_err``,
+    ``n_total``), and the ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on
+    the estimates, with the ``paradox_p_value`` attached.
 
     Raises:
         ValueError: a missing table, a table under another setting's key,
-            or a zero total, each before any bootstrap draw.
+            a zero total, or a table of another draw (another config, or a
+            stream tag off its row's), each before any bootstrap draw.
     """
     p, log10_p = paradox_p_value(spec, counts)
+    keys = spec.observation_keys()
+    first = counts[keys[0]]
+    for idx, key in enumerate(keys):
+        if (counts[key].config, counts[key].stream_tag) != (first.config, first.stream_tag + idx):
+            raise ValueError(
+                f"counts under key {key} are of another draw than those under {keys[0]}:"
+                f" row {idx} needs their config and stream tag {first.stream_tag + idx}"
+            )
     rows = []
-    for key in spec.observation_keys():
+    for key in keys:
         e = correlator_from_counts(counts[key], *counts[key].setting)
         delta = delta_method_std_err(e.value, e.n_total)
         rows.append(
             dict(estimate=e.value, std_err=e.std_err, delta_std_err=delta, n_total=e.n_total)
         )
-    observed = {key: row["estimate"] for key, row in zip(spec.observation_keys(), rows)}
+    observed = {key: row["estimate"] for key, row in zip(keys, rows)}
     verdict = lhv_mixture_test(spec, observed, tol=EQ_ATOL)
     return rows, dataclasses.replace(verdict, p_value=p, log10_p_value=log10_p)
 

@@ -43,15 +43,15 @@ class TomographyResult:
     ``rho_linear`` is the raw linear-inversion matrix (unit trace,
     possibly indefinite); ``rho_hat`` is its projection to the physical
     cone. ``clip_magnitude`` is the total negative eigenvalue mass of
-    the raw spectrum. Fidelity fields are None when no target was given;
-    ``bootstrap_used`` is the number of replicates the standard error
-    runs over, None when no bootstrap ran.
+    the raw spectrum. ``fidelity_to_target`` scores ``rho_hat`` against
+    the state the counts were drawn from; ``fidelity_std_err`` and
+    ``bootstrap_used``, its replicate count, are None when no bootstrap ran.
     """
 
     rho_hat: DensityOperator
     rho_linear: np.ndarray
     clip_magnitude: float
-    fidelity_to_target: float | None = None
+    fidelity_to_target: float
     fidelity_std_err: float | None = None
     bootstrap_used: int | None = None
 
@@ -61,7 +61,7 @@ class TomographyResult:
         object.__setattr__(self, "rho_linear", lin)
         if self.clip_magnitude < 0.0:
             raise ValueError("clip magnitude cannot be negative")
-        if self.fidelity_to_target is not None and not 0.0 <= self.fidelity_to_target <= 1.0:
+        if not 0.0 <= self.fidelity_to_target <= 1.0:
             raise ValueError(f"fidelity {self.fidelity_to_target} outside [0, 1]")
 
 
@@ -86,14 +86,20 @@ def _simplex_project(eigs: np.ndarray) -> np.ndarray:
 def _pooled_stack(
     tables: Mapping[tuple[str, str], CountTable],
 ) -> tuple[np.ndarray, ExperimentConfig, int]:
-    """Pooled ``(9, 2, 2)`` counts in ``SETTINGS`` order plus the seed-bearing config/tag."""
+    """Pooled ``(9, 2, 2)`` counts in ``SETTINGS`` order plus the config and
+    tag of the one draw that made them, which seed the bootstrap."""
     missing = [s for s in SETTINGS if s not in tables]
     if missing:
         raise ValueError(f"missing tomography settings: {missing}")
     stack = np.array([tables[s].pooled(*s) for s in SETTINGS], dtype=float)
+    anchor = tables[SETTINGS[0]]
     for (u, v), cell in zip(SETTINGS, stack):
         _check_nonzero_total(cell.sum(), f"setting ({u},{v})")
-    anchor = tables[SETTINGS[0]]
+        if (tables[u, v].config, tables[u, v].stream_tag) != (anchor.config, anchor.stream_tag):
+            raise ValueError(
+                f"setting ({u},{v}) was drawn under another config or stream tag"
+                f" than setting ({','.join(SETTINGS[0])})"
+            )
     return stack, anchor.config, anchor.stream_tag
 
 
@@ -136,54 +142,51 @@ def _project(rho_linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reconstruct(
     counts: Mapping[tuple[str, str], CountTable],
-    target: StateVector | None = None,
+    target: StateVector,
     num_bootstrap: int = 0,
 ) -> TomographyResult:
     """Reconstruct a two-qubit state from nine-setting counts.
 
-    ``counts`` maps each of the nine settings to its table, as
-    ``simulate_tomography_counts`` returns them; the bootstrap streams
-    derive from the config and tag of the first setting's table. The
-    ``target`` is the pure state the fidelity is scored against. With a
-    ``target`` and ``num_bootstrap > 0``, the fidelity's standard error
+    ``counts`` maps each of the nine settings to its table, as one
+    ``simulate_tomography_counts`` call returns them; the bootstrap streams
+    derive from the config and tag the nine tables share. The ``target``
+    is the pure state the counts were drawn from, which the fidelity is
+    scored against. With ``num_bootstrap > 0``, the fidelity's standard error
     runs over the ``_poisson_bootstrap`` replicates of the pooled counts
     (settings in ``SETTINGS`` order), all reconstructed at once; it
     leaves out the replicates with an empty setting, which cannot be
     inverted (``bootstrap_used`` counts the rest).
 
     ``num_bootstrap = 0`` means no bootstrap; one replicate has no
-    spread to measure, so 1 is refused, and without a ``target`` there
-    is no fidelity to bootstrap, so a positive count is refused.
+    spread to measure, so 1 is refused.
 
     Raises:
-        ValueError: missing settings, a table under another setting's
-            key, zero totals, a ``num_bootstrap`` that is no integer (a float
-            or bool) or is 1 or below 0, a positive one without a ``target``, a
-            ``target`` that is no ``StateVector`` (all before any bootstrap
-            draw), or fewer than two replicates that can be inverted.
+        ValueError: missing settings, a table under another setting's key or
+            of another draw, zero totals, a ``num_bootstrap`` that is no integer
+            (a float or bool) or is 1 or below 0, a ``target`` that is no
+            two-qubit ``StateVector`` (all before any bootstrap draw), or fewer
+            than two replicates that can be inverted.
     """
     _check_bootstrap_count(num_bootstrap, allow_none=True)
-    if num_bootstrap > 0 and target is None:
-        raise ValueError(f"num_bootstrap={num_bootstrap} needs a target state to score")
+    if not isinstance(target, StateVector):
+        raise ValueError(f"the target must be a StateVector, not {type(target).__name__}")
     pooled, cfg, tag = _pooled_stack(counts)
     rho_linear = _invert(pooled)
     mat, clip = _project(rho_linear)
     rho_hat = DensityOperator(mat)
-    fid: float | None = None
+    fid = fidelity(rho_hat, target)
     fid_se: float | None = None
     used: int | None = None
-    if target is not None:
-        fid = fidelity(rho_hat, target)
-        if num_bootstrap > 0:
-            rng = _stream(cfg.seed, tag, _TOMO_DOMAIN, 1)
-            kept = _poisson_bootstrap(pooled, rng, num_bootstrap)
-            used = len(kept)
-            mats = _project(_invert(kept))[0]
-            # _project returns density matrices by construction, so no
-            # DensityOperator checks; one matrix at a time, as a stacked
-            # product rounds some values differently.
-            reps = [_vector_fidelity(target.amplitudes, m) for m in mats]
-            fid_se = float(np.std(reps, ddof=1))
+    if num_bootstrap > 0:
+        rng = _stream(cfg.seed, tag, _TOMO_DOMAIN, 1)
+        kept = _poisson_bootstrap(pooled, rng, num_bootstrap)
+        used = len(kept)
+        mats = _project(_invert(kept))[0]
+        # _project returns density matrices by construction, so no
+        # DensityOperator checks; one matrix at a time, as a stacked
+        # product rounds some values differently.
+        reps = [_vector_fidelity(target.amplitudes, m) for m in mats]
+        fid_se = float(np.std(reps, ddof=1))
     return TomographyResult(
         rho_hat=rho_hat,
         rho_linear=rho_linear,

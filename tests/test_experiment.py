@@ -1136,9 +1136,13 @@ class TestJudge:
         assert moved.log10_p_value != verdict.log10_p_value
         assert moved.per_constraint_values[key] != verdict.per_constraint_values[key]
 
-    @pytest.mark.parametrize("fault", ["missing", "another key", "zero total"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["missing", "another key", "zero total", "another constraint", "every tag 0",
+         "another config"],
+    )
     def test_refused_before_any_bootstrap_draw(self, run, fault, monkeypatch):
-        _out, spec, counts = run
+        out, spec, counts = run
 
         def no_draw(*args):
             raise AssertionError("a bootstrap replicate was drawn")
@@ -1151,11 +1155,30 @@ class TestJudge:
         elif fault == "another key":
             counts[("01", "XX")] = counts[("01", "ZZ")]
             message = r"counts under key \('01', 'XX'\) are for setting \('Z', 'Z'\)"
-        else:
+        elif fault == "zero total":
             table = counts[("10", "XX")]
             zeros = np.zeros_like(table.counts)
             counts[("10", "XX")] = CountTable(table.setting, zeros, table.config, table.stream_tag)
             message = "zero total count"
+        elif fault == "another constraint":
+            # The same setting, so only the stream tag tells the two rows apart.
+            counts[("10", "XX")] = counts[("00", "XX")]
+            message = (
+                r"^counts under key \('10', 'XX'\) are of another draw than those under"
+                r" \('01', 'ZZ'\): row 3 needs their config and stream tag 3$"
+            )
+        elif fault == "every tag 0":
+            cfg = counts[("01", "ZZ")].config
+            counts = {
+                (label, obs): CountTable.from_csv(out / f"counts_{label}_{obs}.csv", cfg)
+                for label, obs in spec.observation_keys()
+            }
+            message = r"^counts under key \('10', 'ZZ'\) are of another draw .* row 1 needs"
+        else:
+            table = counts[("00", "XX")]
+            other = table.config.replace(seed=table.config.seed + 1)
+            counts[("00", "XX")] = CountTable(table.setting, table.counts, other, table.stream_tag)
+            message = r"^counts under key \('00', 'XX'\) are of another draw"
         with pytest.raises(ValueError, match=message):
             judge(spec, counts)
 

@@ -123,7 +123,7 @@ class TestLinearInversion:
         ids=["epr00", "epr01", "basis01"],
     )
     def test_dyadic_counts_invert_exactly(self, state):
-        result = reconstruct(exact_tables(state, 2**20))
+        result = reconstruct(exact_tables(state, 2**20), state)
         rho_true = projector(state).matrix
         np.testing.assert_allclose(result.rho_linear, rho_true, atol=1e-12)
         np.testing.assert_allclose(result.rho_hat.matrix, rho_true, atol=1e-12)
@@ -132,14 +132,15 @@ class TestLinearInversion:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_states_invert_to_rounding_error(self, seed):
         state = random_state(2, seed)
-        result = reconstruct(exact_tables(state, 10**12))
+        result = reconstruct(exact_tables(state, 10**12), state)
         rho_true = projector(state).matrix
         np.testing.assert_allclose(result.rho_linear, rho_true, atol=1e-9)
 
     def test_mixed_input_inverts_too(self):
         # v = 0.75 keeps every Born probability dyadic.
-        rho = werner_mix(epr_family(math.pi / 4, "00"), 0.75)
-        result = reconstruct(exact_tables(rho, 2**22))
+        psi = epr_family(math.pi / 4, "00")
+        rho = werner_mix(psi, 0.75)
+        result = reconstruct(exact_tables(rho, 2**22), psi)
         np.testing.assert_allclose(result.rho_linear, rho.matrix, atol=1e-12)
 
     def test_matches_dense_pauli_sum(self):
@@ -264,8 +265,8 @@ class TestReconstructionQuality:
         sparse = ExperimentConfig(
             pair_rate=20.0, duration_per_setting=1.0, num_trials=1, efficiency=1.0, seed=5
         )
-        tables = simulate_tomography_counts(epr_family(1.0, "00"), sparse)
-        result = reconstruct(tables)
+        state = epr_family(1.0, "00")
+        result = reconstruct(simulate_tomography_counts(state, sparse), state)
         eigs = np.linalg.eigvalsh(result.rho_hat.matrix)
         assert np.all(eigs >= -1e-12)
         assert np.trace(result.rho_hat.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -344,20 +345,34 @@ class TestBatchedBootstrap:
         result = self.assert_matches_loop(tables, epr_family(math.pi / 4, "00"), 200)
         assert 0 < result.bootstrap_used < 200
 
-    def test_density_target_refused_before_any_draw(self, monkeypatch):
-        psi = epr_family(math.pi / 4, "00")
-        tables = simulate_tomography_counts(psi, DESK.replace(visibility_v=0.9), stream_tag=3)
-
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (
+                werner_mix(epr_family(0.5, "00"), 0.9),
+                "^the target must be a StateVector, not DensityOperator$",
+            ),
+            (None, "^the target must be a StateVector, not NoneType$"),
+            (StateVector(np.eye(8)[3]), "^dimension mismatch: 4 vs 8$"),
+        ],
+        ids=["density", "None", "three qubits"],
+    )
+    def test_target_that_is_no_two_qubit_state_refused_before_any_draw(
+        self, target, message, monkeypatch
+    ):
         def no_draw(*args):
             raise AssertionError("a bootstrap replicate was drawn")
 
         monkeypatch.setattr(tomography, "_poisson_bootstrap", no_draw)
-        with pytest.raises(ValueError, match="^fidelity needs a pure state on one side$"):
-            reconstruct(tables, target=werner_mix(psi, 0.9), num_bootstrap=30)
+        tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
+        with pytest.raises(ValueError, match=message):
+            reconstruct(tables, target, num_bootstrap=30)
 
     def test_no_bootstrap_reports_no_count(self):
         tables = simulate_tomography_counts(epr_family(0.5, "00"), DESK)
-        assert reconstruct(tables).bootstrap_used is None
+        result = reconstruct(tables, target=epr_family(0.5, "00"), num_bootstrap=0)
+        assert result.bootstrap_used is None
+        assert result.fidelity_std_err is None
         assert reconstruct(tables, target=epr_family(0.5, "00")).bootstrap_used is None
 
     def test_negative_replicate_count_rejected(self):
@@ -394,32 +409,54 @@ class TestBatchedBootstrap:
 
 
 class TestReconstructValidation:
+    PSI = epr_family(0.5, "00")
+
     def test_missing_setting_rejected(self):
-        tables = exact_tables(epr_family(0.5, "00"), 2**20)
+        tables = exact_tables(self.PSI, 2**20)
         del tables[("Y", "Z")]
         with pytest.raises(ValueError, match="missing tomography settings"):
-            reconstruct(tables)
-
-    def test_bootstrap_without_target_rejected(self):
-        # No target means no fidelity, so the requested error would not exist.
-        tables = exact_tables(epr_family(0.5, "00"), 2**20)
-        with pytest.raises(ValueError, match="num_bootstrap=100 needs a target"):
-            reconstruct(tables, num_bootstrap=100)
-        assert reconstruct(tables, num_bootstrap=0).fidelity_std_err is None
+            reconstruct(tables, self.PSI)
 
     def test_zero_total_rejected(self):
-        tables = exact_tables(epr_family(0.5, "00"), 2**20)
+        tables = exact_tables(self.PSI, 2**20)
         empty = np.zeros((1, 2, 2), dtype=np.int64)
         tables[("X", "X")] = CountTable(("X", "X"), empty, FLAT_CFG)
         with pytest.raises(ValueError, match="zero total"):
-            reconstruct(tables)
+            reconstruct(tables, self.PSI)
 
     def test_misfiled_table_rejected(self):
         # The ("X", "X") key holds the XY table: a ValueError, not a KeyError.
-        tables = exact_tables(epr_family(0.5, "00"), 2**20)
+        tables = exact_tables(self.PSI, 2**20)
         tables[("X", "X")] = tables[("X", "Y")]
         with pytest.raises(ValueError, match=r"no counts for setting \(X,X\).*holds \(X,Y\)"):
-            reconstruct(tables)
+            reconstruct(tables, self.PSI)
+
+    @pytest.mark.parametrize(
+        "setting, other, message",
+        [
+            # The XX table of another state and tag: every other setting
+            # differs from the first one.
+            (("X", "X"), (epr_family(0.0, "01"), DESK, 5), r"^setting \(X,Y\) was drawn"),
+            (("Z", "Y"), (epr_family(math.pi / 4, "00"), DESK, 1), r"^setting \(Z,Y\) was drawn"),
+            (
+                ("Y", "Z"),
+                (epr_family(math.pi / 4, "00"), DESK.replace(seed=1), 0),
+                r"^setting \(Y,Z\) was drawn under another config or stream tag than"
+                r" setting \(X,X\)$",
+            ),
+        ],
+        ids=["first setting", "stream tag", "config"],
+    )
+    def test_tables_of_two_draws_rejected(self, setting, other, message, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a bootstrap replicate was drawn")
+
+        monkeypatch.setattr(tomography, "_poisson_bootstrap", no_draw)
+        psi = epr_family(math.pi / 4, "00")
+        tables = simulate_tomography_counts(psi, DESK, 0)
+        tables[setting] = simulate_tomography_counts(*other)[setting]
+        with pytest.raises(ValueError, match=message):
+            reconstruct(tables, target=psi, num_bootstrap=10)
 
     @staticmethod
     def one_cell_tables(count):
@@ -449,6 +486,13 @@ class TestReconstructValidation:
                 rho_hat=DensityOperator(np.eye(4) / 4.0),
                 rho_linear=np.eye(4) / 4.0,
                 clip_magnitude=-0.1,
+                fidelity_to_target=0.5,
+            )
+        with pytest.raises(TypeError, match="fidelity_to_target"):
+            TomographyResult(
+                rho_hat=DensityOperator(np.eye(4) / 4.0),
+                rho_linear=np.eye(4) / 4.0,
+                clip_magnitude=0.0,
             )
         with pytest.raises(ValueError, match="fidelity"):
             TomographyResult(

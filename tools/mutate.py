@@ -9,7 +9,8 @@ Usage::
 Each target function in ``TARGETS`` is parsed with ``ast``, and every
 mutation site in its body (an arithmetic or comparison operator, a
 boolean connective, a unary minus or ``not``, a numeric constant, a
-``min``/``max``-style call) gives one mutant that changes that site alone.
+``min``/``max``-style call, the values of two adjacent keyword arguments
+of one call) gives one mutant that changes that site alone.
 The repository (``--repo``, default this script's checkout) is copied to a
 temporary directory, without ``.git``; each mutant is written into the
 copy's ``src/`` and ``python -m pytest -x -q`` runs in the copy. A mutant
@@ -76,6 +77,8 @@ TARGETS = (
     "_invert",
     "_simplex_project",
     "_project",
+    "_pooled_stack",
+    "reconstruct",
 )
 
 # Survivors known to change no observable behaviour, keyed by function and
@@ -158,6 +161,12 @@ REASONS: dict[str, dict[tuple[str, str, str], str]] = {
             " eigenvalue) give a shift of exactly 0 either way."
         ),
     },
+    "reconstruct": {
+        ("if num_bootstrap > 0:", "0", "1"): (
+            "_check_bootstrap_count has refused 1 by then, so num_bootstrap is 0 or"
+            " at least 2, and '> 0' and '> 1' pick the same calls."
+        ),
+    },
     "_project": {
         ("mat = 0.5 * (mat + _dagger(mat))", "0.5", "1.0"): (
             "The next line divides by the trace. Doubling is exact in binary"
@@ -199,6 +208,20 @@ def _swapped(node: ast.AST, field: str, table: dict, index: int | None = None) -
     return ast.unparse(new)
 
 
+def _keywords_swapped(node: ast.Call, index: int) -> str | None:
+    """``node`` unparsed with the values of keyword arguments ``index`` and
+    ``index + 1`` swapped, or None if one is a ``**`` argument or both
+    values read the same."""
+    first, second = node.keywords[index:index + 2]
+    if first.arg is None or second.arg is None or ast.dump(first.value) == ast.dump(second.value):
+        return None
+    new = copy.copy(node)
+    new.keywords = list(node.keywords)
+    new.keywords[index] = ast.keyword(first.arg, second.value)
+    new.keywords[index + 1] = ast.keyword(second.arg, first.value)
+    return ast.unparse(new)
+
+
 def _constant(value: int | float) -> int | float:
     if value in (0, 1):
         return 1 - value
@@ -234,6 +257,7 @@ def _mutations(node: ast.AST) -> list[str]:
             call = copy.copy(node)
             call.func = new
             out = [ast.unparse(call)]
+        out += [_keywords_swapped(node, i) for i in range(len(node.keywords) - 1)]
     else:
         out = [None]
     return [text for text in out if text is not None]
