@@ -12,6 +12,9 @@ observed mean); evidence against the best convex-mixture model is
 summarized by a Hoeffding tail bound optimized over the mixture weights.
 ``judge`` is the one path from a spec's count tables, simulated or read
 back with ``CountTable.from_csv``, to its estimate columns and verdict.
+Every set of tables, a spec's for ``paradox_p_value`` (and so ``judge``)
+and the nine tomography settings, is read by ``_one_draw``: each table
+present, under its own setting, of one draw and with a nonzero total.
 
 Every random quantity draws from its own RNG stream,
 ``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
@@ -502,10 +505,41 @@ def paradox_counts(
     return out
 
 
+def _one_draw(
+    tables: Mapping, keys, settings, tag_step: int
+) -> tuple[np.ndarray, ExperimentConfig, int]:
+    """The one reader of count tables: the pooled ``(k, 2, 2)`` counts under ``keys``,
+    in order, with the first table's config and stream tag. Table ``i`` must hold
+    ``settings[i]``, that config and that tag plus ``tag_step * i`` (1 for
+    ``paradox_counts``, 0 for ``simulate_tomography_counts``), else ``ValueError``
+    names the key of a missing table or of one with another setting or draw, and
+    the setting of a zero total. Tables under other keys are ignored."""
+    stack = []
+    for idx, (key, setting) in enumerate(zip(keys, settings)):
+        if key not in tables:
+            raise ValueError(f"no counts under key {key}")
+        table, first = tables[key], tables[keys[0]]
+        if table.setting != setting:
+            raise ValueError(f"counts under key {key} are for setting {table.setting}")
+        tag = first.stream_tag + tag_step * idx
+        if (table.config, table.stream_tag) != (first.config, tag):
+            raise ValueError(
+                f"counts under key {key} are of another draw than those under {keys[0]}:"
+                f" row {idx} needs their config and stream tag {tag}"
+            )
+        stack.append(table.counts.sum(axis=0))
+        _check_nonzero_total(stack[-1].sum(), "setting ({},{})".format(*setting))
+    return np.array(stack, dtype=float), first.config, first.stream_tag
+
+
 def paradox_p_value(
     spec: ParadoxSpec, counts: Mapping[tuple[str, str], CountTable]
 ) -> tuple[float, float]:
     """Hoeffding tail bound against the best convex-mixture model, and its log10.
+
+    ``counts`` maps each ``spec.observation_keys()`` key to its table, as
+    one ``paradox_counts`` call draws them; ``_one_draw`` reads them with a
+    tag step of 1 and ignores tables under other keys.
 
     The per-coincidence win variable lies in [-1, 1], so a mixed-row
     correlator from N coincidences lands ``d`` or more from its
@@ -521,16 +555,17 @@ def paradox_p_value(
     prediction gives p = 1.
 
     Raises:
-        ValueError: missing counts, a table under another setting's key, or zero totals.
+        ValueError: from ``_one_draw``, at the first key in spec order with a
+            missing table, a table under another setting's key, a table of
+            another draw (another config, or a stream tag off its row's) or a
+            zero total.
     """
-    for key, table in counts.items():
-        if table.setting != _check_setting(tuple(key[1])):
-            raise ValueError(f"counts under key {key} are for setting {table.setting}")
-    estimates = {key: point_correlator(table, *table.setting) for key, table in counts.items()}
+    keys = spec.observation_keys()
+    pooled = _one_draw(counts, keys, [con.observable.axes for con in spec.constraints], 1)[0]
     gap, _, rows = _mixture_gap(
         spec,
-        {key: value for key, (value, _n) in estimates.items()},
-        {key: math.sqrt(n_total) for key, (_v, n_total) in estimates.items()},
+        dict(zip(keys, _cell_correlator(pooled).tolist())),
+        dict(zip(keys, np.sqrt(pooled.sum(axis=(1, 2))).tolist())),
     )
     return _hoeffding_p(gap, 2 * rows)
 
@@ -556,27 +591,17 @@ def judge(
     """Estimate columns and mixture verdict of a spec's count tables.
 
     ``counts`` maps each ``spec.observation_keys()`` key to its table, as
-    ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them:
-    one draw, so every table holds the first row's config, and the first
-    row's stream tag plus its row index. Returns one row per constraint,
-    in spec order (``estimate``, ``std_err``, ``delta_std_err``,
-    ``n_total``), and the ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on
-    the estimates, with the ``paradox_p_value`` attached.
+    ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them.
+    Returns one row per constraint, in spec order (``estimate``,
+    ``std_err``, ``delta_std_err``, ``n_total``), and the
+    ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on the estimates, with the
+    ``paradox_p_value`` attached.
 
     Raises:
-        ValueError: a missing table, a table under another setting's key,
-            a zero total, or a table of another draw (another config, or a
-            stream tag off its row's), each before any bootstrap draw.
+        ValueError: whatever ``paradox_p_value`` refuses, before any bootstrap draw.
     """
     p, log10_p = paradox_p_value(spec, counts)
     keys = spec.observation_keys()
-    first = counts[keys[0]]
-    for idx, key in enumerate(keys):
-        if (counts[key].config, counts[key].stream_tag) != (first.config, first.stream_tag + idx):
-            raise ValueError(
-                f"counts under key {key} are of another draw than those under {keys[0]}:"
-                f" row {idx} needs their config and stream tag {first.stream_tag + idx}"
-            )
     rows = []
     for key in keys:
         e = correlator_from_counts(counts[key], *counts[key].setting)

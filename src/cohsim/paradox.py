@@ -224,7 +224,7 @@ class ParadoxVerdict:
 def _min_max_residual(
     component_values: np.ndarray,
     targets: np.ndarray,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Minimize ``max_j weights_j |row_j . p - targets_j|`` over the simplex.
 
@@ -241,7 +241,7 @@ def _min_max_residual(
     vals = np.asarray(component_values, dtype=float)
     m, k = vals.shape
     targ = np.asarray(targets, dtype=float)
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if m > 1:
         return _mixture_lp(vals, targ, w)[:2]
     # Python floats: the same IEEE doubles as numpy scalars, without their
@@ -335,7 +335,7 @@ _GHZ_VERTEX_ROWS = tuple(
 
 
 def _ghz_hull_residual(observed: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact ``_min_max_residual(_GHZ_PRODUCTS.T, observed)``.
+    """Exact ``_min_max_residual(_GHZ_PRODUCTS.T, observed, np.ones(4))``.
 
     The 64 assignments give only the 8 even vectors of {-1, 1}^4 (product
     +1), which are the rows of the Hadamard matrix H and their negatives.

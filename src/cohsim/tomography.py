@@ -17,7 +17,7 @@ import numpy as np
 
 from .experiment import (
     _TOMO_DOMAIN, CountTable, ExperimentConfig, _cell_correlator, _check_bootstrap_count,
-    _check_nonzero_total, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
+    _one_draw, _poisson_bootstrap, _stream, _write_csv, simulate_counts,
 )
 from .measurement import AXES, _pauli_action
 from .states import (
@@ -83,26 +83,6 @@ def _simplex_project(eigs: np.ndarray) -> np.ndarray:
     return np.maximum(eigs - shift, 0.0)
 
 
-def _pooled_stack(
-    tables: Mapping[tuple[str, str], CountTable],
-) -> tuple[np.ndarray, ExperimentConfig, int]:
-    """Pooled ``(9, 2, 2)`` counts in ``SETTINGS`` order plus the config and
-    tag of the one draw that made them, which seed the bootstrap."""
-    missing = [s for s in SETTINGS if s not in tables]
-    if missing:
-        raise ValueError(f"missing tomography settings: {missing}")
-    stack = np.array([tables[s].pooled(*s) for s in SETTINGS], dtype=float)
-    anchor = tables[SETTINGS[0]]
-    for (u, v), cell in zip(SETTINGS, stack):
-        _check_nonzero_total(cell.sum(), f"setting ({u},{v})")
-        if (tables[u, v].config, tables[u, v].stream_tag) != (anchor.config, anchor.stream_tag):
-            raise ValueError(
-                f"setting ({u},{v}) was drawn under another config or stream tag"
-                f" than setting ({','.join(SETTINGS[0])})"
-            )
-    return stack, anchor.config, anchor.stream_tag
-
-
 def _invert(pooled: np.ndarray) -> np.ndarray:
     """Linear inversion of pooled ``(..., 9, 2, 2)`` counts into unit-trace matrices."""
     batch = pooled.shape[:-3]
@@ -148,8 +128,9 @@ def reconstruct(
     """Reconstruct a two-qubit state from nine-setting counts.
 
     ``counts`` maps each of the nine settings to its table, as one
-    ``simulate_tomography_counts`` call returns them; the bootstrap streams
-    derive from the config and tag the nine tables share. The ``target``
+    ``simulate_tomography_counts`` call returns them; ``_one_draw`` reads
+    them with a tag step of 0, and the bootstrap streams derive from the
+    config and tag the nine tables share. The ``target``
     is the pure state the counts were drawn from, which the fidelity is
     scored against. With ``num_bootstrap > 0``, the fidelity's standard error
     runs over the ``_poisson_bootstrap`` replicates of the pooled counts
@@ -161,8 +142,9 @@ def reconstruct(
     spread to measure, so 1 is refused.
 
     Raises:
-        ValueError: missing settings, a table under another setting's key or
-            of another draw, zero totals, a ``num_bootstrap`` that is no integer
+        ValueError: what ``_one_draw`` refuses (a missing table, a table under
+            another setting's key or of another draw, or a zero total), a
+            ``num_bootstrap`` that is no integer
             (a float or bool) or is 1 or below 0, a ``target`` that is no
             two-qubit ``StateVector`` (all before any bootstrap draw), or fewer
             than two replicates that can be inverted.
@@ -170,7 +152,7 @@ def reconstruct(
     _check_bootstrap_count(num_bootstrap, allow_none=True)
     if not isinstance(target, StateVector):
         raise ValueError(f"the target must be a StateVector, not {type(target).__name__}")
-    pooled, cfg, tag = _pooled_stack(counts)
+    pooled, cfg, tag = _one_draw(counts, SETTINGS, SETTINGS, 0)
     rho_linear = _invert(pooled)
     mat, clip = _project(rho_linear)
     rho_hat = DensityOperator(mat)

@@ -921,9 +921,9 @@ class TestPValues:
         spec = two_party_mixture_spec()
         flat = [[25, 25], [25, 25]]
         counts = {
-            ("01", "ZZ"): hand_table(flat),
-            ("10", "ZZ"): hand_table(flat),
-            ("00", "ZZ"): hand_table(flat),
+            ("01", "ZZ"): hand_table(flat, stream_tag=0),
+            ("10", "ZZ"): hand_table(flat, stream_tag=1),
+            ("00", "ZZ"): hand_table(flat, stream_tag=2),
         }
         assert paradox_p_value(spec, counts) == (1.0, 0.0)
 
@@ -934,9 +934,9 @@ class TestPValues:
         spec = two_party_mixture_spec()
         flat = [[25, 25], [25, 25]]
         counts = {
-            ("01", "ZZ"): hand_table(flat),
-            ("10", "ZZ"): hand_table(flat),
-            ("00", "ZZ"): hand_table([[45, 15], [15, 25]]),
+            ("01", "ZZ"): hand_table(flat, stream_tag=0),
+            ("10", "ZZ"): hand_table(flat, stream_tag=1),
+            ("00", "ZZ"): hand_table([[45, 15], [15, 25]], stream_tag=2),
         }
         p, log10_p = paradox_p_value(spec, counts)
         assert p == pytest.approx(2.0 * math.exp(-8.0), rel=1e-12)
@@ -947,14 +947,14 @@ class TestPValues:
         flat = [[25, 25], [25, 25]]
         skew = [[45, 15], [15, 25]]
         small = {
-            ("01", "ZZ"): hand_table(flat),
-            ("10", "ZZ"): hand_table(flat),
-            ("00", "ZZ"): hand_table(skew),
+            ("01", "ZZ"): hand_table(flat, stream_tag=0),
+            ("10", "ZZ"): hand_table(flat, stream_tag=1),
+            ("00", "ZZ"): hand_table(skew, stream_tag=2),
         }
         big = {
-            ("01", "ZZ"): hand_table([[c * 4 for c in row] for row in flat]),
-            ("10", "ZZ"): hand_table([[c * 4 for c in row] for row in flat]),
-            ("00", "ZZ"): hand_table([[c * 4 for c in row] for row in skew]),
+            ("01", "ZZ"): hand_table([[c * 4 for c in row] for row in flat], stream_tag=0),
+            ("10", "ZZ"): hand_table([[c * 4 for c in row] for row in flat], stream_tag=1),
+            ("00", "ZZ"): hand_table([[c * 4 for c in row] for row in skew], stream_tag=2),
         }
         p_big, log10_p_big = paradox_p_value(spec, big)
         p_small, log10_p_small = paradox_p_value(spec, small)
@@ -968,9 +968,9 @@ class TestPValues:
         flat = [[quarter, quarter], [quarter, quarter]]
         skew = [[int(0.45 * n), int(0.15 * n)], [int(0.15 * n), quarter]]
         counts = {
-            ("01", "ZZ"): hand_table(flat),
-            ("10", "ZZ"): hand_table(flat),
-            ("00", "ZZ"): hand_table(skew),
+            ("01", "ZZ"): hand_table(flat, stream_tag=0),
+            ("10", "ZZ"): hand_table(flat, stream_tag=1),
+            ("00", "ZZ"): hand_table(skew, stream_tag=2),
         }
         p, log10_p = paradox_p_value(spec, counts)
         assert p == 5e-324
@@ -979,7 +979,7 @@ class TestPValues:
     def test_missing_table_rejected(self):
         spec = two_party_mixture_spec()
         counts = {("01", "ZZ"): hand_table([[25, 25], [25, 25]])}
-        with pytest.raises(ValueError, match="missing observations"):
+        with pytest.raises(ValueError, match=re.escape("no counts under key ('10', 'ZZ')")):
             paradox_p_value(spec, counts)
 
     def test_table_under_another_settings_key_rejected(self):
@@ -1136,12 +1136,15 @@ class TestJudge:
         assert moved.log10_p_value != verdict.log10_p_value
         assert moved.per_constraint_values[key] != verdict.per_constraint_values[key]
 
+    @pytest.mark.parametrize("entry", [judge, paradox_p_value], ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
         "fault",
         ["missing", "another key", "zero total", "another constraint", "every tag 0",
          "another config"],
     )
-    def test_refused_before_any_bootstrap_draw(self, run, fault, monkeypatch):
+    def test_refused_before_any_bootstrap_draw(self, run, fault, entry, monkeypatch):
+        # ``judge`` reads the tables through ``paradox_p_value``, so the
+        # exported p-value refuses every set of tables the verdict refuses.
         out, spec, counts = run
 
         def no_draw(*args):
@@ -1151,7 +1154,7 @@ class TestJudge:
         counts = dict(counts)
         if fault == "missing":
             del counts[("00", "XX")]
-            message = "missing observations"
+            message = r"^no counts under key \('00', 'XX'\)$"
         elif fault == "another key":
             counts[("01", "XX")] = counts[("01", "ZZ")]
             message = r"counts under key \('01', 'XX'\) are for setting \('Z', 'Z'\)"
@@ -1180,7 +1183,16 @@ class TestJudge:
             counts[("00", "XX")] = CountTable(table.setting, table.counts, other, table.stream_tag)
             message = r"^counts under key \('00', 'XX'\) are of another draw"
         with pytest.raises(ValueError, match=message):
-            judge(spec, counts)
+            entry(spec, counts)
+
+    @pytest.mark.parametrize("entry", [judge, paradox_p_value], ids=lambda f: f.__name__)
+    def test_table_under_an_unlisted_key_is_ignored(self, run, entry):
+        # A ZZ table under an XX key the spec does not list: read, it would be refused.
+        _out, spec, counts = run
+        got = entry(spec, {**counts, ("11", "XX"): counts[("01", "ZZ")]})
+        if entry is judge:
+            got = (got[1].p_value, got[1].log10_p_value)
+        assert got == paradox_p_value(spec, counts)
 
 
 class TestVisibilityScan:

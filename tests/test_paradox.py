@@ -206,8 +206,8 @@ def oracle_one_row_cases(count, seed):
 
     Rows are uniform, half-integer, constant, scaled by 1e-6, rounded to
     2 decimals or ternary. Targets are uniform, equal to an entry, +-1,
-    0, (k - 1)/k or a mixture of the row. Weights are None, 1 or drawn
-    from [0.1, 1e4].
+    0, (k - 1)/k or a mixture of the row. Weights are 1 or drawn from
+    [0.1, 1e4].
     """
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -238,7 +238,7 @@ def oracle_one_row_cases(count, seed):
             target = (k - 1) / k
         else:
             target = row @ rng.dirichlet(np.ones(k))
-        weight = (None, np.array([1.0]), rng.uniform(0.1, 1e4, size=1))[(i // 396) % 3]
+        weight = (np.array([1.0]), rng.uniform(0.1, 1e4, size=1))[(i // 396) % 2]
         yield row[None, :], np.array([target]), weight
 
 
@@ -452,7 +452,7 @@ class TestMinMaxResidual:
     def test_single_component_is_direct(self):
         rows = np.array([[0.2], [-0.4]])
         targets = np.array([1.0, 0.0])
-        gap, weights = _min_max_residual(rows, targets)
+        gap, weights = _min_max_residual(rows, targets, np.ones(len(targets)))
         assert gap == pytest.approx(0.8, abs=1e-12)
         np.testing.assert_allclose(weights, [1.0])
 
@@ -461,7 +461,7 @@ class TestMinMaxResidual:
         for _ in range(50):
             rows = rng.uniform(-1, 1, size=(4, 2))
             targets = rng.uniform(-1, 1, size=4)
-            gap, weights = _min_max_residual(rows, targets)
+            gap, weights = _min_max_residual(rows, targets, np.ones(len(targets)))
             reference = exact_min_max_k2(rows, targets)
             assert gap == pytest.approx(reference, abs=1e-10)
             p = weights[0]
@@ -475,7 +475,7 @@ class TestMinMaxResidual:
         for _ in range(20):
             rows = rng.uniform(-1, 1, size=(4, 2))
             targets = rng.uniform(-1, 1, size=4)
-            gap, _ = _min_max_residual(rows, targets)
+            gap, _ = _min_max_residual(rows, targets, np.ones(len(targets)))
             residual = np.abs(
                 np.outer(rows[:, 0], grid)
                 + np.outer(rows[:, 1], 1 - grid)
@@ -490,7 +490,7 @@ class TestMinMaxResidual:
         for _ in range(25):
             rows = rng.uniform(-1, 1, size=(4, 3))
             targets = rng.uniform(-1, 1, size=4)
-            gap, weights = _min_max_residual(rows, targets)
+            gap, weights = _min_max_residual(rows, targets, np.ones(len(targets)))
             reference = exact_min_max_k3(rows, targets)
             assert gap == pytest.approx(reference, abs=1e-7)
             achieved = np.max(np.abs(rows @ weights - targets))
@@ -512,7 +512,7 @@ class TestMinMaxResidual:
             rows = rng.uniform(-1, 1, size=(4, k))
             p = rng.dirichlet(np.ones(k))
             targets = rows @ p
-            gap, weights = _min_max_residual(rows, targets)
+            gap, weights = _min_max_residual(rows, targets, np.ones(len(targets)))
             assert gap <= 1e-9
             assert weights.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -550,7 +550,7 @@ class TestMinMaxResidual:
         # Both endpoint residuals round to 1.0 and the kink lies far outside
         # [0, 1], so rounding cannot tell the endpoints apart; the witness
         # must still sit on the entry nearest the target, in exact arithmetic.
-        gap, p = _min_max_residual(np.array([row]), np.array([target]))
+        gap, p = _min_max_residual(np.array([row]), np.array([target]), np.ones(1))
         assert gap == 1.0
         t = Fraction(target)
         exact = [Fraction(x) for x in row]
@@ -569,11 +569,13 @@ class TestMinMaxResidual:
         monkeypatch.setattr(paradox, "_mixture_lp", counting)
         rng = np.random.default_rng(49)
         for k in range(1, 9):
-            _min_max_residual(rng.uniform(-1, 1, size=(1, k)), rng.uniform(-1, 1, size=1))
+            rows, targets = rng.uniform(-1, 1, size=(1, k)), rng.uniform(-1, 1, size=1)
+            _min_max_residual(rows, targets, np.ones(1))
         assert calls == []
         shapes = [(m, k) for m in (2, 3, 5) for k in (1, 2, 3, 8)]
         for m, k in shapes:
-            _min_max_residual(rng.uniform(-1, 1, size=(m, k)), rng.uniform(-1, 1, size=m))
+            rows, targets = rng.uniform(-1, 1, size=(m, k)), rng.uniform(-1, 1, size=m)
+            _min_max_residual(rows, targets, np.ones(m))
         assert calls == shapes
 
     def test_multi_row_is_certified_optimal(self):
@@ -601,7 +603,7 @@ class TestMinMaxResidual:
         # Every payoff is 0, so only the simplex's shift keeps its program bounded.
         targets = np.array([0.5, -0.2, 1.0])
         for k in (1, 2, 5):
-            gap, p = _min_max_residual(np.repeat(targets[:, None], k, axis=1), targets)
+            gap, p = _min_max_residual(np.repeat(targets[:, None], k, axis=1), targets, np.ones(3))
             assert gap == 0.0
             assert p.min() >= 0.0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -610,7 +612,7 @@ class TestMinMaxResidual:
         products = paradox._GHZ_PRODUCTS
         for v in np.linspace(0.0, 1.0, 21):
             e = v * np.array(GHZ_TARGET)
-            gap, p = _min_max_residual(products.T, e)
+            gap, p = _min_max_residual(products.T, e, np.ones(4))
             assert gap == pytest.approx(_ghz_hull_residual(e)[0], abs=1e-12)
             assert gap == pytest.approx(max(0.0, v - 0.5), abs=1e-12)
             assert p.min() >= 0.0
@@ -673,9 +675,9 @@ class TestMinMaxResidual:
         rng = np.random.default_rng(17)
         rows = rng.uniform(-1, 1, size=(5, 3))
         targets = rng.uniform(-1, 1, size=5)
-        gap_a, _ = _min_max_residual(rows, targets)
+        gap_a, _ = _min_max_residual(rows, targets, np.ones(5))
         perm = rng.permutation(5)
-        gap_b, _ = _min_max_residual(rows[perm], targets[perm])
+        gap_b, _ = _min_max_residual(rows[perm], targets[perm], np.ones(5))
         assert gap_a == pytest.approx(gap_b, abs=1e-10)
 
 
@@ -1169,12 +1171,12 @@ class TestMixtureFeasibilityCompleteness:
             rows = rng.uniform(-1, 1, size=(m, k))
             p = rng.dirichlet(np.ones(k))
             mixed = rows @ p
-            gap, _ = _min_max_residual(rows, mixed)
+            gap, _ = _min_max_residual(rows, mixed, np.ones(m))
             assert gap <= 1e-8
             delta = rng.uniform(0.05, 0.5)
             bumped = mixed.copy()
             bumped[0] = mixed[0] + delta
-            gap_bumped, _ = _min_max_residual(rows, bumped)
+            gap_bumped, _ = _min_max_residual(rows, bumped, np.ones(m))
             assert 0.0 <= gap_bumped <= delta + 1e-8
 
 

@@ -77,7 +77,7 @@ TARGETS = (
     "_invert",
     "_simplex_project",
     "_project",
-    "_pooled_stack",
+    "_one_draw",
     "reconstruct",
 )
 
