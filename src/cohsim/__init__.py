@@ -55,7 +55,6 @@ from .experiment import (
     judge,
     paradox_counts,
     paradox_p_value,
-    point_correlator,
     simulate_counts,
     visibility_scan,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "lhv_mixture_test",
     "paradox_counts",
     "paradox_p_value",
-    "point_correlator",
     "quantum_strategy",
     "reconstruct",
     "report_states",

@@ -12,9 +12,12 @@ observed mean); evidence against the best convex-mixture model is
 summarized by a Hoeffding tail bound optimized over the mixture weights.
 ``judge`` is the one path from a spec's count tables, simulated or read
 back with ``CountTable.from_csv``, to its estimate columns and verdict.
-Every set of tables, a spec's for ``paradox_p_value`` (and so ``judge``)
-and the nine tomography settings, is read by ``_one_draw``: each table
-present, under its own setting, of one draw and with a nonzero total.
+Every set of tables, a spec's for ``judge`` and ``paradox_p_value``, one
+setting's for ``correlator_from_counts`` and the nine tomography
+settings, is read by ``_one_draw``: each table present, under its own
+setting, of one draw and with a nonzero total. ``judge`` reads once: every
+row's estimate (``_row_estimate``) and the p-value (``_stack_p_value``)
+come from the one pooled stack.
 
 Every random quantity draws from its own RNG stream,
 ``_stream(seed, tag, *key)``, keyed by the seed, the stream tag, the
@@ -64,6 +67,7 @@ _TOMO_DOMAIN = 907
 # in one array.
 _MAX_DRAWS = 100_000
 
+_ROW_BOOTSTRAP = 1000  # replicates per correlator: the default, and each row of ``judge``
 _MIN_POSITIVE = 5e-324  # smallest positive float, used to keep p-values nonzero
 _COUNT_COLUMNS = ("u", "v", "a", "b", "trial", "count")  # CountTable CSV header
 
@@ -280,9 +284,11 @@ class CountTable:
 
     ``setting`` is the axis pair ``(u, v)`` and ``counts`` a read-only
     int64 array of shape ``(num_trials, 2, 2)`` indexed by (trial, a, b).
-    Several settings are a mapping of tables. The config snapshot and
-    the stream tag pin down exactly which RNG streams produced the data,
-    so bootstrap draws can be derived without clashing with them.
+    Several settings are a mapping of tables, and every estimator reads
+    them through ``_one_draw``, which pools the trials. The config
+    snapshot and the stream tag pin down exactly which RNG streams
+    produced the data, so bootstrap draws can be derived without
+    clashing with them.
     """
 
     setting: tuple[str, str]
@@ -314,17 +320,6 @@ class CountTable:
             raise ValueError(f"setting ({u},{v}) totals more than 2**53 counts")
         data.setflags(write=False)
         object.__setattr__(self, "counts", data)
-
-    def pooled(self, u: str, v: str) -> np.ndarray:
-        """Counts of setting ``(u, v)`` summed over trials, shape (2, 2).
-
-        Raises:
-            ValueError: ``(u, v)`` is not this table's setting.
-        """
-        if (u, v) != self.setting:
-            held = ",".join(self.setting)
-            raise ValueError(f"no counts for setting ({u},{v}): the table holds ({held})")
-        return self.counts.sum(axis=0)
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``u,v,a,b,trial,count`` (one per cell per trial)."""
@@ -391,6 +386,15 @@ class CountTable:
             raise ValueError(f"count file {path}: {err}") from None
 
 
+def _check_correlator(value: float, n_total: int) -> None:
+    """A correlator lies in [-1, 1], which NaN does not, and is estimated from an
+    ``_is_int`` count of at least 1."""
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"correlator {value!r} outside [-1, 1]")
+    if not (_is_int(n_total) and n_total >= 1):
+        raise ValueError(f"n_total={reprlib.repr(n_total)} must be an integer of at least 1")
+
+
 @dataclass(frozen=True)
 class EstimatedCorrelator:
     """Point estimate with bootstrap standard error and sample size."""
@@ -400,12 +404,9 @@ class EstimatedCorrelator:
     n_total: int
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"correlator {self.value} outside [-1, 1]")
-        if self.std_err < 0.0:
-            raise ValueError(f"std_err {self.std_err} is negative")
-        if self.n_total <= 0:
-            raise ValueError("n_total must be positive")
+        _check_correlator(self.value, self.n_total)
+        if not (math.isfinite(self.std_err) and self.std_err >= 0.0):
+            raise ValueError(f"std_err {self.std_err!r} must be finite and nonnegative")
 
 
 def simulate_counts(
@@ -429,51 +430,50 @@ def simulate_counts(
     return CountTable((u, v), trials, cfg, stream_tag)
 
 
-def point_correlator(table: CountTable, u: str, v: str) -> tuple[float, int]:
-    """Pooled correlator (``_cell_correlator``) and the total N.
-
-    Raises:
-        ValueError: zero total count.
-    """
-    pooled = table.pooled(u, v)
-    total = int(pooled.sum())
-    _check_nonzero_total(total, f"setting ({u},{v})")
-    return float(_cell_correlator(pooled)), total
+def _row_estimate(
+    pooled: np.ndarray, seed: int, tag: int, setting: tuple[str, str], num_bootstrap: int
+) -> EstimatedCorrelator:
+    """The correlator of one setting's pooled ``(2, 2)`` cells, with the standard error of
+    ``num_bootstrap`` redraws from ``_stream(seed, tag, u, v, _BOOT_DOMAIN, 0)``."""
+    key = (AXES.index(setting[0]), AXES.index(setting[1]), _BOOT_DOMAIN, 0)
+    draws = _poisson_bootstrap(pooled, _stream(seed, tag, *key), num_bootstrap)
+    std_err = float(np.std(_cell_correlator(draws), ddof=1))
+    return EstimatedCorrelator(float(_cell_correlator(pooled)), std_err, int(pooled.sum()))
 
 
 def correlator_from_counts(
-    table: CountTable, u: str, v: str, num_bootstrap: int = 1000
+    table: CountTable, u: str, v: str, num_bootstrap: int = _ROW_BOOTSTRAP
 ) -> EstimatedCorrelator:
     """Estimate one setting's correlator with a parametric bootstrap.
 
-    The standard error is the standard deviation of the estimates over
-    the ``_poisson_bootstrap`` replicates of the pooled cells, which
-    leaves out those with N = 0 (only tiny means reach it). ``value +-
-    2 std_err`` is a Wald-type interval, which undercovers as |E| -> 1
-    (Brown, Cai & DasGupta, Stat. Sci. 16:101, 2001): at about 100 pairs
-    per setting it held the truth in 0.897 of seeded runs for XX at
-    v = 0.9 and theta = pi/4, against a nominal 0.954.
+    ``_one_draw`` reads the table under the key ``(u, v)``. The estimate is
+    ``_cell_correlator`` of its pooled cells, and the standard error is the
+    standard deviation of the estimates over the ``_poisson_bootstrap``
+    replicates of those cells, which leaves out those with N = 0 (only tiny
+    means reach it). ``value +- 2 std_err`` is a Wald-type interval, which
+    undercovers as |E| -> 1 (Brown, Cai & DasGupta, Stat. Sci. 16:101, 2001):
+    at about 100 pairs per setting it held the truth in 0.897 of seeded runs
+    for XX at v = 0.9 and theta = pi/4, against a nominal 0.954.
 
     Raises:
-        ValueError: zero total count, a ``num_bootstrap`` that is no integer (a
-            float or bool), below 2 (one replicate has no spread to measure) or
-            above ``_MAX_DRAWS``, all before any draw, or fewer than two
-            nonempty replicates.
+        ValueError: a ``num_bootstrap`` that is no integer (a float or bool), below
+            2 (one replicate has no spread to measure) or above ``_MAX_DRAWS``, a
+            table for another setting than ``(u, v)`` or a zero total, all before
+            any draw, or fewer than two nonempty replicates.
     """
     _check_bootstrap_count(num_bootstrap)
-    value, total = point_correlator(table, u, v)
-    key = (AXES.index(u), AXES.index(v), _BOOT_DOMAIN, 0)
-    rng = _stream(table.config.seed, table.stream_tag, *key)
-    draws = _poisson_bootstrap(table.pooled(u, v), rng, num_bootstrap)
-    std_err = float(np.std(_cell_correlator(draws), ddof=1))
-    return EstimatedCorrelator(value=value, std_err=std_err, n_total=total)
+    pooled, cfg, tag = _one_draw({(u, v): table}, [(u, v)], [(u, v)], 0)
+    return _row_estimate(pooled[0], cfg.seed, tag, (u, v), num_bootstrap)
 
 
 def delta_method_std_err(value: float, n_total: int) -> float:
-    """First-order error of a correlator from Poisson cells: sqrt((1-E^2)/N)."""
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    return math.sqrt(max(0.0, 1.0 - value * value) / n_total)
+    """First-order error of a correlator from Poisson cells: sqrt((1-E^2)/N).
+
+    Raises:
+        ValueError: what ``_check_correlator`` refuses.
+    """
+    _check_correlator(value, n_total)
+    return math.sqrt((1.0 - value * value) / n_total)
 
 
 def paradox_counts(
@@ -512,8 +512,8 @@ def _one_draw(
     in order, with the first table's config and stream tag. Table ``i`` must hold
     ``settings[i]``, that config and that tag plus ``tag_step * i`` (1 for
     ``paradox_counts``, 0 for ``simulate_tomography_counts``), else ``ValueError``
-    names the key of a missing table or of one with another setting or draw, and
-    the setting of a zero total. Tables under other keys are ignored."""
+    names the key of a missing table, of one with another setting or draw, or of
+    one with a zero total (and its setting). Tables under other keys are ignored."""
     stack = []
     for idx, (key, setting) in enumerate(zip(keys, settings)):
         if key not in tables:
@@ -528,7 +528,7 @@ def _one_draw(
                 f" row {idx} needs their config and stream tag {tag}"
             )
         stack.append(table.counts.sum(axis=0))
-        _check_nonzero_total(stack[-1].sum(), "setting ({},{})".format(*setting))
+        _check_nonzero_total(stack[-1].sum(), "setting ({},{}) under key {}".format(*setting, key))
     return np.array(stack, dtype=float), first.config, first.stream_tag
 
 
@@ -560,8 +560,14 @@ def paradox_p_value(
             another draw (another config, or a stream tag off its row's) or a
             zero total.
     """
+    settings = [con.observable.axes for con in spec.constraints]
+    return _stack_p_value(spec, _one_draw(counts, spec.observation_keys(), settings, 1)[0])
+
+
+def _stack_p_value(spec: ParadoxSpec, pooled: np.ndarray) -> tuple[float, float]:
+    """``_hoeffding_p`` at the mixture gap of the spec's pooled ``(k, 2, 2)`` stack,
+    one table per constraint in spec order, each row weighted by sqrt(N)."""
     keys = spec.observation_keys()
-    pooled = _one_draw(counts, keys, [con.observable.axes for con in spec.constraints], 1)[0]
     gap, _, rows = _mixture_gap(
         spec,
         dict(zip(keys, _cell_correlator(pooled).tolist())),
@@ -592,19 +598,23 @@ def judge(
 
     ``counts`` maps each ``spec.observation_keys()`` key to its table, as
     ``paradox_counts`` draws them or ``CountTable.from_csv`` reads them.
-    Returns one row per constraint, in spec order (``estimate``,
-    ``std_err``, ``delta_std_err``, ``n_total``), and the
-    ``lhv_mixture_test`` verdict at ``EQ_ATOL`` on the estimates, with the
-    ``paradox_p_value`` attached.
+    ``_one_draw`` reads them once, and its pooled stack gives both outputs:
+    one row per constraint, in spec order (``estimate``, ``std_err``,
+    ``delta_std_err``, ``n_total``), row ``i`` as ``correlator_from_counts``
+    estimates table ``i``, and the ``lhv_mixture_test`` verdict at
+    ``EQ_ATOL`` on the estimates, with the ``paradox_p_value`` attached.
 
     Raises:
-        ValueError: whatever ``paradox_p_value`` refuses, before any bootstrap draw.
+        ValueError: what ``_one_draw`` refuses, as for ``paradox_p_value``,
+            before any bootstrap draw.
     """
-    p, log10_p = paradox_p_value(spec, counts)
     keys = spec.observation_keys()
+    settings = [con.observable.axes for con in spec.constraints]
+    pooled, cfg, tag = _one_draw(counts, keys, settings, 1)
+    p, log10_p = _stack_p_value(spec, pooled)
     rows = []
-    for key in keys:
-        e = correlator_from_counts(counts[key], *counts[key].setting)
+    for i, (cells, setting) in enumerate(zip(pooled, settings)):
+        e = _row_estimate(cells, cfg.seed, tag + i, setting, _ROW_BOOTSTRAP)
         delta = delta_method_std_err(e.value, e.n_total)
         rows.append(
             dict(estimate=e.value, std_err=e.std_err, delta_std_err=delta, n_total=e.n_total)

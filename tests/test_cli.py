@@ -17,7 +17,7 @@ import pytest
 import cohsim
 from cohsim import __version__
 from cohsim.cli import main, parse_angle, parse_angle_list
-from cohsim.experiment import CountTable, ExperimentConfig, point_correlator
+from cohsim.experiment import CountTable, ExperimentConfig
 from cohsim.reports import write_rows_csv
 from cohsim.tomography import reconstruct, report_states
 
@@ -542,11 +542,11 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["paradox", "--mode", "simulated"], "setting (Z,Z)"),
-            (["game", "--mode", "simulated"], "setting (X,X)"),
-            (["tomo"], "setting (X,X)"),
+            (["paradox", "--mode", "simulated"], "setting (Z,Z) under key ('01', 'ZZ')"),
+            (["game", "--mode", "simulated"], "setting (X,X) under key ('00', 'XX')"),
+            (["tomo"], "setting (X,X) under key ('X', 'X')"),
             (["visibility", "--mode", "simulated"], "the fringe scan"),
-            (["report"], "setting (Z,Z)"),
+            (["report"], "setting (Z,Z) under key ('01', 'ZZ')"),
         ],
         ids=["paradox", "game", "tomo", "visibility", "report"],
     )
@@ -646,7 +646,9 @@ class TestParadoxCommand:
         }
         for (label, obs), tag in tags.items():
             table = CountTable.from_csv(out / f"counts_{label}_{obs}.csv", cfg, stream_tag=tag)
-            value, total = point_correlator(table, obs[0], obs[1])
+            (n00, n01), (n10, n11) = table.counts.sum(axis=0)
+            total = n00 + n01 + n10 + n11
+            value = (n00 - n01 - n10 + n11) / total
             row = rows[(label, obs)]
             assert value == pytest.approx(float(row["estimate"]), abs=1e-12)
             assert total == int(row["n_total"])

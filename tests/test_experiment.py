@@ -32,7 +32,6 @@ from cohsim.experiment import (
     judge,
     paradox_counts,
     paradox_p_value,
-    point_correlator,
     simulate_counts,
     visibility_scan,
 )
@@ -45,7 +44,12 @@ from cohsim.paradox import (
     _mixture_gap,
     coherence_paradox,
 )
-from cohsim.reports import paradox_exact_block, paradox_simulated_block
+from cohsim.reports import (
+    _game_spec,
+    paradox_exact_block,
+    paradox_simulated_block,
+    paradox_sources,
+)
 from cohsim.states import EPR_LABELS, DensityOperator, StateVector, epr_family, werner_mix
 from cohsim.tomography import simulate_tomography_counts
 
@@ -295,7 +299,7 @@ class TestSimulateCounts:
     def test_counts_near_expected_mean(self):
         state = epr_family(math.pi / 4, "00")
         table = simulate_counts(state, ("Z", "Z"), DESK)
-        pooled = table.pooled("Z", "Z")
+        pooled = table.counts.sum(axis=0)
         total_mean = DESK.mean_per_trial * DESK.num_trials
         # ZZ outcomes concentrate on (0,1) and (1,0); 0.99 visibility
         # leaks 0.25% of the weight into each of the other two cells.
@@ -427,7 +431,7 @@ class TestCountTable:
             CountTable(("Z", "Z"), [[[cell, 0], [0, 0]]], ONE_TRIAL)
 
     def test_total_at_two_to_the_53_accepted(self):
-        assert hand_table([[2**51, 2**51], [2**51, 2**51]]).pooled("Z", "Z").sum() == 2**53
+        assert hand_table([[2**51, 2**51], [2**51, 2**51]]).counts.sum(axis=0).sum() == 2**53
 
     @pytest.mark.parametrize("cell", [2**51 + 1, 2**62], ids=["just-above", "int64-wraps"])
     def test_total_beyond_exact_floats_rejected(self, cell):
@@ -444,15 +448,14 @@ class TestCountTable:
         cfg = ONE_TRIAL.replace(num_trials=2)
         arr = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=np.int64)
         table = CountTable(("X", "Z"), arr, cfg)
-        np.testing.assert_array_equal(table.pooled("X", "Z"), [[6, 8], [10, 12]])
-        assert point_correlator(table, "X", "Z")[1] == 36
+        np.testing.assert_array_equal(table.counts.sum(axis=0), [[6, 8], [10, 12]])
+        assert correlator_from_counts(table, "X", "Z").n_total == 36
 
     def test_other_setting_rejected(self):
         # Without the guard a ZZ table would answer for XX.
         table = hand_table([[1, 2], [3, 4]])
-        with pytest.raises(ValueError, match=r"no counts for setting \(X,X\).*holds \(Z,Z\)"):
-            point_correlator(table, "X", "X")
-        with pytest.raises(ValueError, match="no counts for setting"):
+        message = r"^counts under key \('X', 'X'\) are for setting \('Z', 'Z'\)$"
+        with pytest.raises(ValueError, match=message):
             correlator_from_counts(table, "X", "X")
 
     def test_csv_round_trip(self, tmp_path):
@@ -714,21 +717,17 @@ class TestCountHelpers:
             _poisson_bootstrap(np.zeros((2, 2)), np.random.default_rng(0), 5)
 
 
-class TestPointCorrelator:
-    def test_textbook_cell_values(self):
-        value, total = point_correlator(hand_table([[1, 49], [49, 1]]), "Z", "Z")
-        assert value == pytest.approx(-0.96)
-        assert total == 100
-
+class TestCorrelatorFromCounts:
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("zero total count for setting (Z,Z)")):
-            point_correlator(hand_table([[0, 0], [0, 0]]), "Z", "Z")
+        message = re.escape("zero total count for setting (Z,Z) under key ('Z', 'Z')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            correlator_from_counts(hand_table([[0, 0], [0, 0]]), "Z", "Z")
 
     def test_one_count_is_enough(self):
-        assert point_correlator(hand_table([[0, 1], [0, 0]]), "Z", "Z") == (-1.0, 1)
+        # About 63 % of the 1000 redraws of the single count are nonzero.
+        est = correlator_from_counts(hand_table([[0, 1], [0, 0]]), "Z", "Z")
+        assert (est.value, est.n_total) == (-1.0, 1)
 
-
-class TestCorrelatorFromCounts:
     def test_value_is_point_estimate(self):
         table = hand_table([[1, 49], [49, 1]])
         est = correlator_from_counts(table, "Z", "Z")
@@ -748,6 +747,17 @@ class TestCorrelatorFromCounts:
         est = correlator_from_counts(hand_table([[50, 0], [0, 50]]), "Z", "Z")
         assert est.value == 1.0
         assert est.std_err == 0.0
+
+    def test_bootstrap_stream_is_keyed_by_the_setting(self):
+        # The redraws of an (X, Z) table come from the stream (seed, tag, 0, 2,
+        # _BOOT_DOMAIN, 0), axis indices in order, one replicate per draw.
+        table = simulate_counts(epr_family(0.5, "00"), ("X", "Z"), DESK, stream_tag=4)
+        pooled = table.counts.sum(axis=0)
+        rng = np.random.default_rng(np.random.SeedSequence((DESK.seed, 4, 0, 2, 811, 0)))
+        draws = rng.poisson(pooled, size=(1000, 2, 2))
+        signed = draws[:, 0, 0] - draws[:, 0, 1] - draws[:, 1, 0] + draws[:, 1, 1]
+        want = float(np.std(signed / draws.sum(axis=(1, 2)), ddof=1))
+        assert correlator_from_counts(table, "X", "Z").std_err == want
 
     def test_deterministic_given_seed_and_tag(self):
         table = simulate_counts(epr_family(0.5, "00"), ("X", "X"), DESK, stream_tag=4)
@@ -809,6 +819,11 @@ class TestEstimatedCorrelator:
             EstimatedCorrelator(value=0.5, std_err=-1.0, n_total=10)
         with pytest.raises(ValueError):
             EstimatedCorrelator(value=0.5, std_err=0.1, n_total=0)
+        for std_err in (float("nan"), math.inf):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                EstimatedCorrelator(value=0.5, std_err=std_err, n_total=10)
+        with pytest.raises(ValueError, match=r"^n_total=2\.5 must be an integer of at least 1$"):
+            EstimatedCorrelator(value=0.5, std_err=0.1, n_total=2.5)
 
 
 class TestDeltaMethod:
@@ -826,6 +841,24 @@ class TestDeltaMethod:
 
     def test_one_pair_is_a_full_unit_error(self):
         assert delta_method_std_err(0.0, 1) == 1.0
+
+    @pytest.mark.parametrize(
+        "value, n_total, message",
+        [
+            (float("nan"), 10, "correlator nan outside"),
+            (2.0, 10, "correlator 2.0 outside"),
+            (-1.0 - 2**-52, 10, "correlator -1.0000000000000002 outside"),
+            (0.5, True, "n_total=True must be"),
+            (0.5, 2.0, "n_total=2.0 must be"),
+            (0.5, -3, "n_total=-3 must be"),
+        ],
+        ids=["nan", "above-one", "below-minus-one", "bool", "float", "negative"],
+    )
+    def test_impossible_input_refused(self, value, n_total, message):
+        # NaN and 2.0 once gave 0.0, an error that reads as exact, and True
+        # counted as one pair; no estimate holds any of them.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            delta_method_std_err(value, n_total)
 
 
 class TestEstimatorConsistency:
@@ -1020,11 +1053,11 @@ class TestPValues:
         assert cfg.mean_per_trial == 600.0
         sources = {label: epr_family(theta, label) for label in EPR_LABELS}
         counts = paradox_counts(spec, sources, cfg)
-        estimates = {key: point_correlator(t, *t.setting) for key, t in counts.items()}
+        cells = {key: t.counts.sum(axis=0) for key, t in counts.items()}
         gap, _, rows = _mixture_gap(
             spec,
-            {key: value for key, (value, _n) in estimates.items()},
-            {key: math.sqrt(n) for key, (_v, n) in estimates.items()},
+            {key: float(_cell_correlator(c)) for key, c in cells.items()},
+            {key: math.sqrt(c.sum()) for key, c in cells.items()},
         )
         assert rows == 2 and gap > 0.0
         _, log10_p = paradox_p_value(spec, counts)
@@ -1143,8 +1176,10 @@ class TestJudge:
          "another config"],
     )
     def test_refused_before_any_bootstrap_draw(self, run, fault, entry, monkeypatch):
-        # ``judge`` reads the tables through ``paradox_p_value``, so the
-        # exported p-value refuses every set of tables the verdict refuses.
+        # ``judge`` and ``paradox_p_value`` read the tables through the one
+        # ``_one_draw`` call, so the exported p-value refuses every set of
+        # tables the verdict refuses, and ``judge`` refuses them before it
+        # draws any row's bootstrap.
         out, spec, counts = run
 
         def no_draw(*args):
@@ -1162,7 +1197,8 @@ class TestJudge:
             table = counts[("10", "XX")]
             zeros = np.zeros_like(table.counts)
             counts[("10", "XX")] = CountTable(table.setting, zeros, table.config, table.stream_tag)
-            message = "zero total count"
+            # Two more rows are XX; the key tells them apart.
+            message = r"^zero total count for setting \(X,X\) under key \('10', 'XX'\)$"
         elif fault == "another constraint":
             # The same setting, so only the stream tag tells the two rows apart.
             counts[("10", "XX")] = counts[("00", "XX")]
@@ -1184,6 +1220,40 @@ class TestJudge:
             message = r"^counts under key \('00', 'XX'\) are of another draw"
         with pytest.raises(ValueError, match=message):
             entry(spec, counts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "cfg", [DESK, ONE_TRIAL.replace(pair_rate=10.0)], ids=["desk", "ten-pairs"]
+    )
+    @pytest.mark.parametrize(
+        "make_spec",
+        [lambda t: coherence_paradox(t, "X"), lambda t: _game_spec(t, "x")],
+        ids=["coherence_paradox", "game"],
+    )
+    def test_rows_are_the_estimates_of_one_read(self, seed, cfg, make_spec, monkeypatch):
+        # One read of the tables gives every row and the p-value; each row is
+        # what ``correlator_from_counts`` makes of its table alone.
+        theta = 0.3
+        spec = make_spec(theta)
+        counts = paradox_counts(spec, paradox_sources(theta), cfg.replace(seed=seed))
+        reads = []
+
+        def spy(*args):
+            reads.append(args)
+            return one_draw(*args)
+
+        one_draw = experiment._one_draw
+        monkeypatch.setattr(experiment, "_one_draw", spy)
+        rows, verdict = judge(spec, counts)
+        assert len(reads) == 1
+        monkeypatch.undo()
+        for row, key in zip(rows, spec.observation_keys()):
+            e = correlator_from_counts(counts[key], *counts[key].setting)
+            assert (row["estimate"], row["std_err"], row["n_total"]) == (
+                e.value, e.std_err, e.n_total
+            )
+            assert type(row["n_total"]) is int
+        assert (verdict.p_value, verdict.log10_p_value) == paradox_p_value(spec, counts)
 
     @pytest.mark.parametrize("entry", [judge, paradox_p_value], ids=lambda f: f.__name__)
     def test_table_under_an_unlisted_key_is_ignored(self, run, entry):

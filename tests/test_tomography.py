@@ -306,7 +306,7 @@ def loop_bootstrap(tables, target, num_bootstrap):
     ``dense_invert`` and projected without a batch axis. Returns the
     standard error and the number of replicates it runs over.
     """
-    pooled = {s: tables[s].pooled(*s).astype(float) for s in SETTINGS}
+    pooled = {s: tables[s].counts.sum(axis=0).astype(float) for s in SETTINGS}
     anchor = tables[SETTINGS[0]]
     rng = np.random.default_rng(
         np.random.SeedSequence((anchor.config.seed, anchor.stream_tag, _TOMO_DOMAIN, 1))

@@ -58,7 +58,10 @@ TARGETS = (
     "paradox_p_value",
     "_hoeffding_p",
     "judge",
-    "point_correlator",
+    "_row_estimate",
+    "_stack_p_value",
+    "_check_correlator",
+    "EstimatedCorrelator.__post_init__",
     "_is_int",
     "_check_int",
     "StateVector.__post_init__",
@@ -159,6 +162,12 @@ REASONS: dict[str, dict[tuple[str, str, str], str]] = {
             " same shift, desc[k], so only rounding at an exact tie could move a"
             " value; the ties the suite meets (a valid spectrum with a zero"
             " eigenvalue) give a shift of exactly 0 either way."
+        ),
+    },
+    "correlator_from_counts": {
+        ("pooled, cfg, tag = _one_draw({(u, v): table}, [(u, v)], [(u, v)], 0)", "0", "1"): (
+            "One table is read, at index 0, so its tag is the first table's plus"
+            " tag_step * 0 whatever the step."
         ),
     },
     "reconstruct": {
