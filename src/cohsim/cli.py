@@ -51,8 +51,8 @@ from numpy.linalg import _umath_linalg
 
 from . import __version__
 from .experiment import (
-    _MAX_DRAWS, ALPHA, CLASSICAL_VISIBILITY_BOUND, ExperimentConfig, _check_bootstrap_count,
-    visibility_scan,
+    _MAX_DRAWS, _MIN_POSITIVE, ALPHA, CLASSICAL_VISIBILITY_BOUND, ExperimentConfig,
+    _check_bootstrap_count, visibility_scan,
 )
 from .reports import (
     CURVE_THETAS, DEFAULT_THETAS, correlator_detail_rows, dicke_rows, game_curve_rows,
@@ -219,7 +219,10 @@ def _verdict_line(verdict: dict) -> str:
     if "p_value" not in verdict:
         return f"mixture model {'feasible' if verdict['lhv_feasible'] else 'INFEASIBLE'}: {gap}"
     state = "refuted" if verdict["p_value"] <= ALPHA else "not refuted"
-    p = f"p = {verdict['p_value']:.3g} (log10 p = {verdict['log10_p_value']:.1f})"
+    # At the clamp only log10 p still measures the bound.
+    clamped = verdict["p_value"] == _MIN_POSITIVE
+    p = f"p < {_MIN_POSITIVE!r}" if clamped else f"p = {verdict['p_value']:.3g}"
+    p += f" (log10 p = {verdict['log10_p_value']:.1f})"
     return f"mixture model {state} at alpha = {ALPHA:g}: {gap}, {p}"
 
 

@@ -44,10 +44,6 @@ class ObservableChain:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "label", "".join(axes))
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.axes)
-
 
 def as_chain(obs: ObservableChain | str | Iterable[str]) -> ObservableChain:
     """Coerce a chain description (``"XYY"`` or axis sequence) to a chain;

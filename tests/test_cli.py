@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -603,6 +604,8 @@ class TestParadoxCommand:
         assert words["noise"].startswith("mixture model not refuted at alpha = 0.001: gap = ")
         assert words["noise"].endswith(", p = 1 (log10 p = 0.0)")
         assert words["default"].startswith("mixture model refuted at alpha = 0.001: gap = ")
+        # The p-value sits at its clamp, so the line bounds it and log10 p stays exact.
+        assert re.search(r", p < 5e-324 \(log10 p = -\d+\.\d\)$", words["default"])
 
     def test_simulated_run_files_and_estimates(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "o"

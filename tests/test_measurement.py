@@ -149,7 +149,6 @@ class TestObservableChain:
         chain = as_chain("XYZ")
         assert chain.axes == ("X", "Y", "Z")
         assert chain.label == "XYZ"
-        assert chain.num_qubits == 3
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
